@@ -2,8 +2,8 @@
 
 The enumeration builds each group as levels of equal reduced-word length,
 pairing every element with its inverse in the same pass, and feeds the
-downstream conjugacy-class and signed cycle-type computations.  Hot kernels
-are numba-jitted with a pure-numpy fallback (WEYLENUM_KERNEL=numpy).
+downstream conjugacy-class and signed cycle-type computations.  The level
+step is a single numpy kernel; inverse matrices are derived from the pairing.
 """
 
 from .classify import (ConjugacyClass, class_label_d4, conjugacy_classes,
@@ -11,11 +11,9 @@ from .classify import (ConjugacyClass, class_label_d4, conjugacy_classes,
 from .cycletype import (SignedPermutation, class_cycle_type, generator_action,
                         render_cycle_type, signed_cycle_type, word_to_signed_perm)
 from .errors import IntegrityError, ParseError, UnsupportedRootSystem, WeylError
-from .kernels import available_kernels, resolve_kernel
-from .orbit import (GroupElement, Level, OrbitLevel, PairingDictionary,
-                    apply_reflection, build_level_zero, build_next_level,
-                    generate_group, generate_orbit, level_delta, matrix_key,
-                    snow_accepts)
+from .orbit import (GroupElement, Level, OrbitLevel, apply_reflection,
+                    build_level_zero, build_next_level, generate_group,
+                    generate_orbit, level_delta, matrix_key, snow_accepts)
 from .rootsystems import (RootSystem, cartan_matrix, fundamental_weight_in_root_basis,
                           inverse_cartan, load_cartan_file, positive_root_count,
                           reflection_matrix, root_system, root_system_from_cartan,
@@ -27,15 +25,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConjugacyClass", "GlobalIndex", "GroupElement", "IntegrityError", "Level",
-    "LevelFile", "OrbitLevel", "PairingDictionary", "ParseError", "RootSystem",
+    "LevelFile", "OrbitLevel", "ParseError", "RootSystem",
     "SignedPermutation", "UnsupportedRootSystem", "WeylError",
-    "apply_reflection", "available_kernels", "build_index", "build_level_zero",
+    "apply_reflection", "build_index", "build_level_zero",
     "build_next_level", "cartan_matrix", "class_cycle_type", "class_label_d4",
     "conjugacy_classes", "element_order", "fundamental_weight_in_root_basis",
     "generate_group", "generate_orbit", "generator_action", "inverse_cartan",
     "level_delta", "load_cartan_file", "matrix_key", "order_partition",
     "positive_root_count", "read_level", "read_summary", "reflection_matrix",
-    "render_cycle_type", "resolve_kernel", "root_system", "root_system_from_cartan",
+    "render_cycle_type", "root_system", "root_system_from_cartan",
     "signed_cycle_type", "snow_accepts", "weyl_order", "word_to_signed_perm",
     "write_level", "write_summary",
 ]

@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import classify, kernels, reference, store
+from . import classify, reference, store
 from .errors import WeylError
 from .orbit import generate_group
 from .rootsystems import (RootSystem, load_cartan_file, parse_id, root_system,
@@ -37,14 +37,17 @@ def _make_system(name: str, cartan_file: str | None) -> RootSystem:
 
 
 def cmd_generate(name: str, out_dir: str, start_weight: str | None = None,
-                 levels_up_to: int | None = None, cartan_file: str | None = None,
-                 kernel: str | None = None) -> int:
+                 levels_up_to: int | None = None, cartan_file: str | None = None) -> int:
     rs = _make_system(name, cartan_file)
     start = _parse_weight(start_weight) if start_weight else None
-    kernels.warmup(kernel)
+    # Files of an earlier run would be read back as part of this one.
+    stale = store.level_files(out_dir, rs.name)
+    if stale:
+        raise WeylError(f"{stale[min(stale)]} is left from an earlier run; remove the "
+                        f"{rs.name} level files from {out_dir} or choose another --out")
     sizes = []
     t0 = time.perf_counter()
-    for level in generate_group(rs, start=start, kernel=kernel, levels_up_to=levels_up_to):
+    for level in generate_group(rs, start=start, levels_up_to=levels_up_to):
         store.write_level(level, rs.name, out_dir)
         sizes.append(level.size)
         print(f"level {level.index}: {level.size}")
@@ -191,28 +194,24 @@ def cmd_orders(name: str, out_dir: str, as_json: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_bench(names: list[str], kernel: str | None = None) -> int:
+def cmd_bench(names: list[str]) -> int:
     rows = []
-    which = (kernel,) if kernel else kernels.available_kernels()
     for name in names:
         rs = root_system(name)
-        for k in which:
-            kernels.warmup(k)
-            t0 = time.perf_counter()
-            total = 0
-            n_levels = 0
-            for level in generate_group(rs, kernel=k):
-                total += level.size
-                n_levels += 1
-            elapsed = time.perf_counter() - t0
-            rows.append({
-                "system": rs.name,
-                "kernel": k,
-                "levels": n_levels,
-                "total": total,
-                "elapsed_ms": round(elapsed * 1000.0, 3),
-                "elements_per_sec": round(total / elapsed) if elapsed > 0 else None,
-            })
+        t0 = time.perf_counter()
+        total = 0
+        n_levels = 0
+        for level in generate_group(rs):
+            total += level.size
+            n_levels += 1
+        elapsed = time.perf_counter() - t0
+        rows.append({
+            "system": rs.name,
+            "levels": n_levels,
+            "total": total,
+            "elapsed_ms": round(elapsed * 1000.0, 3),
+            "elements_per_sec": round(total / elapsed) if elapsed > 0 else None,
+        })
     print(json.dumps(rows, indent=2))
     return EXIT_OK
 
@@ -230,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--start-weight", help="comma-separated coordinates, default all ones")
     g.add_argument("--levels-up-to", type=int, help="stop after this level index")
     g.add_argument("--cartan-file", help="text file with rank and Cartan matrix rows")
-    g.add_argument("--kernel", choices=kernels.KERNELS, help="force a level-step kernel")
 
     v = sub.add_parser("verify", help="check generated output against reference tables")
     v.add_argument("type")
@@ -250,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="in-memory enumeration benchmark (JSON)")
     b.add_argument("types", nargs="+")
-    b.add_argument("--kernel", choices=kernels.KERNELS,
-                   help="bench one kernel instead of all available")
     return p
 
 
@@ -260,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "generate":
             return cmd_generate(args.type, args.out, args.start_weight,
-                                args.levels_up_to, args.cartan_file, args.kernel)
+                                args.levels_up_to, args.cartan_file)
         if args.command == "verify":
             return cmd_verify(args.type, args.out)
         if args.command == "classes":
@@ -268,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "orders":
             return cmd_orders(args.type, args.out, args.json)
         if args.command == "bench":
-            return cmd_bench(args.types, args.kernel)
+            return cmd_bench(args.types)
         raise WeylError(f"unknown command {args.command}")
     except WeylError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,56 +1,16 @@
-"""Hot-path kernels for the level step, jitted with numba when available.
+"""The level step, in numpy: one kernel for group and orbit enumeration.
 
-Both implementations take the current level as flat int64 arrays and return
-the accepted successors in a fixed order: source elements ascending, and for
-each source the applied generators ascending.  A candidate successor of
-weight ``nu`` under generator ``i`` (0-based here) is accepted when
-``nu[i] > 0`` and every coordinate of the image past position ``i`` is
-nonnegative; that rule reaches each element of the next level exactly once.
-
-Kernel selection order: explicit argument, then the ``WEYLENUM_KERNEL``
-environment variable, then numba whenever it imports.
+Both steps take the current level as int64 arrays and return the accepted
+successors in a fixed order: source elements ascending, and for each source
+the applied generators ascending.  A candidate successor of weight ``nu``
+under generator ``i`` (0-based here) is accepted when ``nu[i] > 0`` and
+every coordinate of the image past position ``i`` is nonnegative; that rule
+reaches each element of the next level exactly once.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .errors import WeylError
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-KERNELS = ("numba", "numpy")
-ENV_VAR = "WEYLENUM_KERNEL"
-
-
-def available_kernels() -> tuple[str, ...]:
-    return KERNELS if NUMBA_AVAILABLE else ("numpy",)
-
-
-def resolve_kernel(choice: str | None = None) -> str:
-    """Pick the kernel implementation to run."""
-    picked = choice or os.environ.get(ENV_VAR) or ("numba" if NUMBA_AVAILABLE else "numpy")
-    picked = picked.strip().lower()
-    if picked not in KERNELS:
-        raise WeylError(f"unknown kernel {picked!r}: expected one of {KERNELS}")
-    if picked == "numba" and not NUMBA_AVAILABLE:
-        raise WeylError("kernel 'numba' requested but numba is not importable")
-    return picked
 
 
 def _acceptance_mask(weights: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -62,123 +22,19 @@ def _acceptance_mask(weights: np.ndarray, images: np.ndarray) -> np.ndarray:
     return (weights > 0) & tail_ok
 
 
-def step_level_numpy(weights, matrices, inv_matrices, cartan, reflections):
+def step_level(weights, matrices, cartan, reflections):
+    """One enumeration step; returns (weights, matrices, src, gen).
+
+    ``gen`` is 0-based.  Inverses are not computed here: the pairing of the
+    new level determines them.
+    """
     images = weights[:, None, :] - weights[:, :, None] * cartan[None, :, :]
     src, gen = np.nonzero(_acceptance_mask(weights, images))
-    new_w = images[src, gen]
-    new_m = np.matmul(reflections[gen], matrices[src])
-    new_inv = np.matmul(inv_matrices[src], reflections[gen])
-    return new_w, new_m, new_inv, src, gen
+    return images[src, gen], np.matmul(reflections[gen], matrices[src]), src, gen
 
 
-def step_orbit_numpy(weights, cartan):
+def step_orbit(weights, cartan):
+    """One orbit step; returns (weights, src, gen) with ``gen`` 0-based."""
     images = weights[:, None, :] - weights[:, :, None] * cartan[None, :, :]
     src, gen = np.nonzero(_acceptance_mask(weights, images))
     return images[src, gen], src, gen
-
-
-@njit(cache=True)
-def _accepts(weights, cartan, j, i):
-    n = weights.shape[1]
-    if weights[j, i] <= 0:
-        return False
-    for k in range(i + 1, n):
-        if weights[j, k] - weights[j, i] * cartan[i, k] < 0:
-            return False
-    return True
-
-
-@njit(cache=True)
-def _step_level_core(weights, matrices, inv_matrices, cartan):
-    m, n = weights.shape
-    count = 0
-    for j in range(m):
-        for i in range(n):
-            if _accepts(weights, cartan, j, i):
-                count += 1
-    new_w = np.empty((count, n), np.int64)
-    new_m = np.empty((count, n, n), np.int64)
-    new_inv = np.empty((count, n, n), np.int64)
-    src = np.empty(count, np.int64)
-    gen = np.empty(count, np.int64)
-    t = 0
-    for j in range(m):
-        for i in range(n):
-            if not _accepts(weights, cartan, j, i):
-                continue
-            for k in range(n):
-                new_w[t, k] = weights[j, k] - weights[j, i] * cartan[i, k]
-            # Left-multiplying by a reflection only rewrites row i:
-            # row i of R_i is delta_ik - cartan[i, k].
-            for r in range(n):
-                for c in range(n):
-                    new_m[t, r, c] = matrices[j, r, c]
-            for c in range(n):
-                acc = matrices[j, i, c]
-                for k in range(n):
-                    acc -= cartan[i, k] * matrices[j, k, c]
-                new_m[t, i, c] = acc
-            # Right-multiplying only mixes column i into the others.
-            for r in range(n):
-                a_ri = inv_matrices[j, r, i]
-                for c in range(n):
-                    ric = -cartan[i, c]
-                    if c == i:
-                        ric += 1
-                    v = a_ri * ric
-                    if c != i:
-                        v += inv_matrices[j, r, c]
-                    new_inv[t, r, c] = v
-            src[t] = j
-            gen[t] = i
-            t += 1
-    return new_w, new_m, new_inv, src, gen
-
-
-@njit(cache=True)
-def _step_orbit_core(weights, cartan):
-    m, n = weights.shape
-    count = 0
-    for j in range(m):
-        for i in range(n):
-            if _accepts(weights, cartan, j, i):
-                count += 1
-    new_w = np.empty((count, n), np.int64)
-    src = np.empty(count, np.int64)
-    gen = np.empty(count, np.int64)
-    t = 0
-    for j in range(m):
-        for i in range(n):
-            if not _accepts(weights, cartan, j, i):
-                continue
-            for k in range(n):
-                new_w[t, k] = weights[j, k] - weights[j, i] * cartan[i, k]
-            src[t] = j
-            gen[t] = i
-            t += 1
-    return new_w, src, gen
-
-
-def step_level(weights, matrices, inv_matrices, cartan, reflections, kernel: str):
-    """One enumeration step; returns (weights, matrices, inverses, src, gen)."""
-    if kernel == "numba":
-        return _step_level_core(weights, matrices, inv_matrices, cartan)
-    return step_level_numpy(weights, matrices, inv_matrices, cartan, reflections)
-
-
-def step_orbit(weights, cartan, kernel: str):
-    """One orbit step; returns (weights, src, gen)."""
-    if kernel == "numba":
-        return _step_orbit_core(weights, cartan)
-    return step_orbit_numpy(weights, cartan)
-
-
-def warmup(kernel: str | None = None) -> None:
-    """Trigger jit compilation on a rank-1 input so timed runs exclude it."""
-    if resolve_kernel(kernel) != "numba":
-        return
-    w = np.array([[1]], dtype=np.int64)
-    eye = np.eye(1, dtype=np.int64)[None]
-    c = np.array([[2]], dtype=np.int64)
-    _step_level_core(w, eye.copy(), eye.copy(), c)
-    _step_orbit_core(w, c)

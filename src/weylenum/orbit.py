@@ -2,23 +2,16 @@
 
 Elements are generated as levels L_0, L_1, ... where L_k holds the elements
 of reduced word length k, each represented by its weight (the image of the
-start weight), its matrix, the matrix of its inverse, and its word.  A
-candidate successor is kept only when the acceptance rule of
-:func:`snow_accepts` fires, which reaches every element of the next level
-exactly once, so no global visited-set is needed.
+start weight), its matrix, and its word.  A candidate successor is kept only
+when the acceptance rule of :func:`snow_accepts` fires, which reaches every
+element of the next level exactly once, so no global visited-set is needed.
 
-Because an element and its inverse share a word length, each level can be
-paired against itself.  Two interchangeable pairing strategies are provided:
-
-* ``weights``: the weight of the inverse of element ``w`` equals
-  ``start @ w.matr``, so partners are found by matching weight rows.  Fully
-  vectorized; requires a strictly dominant start weight (weights within a
-  level are then distinct).
-* ``dict``: the incremental protocol over matrix keys.  Each element is
-  checked for self-inverseness, then looked up in a :class:`PairingDictionary`
-  holding the keys of earlier elements' inverses; on a miss it deposits its
-  own inverse key.  Kept as the reference semantics and cross-checked against
-  the vectorized path in the test suite.
+Because an element and its inverse share a word length, each level is paired
+against itself in the pass that builds it: the weight of the inverse of
+element ``w`` equals ``start @ w.matr``, so partners are found by matching
+weight rows.  This needs a strictly dominant start weight, which makes the
+weights within a level distinct.  The pairing alone determines the inverse
+matrices, so they are derived on demand rather than stored.
 
 Only the level under construction and its predecessor are needed in memory;
 `generate_group` yields sealed levels one at a time so callers can stream
@@ -27,7 +20,7 @@ them to disk and drop them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -52,7 +45,7 @@ class GroupElement:
     matr: np.ndarray
     matr_inv: np.ndarray
     n_in_lvl: int
-    n_inv_in_lvl: int            # -1 while the level is unsealed
+    n_inv_in_lvl: int
 
     @property
     def name_inv(self) -> tuple[int, ...]:
@@ -67,11 +60,8 @@ class Level:
     index: int
     weights: np.ndarray          # (n, rank) int64
     matrices: np.ndarray         # (n, rank, rank) int64
-    inv_matrices: np.ndarray     # (n, rank, rank) int64
     words: list[tuple[int, ...]]
     inv_ordinal: np.ndarray      # (n,) int64; -1 until the level is sealed
-    src: np.ndarray = field(repr=False, default=None)  # predecessor ordinal
-    gen: np.ndarray = field(repr=False, default=None)  # 1-based generator applied
 
     @property
     def size(self) -> int:
@@ -81,28 +71,37 @@ class Level:
     def sealed(self) -> bool:
         return bool((self.inv_ordinal >= 0).all())
 
+    @property
+    def inv_matrices(self) -> np.ndarray:
+        """Matrix of each element's inverse: its partner's matrix, matrices[inv_ordinal]."""
+        if not self.sealed:
+            raise IntegrityError(f"level {self.index} is not sealed; its inverses are unknown")
+        return self.matrices[self.inv_ordinal]
+
     def element(self, j: int) -> GroupElement:
+        inv = int(self.inv_ordinal[j])
+        if inv < 0:
+            raise IntegrityError(f"level {self.index}: element {j} is not paired yet")
         return GroupElement(
             weight=tuple(int(x) for x in self.weights[j]),
             name=self.words[j],
             matr=self.matrices[j],
-            matr_inv=self.inv_matrices[j],
+            matr_inv=self.matrices[inv],
             n_in_lvl=j,
-            n_inv_in_lvl=int(self.inv_ordinal[j]),
+            n_inv_in_lvl=inv,
         )
 
     def __repr__(self) -> str:
         return f"Level(index={self.index}, size={self.size})"
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality over the persisted fields (provenance arrays excluded)."""
+        """Structural equality over the stored fields."""
         if not isinstance(other, Level):
             return NotImplemented
         return (self.index == other.index
                 and self.words == other.words
                 and np.array_equal(self.weights, other.weights)
                 and np.array_equal(self.matrices, other.matrices)
-                and np.array_equal(self.inv_matrices, other.inv_matrices)
                 and np.array_equal(self.inv_ordinal, other.inv_ordinal))
 
 
@@ -152,69 +151,6 @@ def matrix_key(m: np.ndarray) -> bytes:
     return np.ascontiguousarray(m, dtype="<i8").tobytes()
 
 
-class PairingDictionary:
-    """Map from matrix key to ordinal, for the level under construction.
-
-    Holds, at any moment, the inverse-matrix keys of elements still waiting
-    for their partner.  Entries are never removed; once every element is
-    paired the dictionary retains exactly one entry per two-element pair,
-    i.e. (size - self_inverse_count) / 2 entries.
-    """
-
-    def __init__(self) -> None:
-        self._slots: dict[bytes, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def match(self, key: bytes) -> int | None:
-        """Ordinal that registered this key, or None."""
-        return self._slots.get(key)
-
-    def insert(self, key: bytes, ordinal: int) -> None:
-        prior = self._slots.get(key)
-        if prior is not None:
-            raise IntegrityError(
-                f"matrix key registered twice (ordinals {prior} and {ordinal}); "
-                "elements within a level must be distinct")
-        self._slots[key] = ordinal
-
-
-def pair_level_dict(level: Level) -> PairingDictionary:
-    """Resolve inverse ordinals with the incremental dictionary protocol.
-
-    Fills level.inv_ordinal in place and returns the final dictionary.
-    """
-    n = level.size
-    rank = level.weights.shape[1]
-    eye = np.eye(rank, dtype=np.int64)
-    inv = np.full(n, -1, dtype=np.int64)
-    waiting = PairingDictionary()
-    for t in range(n):
-        m = level.matrices[t]
-        if np.array_equal(m @ m, eye):
-            inv[t] = t
-            continue
-        partner = waiting.match(matrix_key(m))
-        if partner is not None:
-            inv[t] = partner
-            inv[partner] = t
-        else:
-            waiting.insert(matrix_key(level.inv_matrices[t]), t)
-    if (inv < 0).any():
-        missing = int((inv < 0).sum())
-        raise IntegrityError(
-            f"level {level.index}: {missing} elements left unpaired; "
-            "inverses must occur within the same level")
-    self_count = int((inv == np.arange(n)).sum())
-    if 2 * len(waiting) != n - self_count:
-        raise IntegrityError(
-            f"level {level.index}: dictionary holds {len(waiting)} entries, "
-            f"expected ({n} - {self_count})/2")
-    level.inv_ordinal = inv
-    return waiting
-
-
 def pair_level_weights(level: Level, start: np.ndarray) -> None:
     """Resolve inverse ordinals by weight matching (vectorized).
 
@@ -256,11 +192,8 @@ def build_level_zero(start: Weight) -> Level:
         index=0,
         weights=arr[None, :].copy(),
         matrices=np.eye(rank, dtype=np.int64)[None],
-        inv_matrices=np.eye(rank, dtype=np.int64)[None],
         words=[()],
         inv_ordinal=np.zeros(1, dtype=np.int64),
-        src=np.full(1, -1, dtype=np.int64),
-        gen=np.zeros(1, dtype=np.int64),
     )
 
 
@@ -273,8 +206,7 @@ def _check_entry_limit(level: Level) -> None:
             f"arithmetic bound {ENTRY_LIMIT}")
 
 
-def build_next_level(current: Level, rs: RootSystem, kernel: str | None = None,
-                     pairing: str = "weights") -> Level:
+def build_next_level(current: Level, rs: RootSystem) -> Level:
     """Construct and seal the successor of a sealed level.
 
     Sources are scanned in stored order and generators in ascending order;
@@ -283,31 +215,21 @@ def build_next_level(current: Level, rs: RootSystem, kernel: str | None = None,
     """
     if not current.sealed:
         raise IntegrityError(f"level {current.index} is not sealed; pair it first")
-    picked = kernels.resolve_kernel(kernel)
-    new_w, new_m, new_inv, src, gen0 = kernels.step_level(
-        current.weights, current.matrices, current.inv_matrices,
-        rs.cartan, rs.reflections, picked)
+    new_w, new_m, src, gen0 = kernels.step_level(
+        current.weights, current.matrices, rs.cartan, rs.reflections)
     words = [(int(g) + 1,) + current.words[int(s)] for s, g in zip(src, gen0)]
     nxt = Level(
         index=current.index + 1,
         weights=new_w,
         matrices=new_m,
-        inv_matrices=new_inv,
         words=words,
         inv_ordinal=np.full(len(new_w), -1, dtype=np.int64),
-        src=src,
-        gen=gen0 + 1,
     )
     if nxt.size == 0:
         return nxt
     _check_entry_limit(nxt)
-    if pairing == "weights":
-        start = current.weights[0] @ current.matrices[0]
-        pair_level_weights(nxt, start)
-    elif pairing == "dict":
-        pair_level_dict(nxt)
-    else:
-        raise WeylError(f"unknown pairing strategy {pairing!r}")
+    start = current.weights[0] @ current.matrices[0]
+    pair_level_weights(nxt, start)
     return nxt
 
 
@@ -320,8 +242,7 @@ def _max_levels(rs: RootSystem) -> int:
 
 
 def generate_group(rs: RootSystem, start: Weight | None = None,
-                   kernel: str | None = None, levels_up_to: int | None = None,
-                   pairing: str = "weights") -> Iterator[Level]:
+                   levels_up_to: int | None = None) -> Iterator[Level]:
     """Yield the levels L_0..L_N of the full group, each sealed.
 
     The start weight defaults to all-ones and must be strictly dominant so
@@ -338,13 +259,12 @@ def generate_group(rs: RootSystem, start: Weight | None = None,
     if (start <= 0).any():
         raise WeylError(
             f"group enumeration needs a strictly dominant start weight, got {start.tolist()}")
-    picked = kernels.resolve_kernel(kernel)
     limit = _max_levels(rs)
     level = build_level_zero(start)
     total = 1
     yield level
     while levels_up_to is None or level.index < levels_up_to:
-        nxt = build_next_level(level, rs, kernel=picked, pairing=pairing)
+        nxt = build_next_level(level, rs)
         if nxt.size == 0:
             break
         if (nxt.weights == 0).any():
@@ -369,7 +289,7 @@ def generate_group(rs: RootSystem, start: Weight | None = None,
             f"top level holds {level.size} elements, expected the longest element alone")
 
 
-def generate_orbit(rs: RootSystem, mu: Weight, kernel: str | None = None,
+def generate_orbit(rs: RootSystem, mu: Weight,
                    levels_up_to: int | None = None) -> Iterator[OrbitLevel]:
     """Yield the levels of the orbit of a dominant weight, weights only.
 
@@ -383,13 +303,12 @@ def generate_orbit(rs: RootSystem, mu: Weight, kernel: str | None = None,
         raise WeylError(f"weight must have {rs.rank} coordinates")
     if (arr < 0).any():
         raise WeylError(f"weight must be dominant, got {arr.tolist()}")
-    picked = kernels.resolve_kernel(kernel)
     limit = _max_levels(rs)
     weights = arr[None, :].copy()
     index = 0
     yield OrbitLevel(index=0, weights=weights)
     while levels_up_to is None or index < levels_up_to:
-        weights, _, _ = kernels.step_orbit(weights, rs.cartan, picked)
+        weights, _, _ = kernels.step_orbit(weights, rs.cartan)
         if len(weights) == 0:
             break
         index += 1

@@ -98,10 +98,8 @@ def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
 def read_level(path: Path | str) -> Level:
     """Load a level file written by write_level.
 
-    The inverse matrices are not stored; they are recovered from the pairing,
-    since the matrix of an element's inverse is its partner's matrix.  The
-    predecessor/generator provenance arrays are not recoverable and are left
-    unset.
+    The inverse pointers must be reciprocal, since the level derives each
+    inverse matrix from them.
     """
     path = Path(path)
     m = _FILE_RE.match(path.name)
@@ -155,25 +153,35 @@ def read_level(path: Path | str) -> Level:
     inv = np.asarray(inv_ordinal, dtype=np.int64)
     if ((inv < 0) | (inv >= size)).any():
         raise IntegrityError(f"{path}: inverse ordinal out of range")
-    matr = np.asarray(matrices, dtype=np.int64)
+    bad = np.flatnonzero(inv[inv] != np.arange(size))
+    if bad.size:
+        j = int(bad[0])
+        raise IntegrityError(
+            f"{path}: record {j} has n_inv={inv[j]}, but record {inv[j]} has "
+            f"n_inv={inv[inv[j]]}; inverse ordinals must be reciprocal")
     return Level(
         index=index,
         weights=np.asarray(weights, dtype=np.int64),
-        matrices=matr,
-        inv_matrices=matr[inv],
+        matrices=np.asarray(matrices, dtype=np.int64),
         words=words,
         inv_ordinal=inv,
     )
 
 
-def find_level_files(dir: Path | str, prefix: str) -> list[Path]:
-    """All level files for a prefix, sorted by level index; gaps are an error."""
-    directory = Path(dir)
+def level_files(dir: Path | str, prefix: str) -> dict[int, Path]:
+    """The level files present for a prefix, keyed by level index."""
     found = {}
-    for path in directory.glob(f"{prefix}_WeightMatrByLevel_*.txt"):
+    for path in Path(dir).glob(f"{prefix}_WeightMatrByLevel_*.txt"):
         m = _FILE_RE.match(path.name)
         if m and m.group("prefix") == prefix:
             found[int(m.group("k"))] = path
+    return found
+
+
+def find_level_files(dir: Path | str, prefix: str) -> list[Path]:
+    """All level files for a prefix, sorted by level index; gaps are an error."""
+    directory = Path(dir)
+    found = level_files(directory, prefix)
     if not found:
         raise WeylError(f"no level files for prefix {prefix!r} in {directory}")
     top = max(found)

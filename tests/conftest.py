@@ -4,16 +4,9 @@ import pytest
 from hypothesis import settings
 
 import weylenum as we
-from weylenum import kernels
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm():
-    # jit compilation must not land inside a timed or deadline-checked body
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -172,30 +172,107 @@ def brute_force_orbit(cartan, start) -> set[tuple[int, ...]]:
     return seen
 
 
-def matrix_closure_order(cartan) -> int:
-    """Order of the group the reflections generate, by brute-force closure."""
+def _matmul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(n))
+                       for c in range(n)) for r in range(n))
+
+
+def _identity(n: int):
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
+def _reflections(cartan):
+    """Generator matrices acting on weight rows: row i of R_i is delta_ik - c[i][k]."""
     n = len(cartan)
-
-    def matmul(a, b):
-        return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(n))
-                           for c in range(n)) for r in range(n))
-
-    identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
     refls = []
     for i in range(n):
-        rows = [list(row) for row in identity]
+        rows = [list(row) for row in _identity(n)]
         for k in range(n):
             rows[i][k] -= int(cartan[i][k])
         refls.append(tuple(tuple(row) for row in rows))
+    return refls
+
+
+def matrix_closure_order(cartan) -> int:
+    """Order of the group the reflections generate, by brute-force closure."""
+    identity = _identity(len(cartan))
+    refls = _reflections(cartan)
     seen = {identity}
     frontier = [identity]
     while frontier:
         grown = []
         for m in frontier:
             for refl in refls:
-                product = matmul(refl, m)
+                product = _matmul(refl, m)
                 if product not in seen:
                     seen.add(product)
                     grown.append(product)
         frontier = grown
     return len(seen)
+
+
+class PairingDictionary:
+    """Map from matrix key to ordinal, for the level under construction.
+
+    Holds, at any moment, the inverse-matrix keys of elements still waiting
+    for their partner.  Entries are never removed; once every element is
+    paired the dictionary retains exactly one entry per two-element pair,
+    i.e. (size - self_inverse_count) / 2 entries.
+    """
+
+    def __init__(self) -> None:
+        self._slots: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def match(self, key):
+        """Ordinal that registered this key, or None."""
+        return self._slots.get(key)
+
+    def insert(self, key, ordinal: int) -> None:
+        prior = self._slots.get(key)
+        if prior is not None:
+            raise ValueError(
+                f"matrix key registered twice (ordinals {prior} and {ordinal}); "
+                "elements within a level must be distinct")
+        self._slots[key] = ordinal
+
+
+def pair_level_dict(matrices, words, cartan) -> tuple[list[int], PairingDictionary]:
+    """The incremental pairing protocol over one level: (inverse ordinals, dictionary).
+
+    Each element is checked for self-inverseness, then looked up among the
+    keys of earlier elements' inverses; on a miss it deposits its own inverse
+    key.  An element's inverse matrix is the product of its reversed word
+    (every generator is an involution), so only the matrices and words of
+    the level are read.
+    """
+    refls = _reflections(cartan)
+    n = len(words)
+    identity = _identity(len(cartan))
+    inv = [-1] * n
+    waiting = PairingDictionary()
+    for t in range(n):
+        m = tuple(tuple(int(x) for x in row) for row in matrices[t])
+        if _matmul(m, m) == identity:
+            inv[t] = t
+            continue
+        partner = waiting.match(m)
+        if partner is not None:
+            inv[t] = partner
+            inv[partner] = t
+            continue
+        inverse = identity
+        for g in reversed(words[t]):
+            inverse = _matmul(inverse, refls[g - 1])
+        waiting.insert(inverse, t)
+    if -1 in inv:
+        raise ValueError(f"{inv.count(-1)} elements left unpaired; "
+                         "inverses must occur within the same level")
+    self_count = sum(1 for t in range(n) if inv[t] == t)
+    if 2 * len(waiting) != n - self_count:
+        raise ValueError(f"dictionary holds {len(waiting)} entries, "
+                         f"expected ({n} - {self_count})/2")
+    return inv, waiting

@@ -100,19 +100,12 @@ def test_orders(d4_run, capsys):
 
 
 def test_bench(capsys):
-    assert main(["bench", "A2", "--kernel", "numpy"]) == EXIT_OK
-    rows = json.loads(capsys.readouterr().out)
-    assert rows[0]["system"] == "A2"
-    assert rows[0]["kernel"] == "numpy"
-    assert rows[0]["total"] == 6
-    assert rows[0]["levels"] == 4
-
-
-def test_bench_all_kernels(capsys):
-    from weylenum import kernels
     assert main(["bench", "A2"]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)
-    assert {r["kernel"] for r in rows} == set(kernels.available_kernels())
+    assert len(rows) == 1
+    assert rows[0]["system"] == "A2"
+    assert rows[0]["total"] == 6
+    assert rows[0]["levels"] == 4
 
 
 def test_generate_custom_start(tmp_path):
@@ -153,6 +146,17 @@ def test_unknown_system(tmp_path, capsys):
 def test_classes_without_files(tmp_path, capsys):
     assert main(["classes", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
     assert "no level files" in capsys.readouterr().err
+
+
+def test_generate_refuses_stale_level_files(d4_run, capsys):
+    before = sorted(p.name for p in d4_run.iterdir())
+    assert main(["generate", "D4", "--out", str(d4_run), "--levels-up-to", "3",
+                 "--start-weight", "1,2,1,1"]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "D4_WeightMatrByLevel_0_elems=1.txt is left from an earlier run" in err
+    assert sorted(p.name for p in d4_run.iterdir()) == before
+    # other prefixes in the same directory are not in the way
+    assert main(["generate", "A1", "--out", str(d4_run)]) == EXIT_OK
 
 
 def test_generate_deterministic(tmp_path):

@@ -8,7 +8,7 @@ import oracles
 import weylenum as we
 from weylenum import IntegrityError, WeylError
 from weylenum.orbit import (ENTRY_LIMIT, Level, build_level_zero, build_next_level,
-                            pair_level_dict, pair_level_weights)
+                            pair_level_weights)
 
 
 def test_apply_reflection_d4():
@@ -89,6 +89,14 @@ def test_build_next_level_requires_sealed(d4):
         build_next_level(one, d4)
 
 
+def test_inv_matrices_requires_sealed(d4_levels):
+    two = d4_levels[2]
+    unsealed = Level(index=2, weights=two.weights, matrices=two.matrices,
+                     words=two.words, inv_ordinal=np.full(two.size, -1, dtype=np.int64))
+    with pytest.raises(IntegrityError, match="not sealed"):
+        unsealed.inv_matrices
+
+
 def test_d4_level_one_exact(d4_levels):
     one = d4_levels[1]
     assert one.words == [(1,), (2,), (3,), (4,)]
@@ -131,50 +139,45 @@ def test_matrix_key_sign_sensitive():
 
 
 def test_pairing_dictionary_protocol():
-    d = we.PairingDictionary()
+    d = oracles.PairingDictionary()
     assert len(d) == 0
     assert d.match(b"k1") is None
     d.insert(b"k1", 0)
     assert d.match(b"k1") == 0
     assert len(d) == 1
-    with pytest.raises(IntegrityError, match="registered twice"):
+    with pytest.raises(ValueError, match="registered twice"):
         d.insert(b"k1", 2)
 
 
-def _unsealed_copy(level: Level) -> Level:
-    return Level(
-        index=level.index,
-        weights=level.weights.copy(),
-        matrices=level.matrices.copy(),
-        inv_matrices=level.inv_matrices.copy(),
-        words=list(level.words),
-        inv_ordinal=np.full(level.size, -1, dtype=np.int64),
-    )
+def _unpaired_successor(level: Level, rs) -> Level:
+    new_w, new_m, src, gen = we.kernels.step_level(
+        level.weights, level.matrices, rs.cartan, rs.reflections)
+    return Level(index=level.index + 1, weights=new_w, matrices=new_m,
+                 words=[(int(g) + 1,) + level.words[int(s)] for s, g in zip(src, gen)],
+                 inv_ordinal=np.full(len(new_w), -1, dtype=np.int64))
 
 
 @pytest.mark.parametrize("name", ["D4", "B3", "A3", "G2", "F4"])
 def test_pairing_strategies_agree(name):
+    # weight matching and the dictionary protocol find the same partners
     rs = we.root_system(name)
-    by_dict = list(we.generate_group(rs, pairing="dict"))
-    by_weights = list(we.generate_group(rs, pairing="weights"))
-    assert len(by_dict) == len(by_weights)
-    for a, b in zip(by_dict, by_weights):
-        assert a == b
+    for level in we.generate_group(rs):
+        by_dict, _ = oracles.pair_level_dict(level.matrices, level.words, rs.cartan)
+        assert by_dict == level.inv_ordinal.tolist()
 
 
-def test_pair_level_dict_count_identity(d4_levels):
+def test_pair_level_dict_count_identity(d4, d4_levels):
     for level in d4_levels:
-        copy = _unsealed_copy(level)
-        waiting = pair_level_dict(copy)
-        self_paired = int((copy.inv_ordinal == np.arange(copy.size)).sum())
-        assert 2 * len(waiting) == copy.size - self_paired
-        assert copy.inv_ordinal.tolist() == level.inv_ordinal.tolist()
+        inv, waiting = oracles.pair_level_dict(level.matrices, level.words, d4.cartan)
+        self_paired = sum(1 for j, k in enumerate(inv) if j == k)
+        assert 2 * len(waiting) == level.size - self_paired
+        assert inv == level.inv_ordinal.tolist()
 
 
 def test_pair_level_weights_rejects_duplicate_rows():
     eye = np.eye(2, dtype=np.int64)
     level = Level(index=1, weights=np.array([[1, 0], [1, 0]], dtype=np.int64),
-                  matrices=np.stack([eye, eye]), inv_matrices=np.stack([eye, eye]),
+                  matrices=np.stack([eye, eye]),
                   words=[(1,), (2,)], inv_ordinal=np.full(2, -1, dtype=np.int64))
     with pytest.raises(IntegrityError, match="duplicate weights"):
         pair_level_weights(level, np.array([1, 0], dtype=np.int64))
@@ -183,22 +186,12 @@ def test_pair_level_weights_rejects_duplicate_rows():
 def test_pair_level_weights_rejects_wall_level(d4):
     # from a wall start the inverse's weight can sit in a different level,
     # so weight pairing must refuse rather than mispair
-    lvl = build_level_zero([1, 0, 0, 0])
-    one = build_next_level(lvl, d4, pairing="dict")
-    new_w, new_m, new_inv, src, gen = we.kernels.step_level(
-        one.weights, one.matrices, one.inv_matrices, d4.cartan, d4.reflections,
-        "numpy")
-    two = Level(index=2, weights=new_w, matrices=new_m, inv_matrices=new_inv,
-                words=[(int(g) + 1,) + one.words[int(s)] for s, g in zip(src, gen)],
-                inv_ordinal=np.full(len(new_w), -1, dtype=np.int64))
+    one = _unpaired_successor(build_level_zero([1, 0, 0, 0]), d4)
+    one.inv_ordinal = np.array(
+        oracles.pair_level_dict(one.matrices, one.words, d4.cartan)[0], dtype=np.int64)
+    two = _unpaired_successor(one, d4)
     with pytest.raises(IntegrityError, match="no matching element"):
         pair_level_weights(two, np.array([1, 0, 0, 0], dtype=np.int64))
-
-
-def test_unknown_pairing_rejected(d4):
-    lvl = build_level_zero([1, 1, 1, 1])
-    with pytest.raises(WeylError, match="pairing"):
-        build_next_level(lvl, d4, pairing="sort")
 
 
 def test_generate_group_sizes(d4_levels, b3_levels, a3_levels):

@@ -76,13 +76,11 @@ def test_level_one_s3_record(tmp_path, d4_levels):
 def test_write_level_refusals(tmp_path, d4, d4_levels):
     empty = we.Level(index=1, weights=np.empty((0, 4), dtype=np.int64),
                      matrices=np.empty((0, 4, 4), dtype=np.int64),
-                     inv_matrices=np.empty((0, 4, 4), dtype=np.int64),
                      words=[], inv_ordinal=np.empty(0, dtype=np.int64))
     with pytest.raises(WeylError, match="empty"):
         store.write_level(empty, "D4", tmp_path)
     unsealed = we.Level(index=1, weights=d4_levels[1].weights.copy(),
                         matrices=d4_levels[1].matrices.copy(),
-                        inv_matrices=d4_levels[1].inv_matrices.copy(),
                         words=list(d4_levels[1].words),
                         inv_ordinal=np.full(4, -1, dtype=np.int64))
     with pytest.raises(IntegrityError, match="not sealed"):
@@ -143,6 +141,15 @@ def test_read_level_inverse_out_of_range(tmp_path, d4_levels):
     path = _write_then_mutate(tmp_path, d4_levels[2],
                               lambda t: t.replace("n_inv=3", "n_inv=9", 1))
     with pytest.raises(IntegrityError, match="out of range"):
+        store.read_level(path)
+
+
+def test_read_level_inverse_not_reciprocal(tmp_path, d4_levels):
+    # record 0 pairs with record 3; pointing it at 5 leaves 3 -> 0 unanswered
+    path = _write_then_mutate(tmp_path, d4_levels[2],
+                              lambda t: t.replace("n_inv=3", "n_inv=5", 1))
+    with pytest.raises(IntegrityError,
+                       match=r"D4_WeightMatrByLevel_2_elems=9\.txt: record 0 has n_inv=5"):
         store.read_level(path)
 
 
