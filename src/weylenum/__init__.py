@@ -11,27 +11,27 @@ from .classify import (ConjugacyClass, class_label_d4, conjugacy_classes,
 from .cycletype import (SignedPermutation, class_cycle_type, generator_action,
                         render_cycle_type, signed_cycle_type, word_to_signed_perm)
 from .errors import IntegrityError, ParseError, UnsupportedRootSystem, WeylError
-from .orbit import (GroupElement, Level, OrbitLevel, apply_reflection,
-                    build_level_zero, build_next_level, generate_group,
-                    generate_orbit, level_delta, matrix_key, snow_accepts)
+from .orbit import (Level, OrbitLevel, apply_reflection, build_level_zero,
+                    build_next_level, generate_group, generate_orbit, level_delta,
+                    match_rows, snow_accepts)
 from .rootsystems import (RootSystem, cartan_matrix, fundamental_weight_in_root_basis,
                           inverse_cartan, load_cartan_file, positive_root_count,
                           reflection_matrix, root_system, root_system_from_cartan,
                           weyl_order)
-from .store import (GlobalIndex, LevelFile, build_index, read_level, read_summary,
+from .store import (ElementIndex, LevelFile, build_index, read_level, read_summary,
                     write_level, write_summary)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConjugacyClass", "GlobalIndex", "GroupElement", "IntegrityError", "Level",
+    "ConjugacyClass", "ElementIndex", "IntegrityError", "Level",
     "LevelFile", "OrbitLevel", "ParseError", "RootSystem",
     "SignedPermutation", "UnsupportedRootSystem", "WeylError",
     "apply_reflection", "build_index", "build_level_zero",
     "build_next_level", "cartan_matrix", "class_cycle_type", "class_label_d4",
     "conjugacy_classes", "element_order", "fundamental_weight_in_root_basis",
     "generate_group", "generate_orbit", "generator_action", "inverse_cartan",
-    "level_delta", "load_cartan_file", "matrix_key", "order_partition",
+    "level_delta", "load_cartan_file", "match_rows", "order_partition",
     "positive_root_count", "read_level", "read_summary", "reflection_matrix",
     "render_cycle_type", "root_system", "root_system_from_cartan",
     "signed_cycle_type", "snow_accepts", "weyl_order", "word_to_signed_perm",

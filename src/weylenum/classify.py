@@ -1,14 +1,16 @@
 """Element orders, the order partition, and conjugacy classes.
 
 Classes are closed under conjugation by the simple reflections alone, which
-suffices because they generate the group; closure runs breadth-first from
-the least unassigned element in (level, ordinal) order, so class numbering
-and representatives are deterministic.
+suffices because they generate the group.  Each generator's conjugation is
+computed for every element at once through the weight keys of the index,
+and the classes are the connected components of those maps.  Classes are
+numbered by their least member in (level, ordinal) order, which is also
+the representative, so numbering and representatives are deterministic.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -16,9 +18,9 @@ import numpy as np
 
 from . import cycletype
 from .errors import IntegrityError, WeylError
-from .orbit import Level
+from .orbit import Level, match_rows
 from .reference import D4_CLASS_ROWS
-from .store import GlobalIndex
+from .store import ElementIndex
 
 # Conjugacy needs the whole group in memory; refuse beyond this many elements
 # unless the caller raises the ceiling explicitly.
@@ -38,29 +40,40 @@ class ConjugacyClass:
     element_order: int
 
 
+def _orders(matrices: np.ndarray, bound: int) -> np.ndarray:
+    """Order of each matrix in a stack: smallest p >= 1 with m^p the identity."""
+    eye = np.eye(matrices.shape[-1], dtype=np.int64)
+    orders = np.zeros(len(matrices), dtype=np.int64)
+    pending = np.arange(len(matrices))
+    power = matrices
+    for p in range(1, bound + 1):
+        done = (power == eye).all(axis=(1, 2))
+        orders[pending[done]] = p
+        pending, power = pending[~done], power[~done]
+        if not pending.size:
+            return orders
+        power = power @ matrices[pending]
+    raise IntegrityError(f"no power up to {bound} reached the identity")
+
+
 def element_order(m: np.ndarray, bound: int = DEFAULT_ORDER_BOUND) -> int:
     """Smallest p >= 1 with m^p equal to the identity."""
-    m = np.asarray(m, dtype=np.int64)
-    eye = np.eye(len(m), dtype=np.int64)
-    power = m
-    p = 1
-    while not np.array_equal(power, eye):
-        power = power @ m
-        p += 1
-        if p > bound:
-            raise IntegrityError(f"no power up to {bound} reached the identity")
-    return p
+    return int(_orders(np.asarray(m, dtype=np.int64)[None], bound)[0])
 
 
-def order_partition(index: GlobalIndex) -> dict[int, int]:
-    """Count of elements per element order, over the whole group."""
+def order_partition(index: ElementIndex) -> dict[int, int]:
+    """Count of elements per element order, over the whole group.
+
+    Powers every element's matrix, one level at a time; it does not use the
+    conjugacy classes, so it cross-checks their per-class sums.
+    """
     counts: Counter[int] = Counter()
-    for key, _ in index.items():
-        counts[element_order(index.key_matrix(key))] += 1
+    for level in index.levels:
+        counts.update(_orders(level.matrices, DEFAULT_ORDER_BOUND).tolist())
     return dict(sorted(counts.items()))
 
 
-def conjugacy_classes(levels: Iterable[Level], index: GlobalIndex,
+def conjugacy_classes(levels: Iterable[Level], index: ElementIndex,
                       ceiling: int = DEFAULT_CEILING) -> list[ConjugacyClass]:
     """Partition the group into conjugacy classes.
 
@@ -73,42 +86,36 @@ def conjugacy_classes(levels: Iterable[Level], index: GlobalIndex,
         raise WeylError(
             f"group has {index.total} elements, above the ceiling {ceiling}; "
             "raise it explicitly to proceed")
-    if len(levels) < 2:
-        # Rank-0 degenerate case never occurs; a one-level list is trivial.
-        return [ConjugacyClass((0, 0), (), ((0, 0),), 1, 1)]
-    generators = [levels[1].matrices[j] for j in range(levels[1].size)]
-    order_bound = max(index.total, 2)
-    assigned = [np.zeros(level.size, dtype=bool) for level in levels]
+    # start @ R M R is the weight of (R M R)^-1, so the weight keys give the
+    # id of every element's conjugate by each generator R, a level at a time.
+    conjugates = []
+    for refl in levels[1].matrices:
+        v = index.start @ refl
+        q = np.concatenate([(v @ level.matrices) @ refl for level in levels])
+        conjugates.append(index.inv[match_rows(index.weights, q)])
+    # Min-label propagation with pointer jumping: each label falls to the
+    # least id in its class, the class's least member in (level, ordinal) order.
+    label, previous = np.arange(index.total), None
+    while not np.array_equal(label, previous):
+        previous = label
+        for conj in conjugates:
+            label = np.minimum(label, label[conj])
+        label = label[label]
+    ids = np.argsort(label, kind="stable")
+    heads = np.flatnonzero(np.diff(label[ids], prepend=-1))
+    level_of = np.repeat(np.arange(len(levels)), np.diff(index.offsets))[ids]
+    coords = list(zip(level_of.tolist(), (ids - index.offsets[level_of]).tolist()))
     classes: list[ConjugacyClass] = []
-    for lvl, level in enumerate(levels):
-        for j in range(level.size):
-            if assigned[lvl][j]:
-                continue
-            members: list[tuple[int, int]] = []
-            queue: deque[tuple[int, int]] = deque([(lvl, j)])
-            assigned[lvl][j] = True
-            while queue:
-                a, b = queue.popleft()
-                members.append((a, b))
-                m = levels[a].matrices[b]
-                for refl in generators:
-                    la, lb = index.find(refl @ m @ refl)
-                    if not assigned[la][lb]:
-                        assigned[la][lb] = True
-                        queue.append((la, lb))
-            members.sort()
-            rep = members[0]
-            classes.append(ConjugacyClass(
-                representative=rep,
-                representative_word=levels[rep[0]].words[rep[1]],
-                members=tuple(members),
-                size=len(members),
-                element_order=element_order(levels[rep[0]].matrices[rep[1]],
-                                            bound=order_bound),
-            ))
-    total = sum(c.size for c in classes)
-    if total != index.total:
-        raise IntegrityError(f"classes cover {total} elements of {index.total}")
+    for lo, hi in zip(heads, [*heads[1:], index.total]):
+        members = tuple(coords[lo:hi])
+        lvl, j = members[0]
+        classes.append(ConjugacyClass(
+            representative=members[0],
+            representative_word=levels[lvl].words[j],
+            members=members,
+            size=len(members),
+            element_order=element_order(levels[lvl].matrices[j], bound=max(index.total, 2)),
+        ))
     return classes
 
 

@@ -6,8 +6,7 @@ e_n -> -e_{n-1}.  A word maps to the composition of its generators with the
 rightmost applied first, matching how words label group elements elsewhere
 in this package.
 
-Only family D is wired up; the story for family B needs one extra sign-flip
-generator and is gated behind ENABLE_FAMILY_B until it has trusted fixtures.
+Only family D has a signed-permutation model here; other families raise.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ from typing import Sequence
 
 from .errors import IntegrityError, WeylError
 from .rootsystems import RootSystem, parse_id
-
-# Family B action (e_n -> -e_n for the last generator) is implemented but
-# unverified; flip only if you bring your own ground truth.
-ENABLE_FAMILY_B = False
 
 
 @dataclass(frozen=True)
@@ -62,26 +57,22 @@ def _family_rank(system: RootSystem | str) -> tuple[str, int]:
     return parse_id(system)
 
 
-def _action(n: int, i: int, last_flips_one: bool = False) -> SignedPermutation:
+def _action(n: int, i: int) -> SignedPermutation:
     if not 1 <= i <= n:
         raise WeylError(f"generator index {i} out of range 1..{n}")
     images = list(range(1, n + 1))
     if i < n:
         images[i - 1], images[i] = i + 1, i
-    elif last_flips_one:
-        images[n - 1] = -n
     else:
         images[n - 2], images[n - 1] = -n, -(n - 1)
     return SignedPermutation(tuple(images))
 
 
 def generator_action(system: RootSystem | str, i: int) -> SignedPermutation:
-    """Action of generator i on the basis, for a D_n (or gated B_n) system."""
+    """Action of generator i on the basis, for a D_n system."""
     family, n = _family_rank(system)
     if family == "D":
         return _action(n, i)
-    if family == "B" and ENABLE_FAMILY_B:
-        return _action(n, i, last_flips_one=True)
     raise WeylError(f"signed permutations are implemented for family D, not {family}")
 
 

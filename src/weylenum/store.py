@@ -1,4 +1,4 @@
-"""Disk persistence for levels plus the global element index.
+"""Disk persistence for levels plus the whole-run element index.
 
 One text file per level, named ``{prefix}_WeightMatrByLevel_{k}_elems={n}.txt``.
 Each record is a header line
@@ -8,6 +8,8 @@ Each record is a header line
 followed by one bracketed integer list per matrix row.  The identity's word
 is a single space on disk and the empty word in memory.  Files are UTF-8
 with LF line endings, and a loaded level writes back byte-identically.
+Each loaded word must have as many generators as the level index, each in
+1..rank.  `build_index` keys the elements of a complete run by weight row.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import IntegrityError, ParseError, WeylError
-from .orbit import Level, matrix_key
+from .orbit import Level, match_rows
 
 _FILE_RE = re.compile(r"^(?P<prefix>.+)_WeightMatrByLevel_(?P<k>\d+)_elems=(?P<n>\d+)\.txt$")
 _HEADER_RE = re.compile(r"^n=(\d+), name=([^,]*), w=([-\d,]*), n_inv=(\d+)$")
@@ -106,6 +108,8 @@ def read_level(path: Path | str) -> Level:
     if not m:
         raise ParseError(f"{path.name}: file name does not match the level pattern")
     index, size = int(m.group("k")), int(m.group("n"))
+    if size == 0:
+        raise ParseError(f"{path}:1: no records; a level holds at least one element")
     lines = path.read_text(encoding="utf-8").splitlines()
     words: list[tuple[int, ...]] = []
     weights: list[list[int]] = []
@@ -123,7 +127,7 @@ def read_level(path: Path | str) -> Level:
             raise IntegrityError(
                 f"{path}:{pos + 1}: record ordinal {header.group(1)} out of sequence, expected {j}")
         try:
-            words.append(parse_word(header.group(2)))
+            word = parse_word(header.group(2))
         except ParseError as exc:
             raise ParseError(f"{path}:{pos + 1}: {exc}") from None
         coords = [int(t) for t in header.group(3).split(",") if t]
@@ -131,6 +135,11 @@ def read_level(path: Path | str) -> Level:
             rank = len(coords)
         if len(coords) != rank:
             raise ParseError(f"{path}:{pos + 1}: expected {rank} weight coordinates")
+        if len(word) != index:
+            raise ParseError(f"{path}:{pos + 1}: word of length {len(word)} in level {index}")
+        if not all(1 <= g <= rank for g in word):
+            raise ParseError(f"{path}:{pos + 1}: word names a generator outside 1..{rank}")
+        words.append(word)
         weights.append(coords)
         inv_ordinal.append(int(header.group(4)))
         pos += 1
@@ -191,53 +200,57 @@ def find_level_files(dir: Path | str, prefix: str) -> list[Path]:
     return [found[k] for k in range(top + 1)]
 
 
-class GlobalIndex:
-    """Injective map from matrix key to (level, ordinal) over a whole group."""
+@dataclass(frozen=True, eq=False)
+class ElementIndex:
+    """A complete run with every element numbered in (level, ordinal) order.
 
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self._map: dict[bytes, tuple[int, int]] = {}
+    Element ``offsets[k] + j`` is ordinal j of level k.  Its weight row is
+    ``weights[id]`` and names it uniquely, so weight rows serve as keys.
+    """
 
-    def __len__(self) -> int:
-        return len(self._map)
+    levels: tuple[Level, ...]
+    start: np.ndarray        # (rank,) the identity's weight
+    weights: np.ndarray      # (N, rank) every element's weight, stacked
+    inv: np.ndarray          # (N,) id of each element's inverse
+    offsets: np.ndarray      # (len(levels) + 1,) id of each level's first element
 
     @property
     def total(self) -> int:
-        return len(self._map)
-
-    def add(self, matrix: np.ndarray, level: int, ordinal: int) -> None:
-        key = matrix_key(matrix)
-        if key in self._map:
-            raise IntegrityError(
-                f"duplicate matrix at ({level}, {ordinal}) and {self._map[key]}; "
-                "the enumeration produced a repeat")
-        self._map[key] = (level, ordinal)
-
-    def find(self, matrix: np.ndarray) -> tuple[int, int]:
-        try:
-            return self._map[matrix_key(matrix)]
-        except KeyError:
-            raise IntegrityError("matrix not present in the index") from None
-
-    def items(self) -> Iterable[tuple[bytes, tuple[int, int]]]:
-        return self._map.items()
-
-    def key_matrix(self, key: bytes) -> np.ndarray:
-        """Decode a stored key back into its matrix."""
-        return np.frombuffer(key, dtype="<i8").reshape(self.rank, self.rank)
+        return len(self.weights)
 
 
-def build_index(levels: Iterable[Level]) -> GlobalIndex:
-    """Index every element of a complete run by its matrix."""
-    index: GlobalIndex | None = None
-    for level in levels:
-        if index is None:
-            index = GlobalIndex(rank=level.weights.shape[1])
-        for j in range(level.size):
-            index.add(level.matrices[j], level.index, j)
-    if index is None:
+def build_index(levels: Iterable[Level]) -> ElementIndex:
+    """Number every element of a complete run and check its weight keys.
+
+    Each weight must agree with its matrix, start @ M == weights[inv_ordinal],
+    and no two elements may share a weight; that makes a weight row as sound
+    a key as the matrix itself.  A truncated run is refused: only the
+    longest element sends the strictly dominant start to a strictly negative
+    weight, so the top level must be that element alone.
+    """
+    levels = tuple(levels)
+    if not levels:
         raise WeylError("no levels given")
-    return index
+    start = levels[0].weights[0]
+    top = levels[-1]
+    if top.size != 1 or (top.weights[0] >= 0).any():
+        raise IntegrityError(
+            f"top level {top.index} holds {top.size} element(s) and is not the longest "
+            "element alone; the run is incomplete")
+    queries = []
+    for level in levels:
+        q = np.matmul(start, level.matrices)
+        bad = np.flatnonzero((q != level.weights[level.inv_ordinal]).any(axis=1))
+        if bad.size:
+            raise IntegrityError(
+                f"level {level.index}, record {bad[0]}: start @ M = {q[bad[0]].tolist()} "
+                f"disagrees with the weight of its inverse, record {level.inv_ordinal[bad[0]]}")
+        queries.append(q)
+    offsets = np.cumsum([0] + [level.size for level in levels])
+    weights = np.concatenate([level.weights for level in levels])
+    inv = match_rows(weights, np.concatenate(queries))
+    return ElementIndex(levels=levels, start=start, weights=weights, inv=inv,
+                        offsets=offsets)
 
 
 def summary_path(dir: Path | str, prefix: str) -> Path:

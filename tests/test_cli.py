@@ -91,6 +91,18 @@ def test_classes_ceiling(d4_run, capsys):
     assert "above the ceiling" in capsys.readouterr().err
 
 
+def test_orders_and_classes_refuse_truncated_run(tmp_path, capsys):
+    out = tmp_path / "part"
+    assert main(["generate", "B3", "--out", str(out), "--levels-up-to", "4"]) == EXIT_OK
+    capsys.readouterr()
+    for command in ("orders", "classes"):
+        assert main([command, "B3", "--out", str(out)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "top level 4 holds 8 element(s)" in captured.err
+        assert "incomplete" in captured.err
+        assert captured.out == ""
+
+
 def test_orders(d4_run, capsys):
     assert main(["orders", "D4", "--out", str(d4_run)]) == EXIT_OK
     assert "1:1, 2:43, 3:32, 4:84, 6:32" in capsys.readouterr().out

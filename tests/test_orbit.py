@@ -63,12 +63,10 @@ def test_build_level_zero():
     assert lvl.index == 0
     assert lvl.size == 1
     assert lvl.sealed
-    e = lvl.element(0)
-    assert e.weight == (1, 2, 1)
-    assert e.name == ()
-    assert e.name_inv == ()
-    assert e.n_inv_in_lvl == 0
-    assert np.array_equal(e.matr, np.eye(3, dtype=np.int64))
+    assert lvl.weights.tolist() == [[1, 2, 1]]
+    assert lvl.words == [()]
+    assert lvl.inv_ordinal.tolist() == [0]
+    assert np.array_equal(lvl.matrices, np.eye(3, dtype=np.int64)[None])
 
 
 def test_build_level_zero_rejects():
@@ -117,25 +115,10 @@ def test_d4_level_two_exact(d4_levels):
     assert two.inv_ordinal.tolist() == [3, 1, 2, 0, 6, 8, 4, 7, 5]
 
 
-def test_matrix_key_injective(d4_levels):
-    keys = {we.matrix_key(level.matrices[j])
-            for level in d4_levels for j in range(level.size)}
-    assert len(keys) == 192
-    assert all(len(k) == 8 * 16 for k in keys)
-
-
-def test_matrix_key_fixed_width():
-    # digit-string concatenation would collide here; fixed-width bytes must not
-    a = np.array([[1, 23], [4, 5]], dtype=np.int64)
-    b = np.array([[12, 3], [4, 5]], dtype=np.int64)
-    assert we.matrix_key(a) != we.matrix_key(b)
-
-
-def test_matrix_key_sign_sensitive():
-    a = np.array([[-1, 1], [0, 1]], dtype=np.int64)
-    b = np.array([[-1, 1], [0, -1]], dtype=np.int64)
-    assert we.matrix_key(a) != we.matrix_key(b)
-    assert we.matrix_key(a) == we.matrix_key(a.copy())
+def test_d4_matrices_distinct(d4_levels):
+    matrices = np.concatenate([level.matrices for level in d4_levels])
+    assert matrices.shape == (192, 4, 4)
+    assert len(np.unique(matrices.reshape(192, 16), axis=0)) == 192
 
 
 def test_pairing_dictionary_protocol():
@@ -172,6 +155,27 @@ def test_pair_level_dict_count_identity(d4, d4_levels):
         self_paired = sum(1 for j, k in enumerate(inv) if j == k)
         assert 2 * len(waiting) == level.size - self_paired
         assert inv == level.inv_ordinal.tolist()
+
+
+def test_match_rows():
+    rows = np.array([[1, 2], [2, 1], [-1, 3]], dtype=np.int64)
+    queries = np.array([[-1, 3], [1, 2], [1, 2]], dtype=np.int64)
+    assert we.match_rows(rows, queries).tolist() == [2, 0, 0]
+    with pytest.raises(IntegrityError, match="duplicate weights at rows 0 and 2"):
+        we.match_rows(np.array([[1, 2], [2, 1], [1, 2]]), rows[:1])
+    with pytest.raises(IntegrityError, match="query row 1 has no matching element"):
+        we.match_rows(rows, np.array([[2, 1], [2, 2]]))
+
+
+@given(st.sets(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=40),
+       st.randoms(use_true_random=False))
+def test_match_rows_agrees_with_dict(distinct, rnd):
+    rows = sorted(distinct)
+    rnd.shuffle(rows)
+    queries = [rnd.choice(rows) for _ in range(2 * len(rows))]
+    where = {row: j for j, row in enumerate(rows)}
+    got = we.match_rows(np.array(rows, dtype=np.int64), np.array(queries, dtype=np.int64))
+    assert got.tolist() == [where[q] for q in queries]
 
 
 def test_pair_level_weights_rejects_duplicate_rows():

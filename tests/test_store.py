@@ -137,6 +137,27 @@ def test_read_level_bad_word(tmp_path, d4_levels):
         store.read_level(path)
 
 
+def test_read_level_word_length_disagrees_with_level(tmp_path, d4_levels):
+    path = _write_then_mutate(tmp_path, d4_levels[2],
+                              lambda t: t.replace("name=s2.s1", "name=s2", 1))
+    with pytest.raises(ParseError, match=r":1: word of length 1 in level 2"):
+        store.read_level(path)
+
+
+def test_read_level_generator_out_of_range(tmp_path, d4_levels):
+    path = _write_then_mutate(tmp_path, d4_levels[2],
+                              lambda t: t.replace("name=s2.s1", "name=s9.s1", 1))
+    with pytest.raises(ParseError, match=r":1: word names a generator outside 1\.\.4"):
+        store.read_level(path)
+
+
+def test_read_level_no_records(tmp_path):
+    path = tmp_path / store.level_file_name("X", 0, 0)
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"elems=0\.txt:1: no records"):
+        store.read_level(path)
+
+
 def test_read_level_inverse_out_of_range(tmp_path, d4_levels):
     path = _write_then_mutate(tmp_path, d4_levels[2],
                               lambda t: t.replace("n_inv=3", "n_inv=9", 1))
@@ -185,17 +206,55 @@ def test_find_level_files_none(tmp_path):
         store.find_level_files(tmp_path, "D4")
 
 
-def test_global_index(d4_levels, d4_index):
-    assert len(d4_index) == 192
+def test_build_index(d4_levels, d4_index):
     assert d4_index.total == 192
-    m = d4_levels[5].matrices[7]
-    assert d4_index.find(m) == (5, 7)
-    key = we.matrix_key(m)
-    assert np.array_equal(d4_index.key_matrix(key), m)
-    with pytest.raises(IntegrityError, match="duplicate"):
-        d4_index.add(m, 12, 0)
-    with pytest.raises(IntegrityError, match="not present"):
-        d4_index.find(np.full((4, 4), 3, dtype=np.int64))
+    assert d4_index.offsets.tolist()[:4] == [0, 1, 5, 14]
+    assert d4_index.offsets[-1] == 192
+    assert d4_index.start.tolist() == [1, 1, 1, 1]
+    # ordinal 7 of level 5 is element 1 + 4 + 9 + 16 + 23 + 7
+    assert np.array_equal(d4_index.weights[60], d4_levels[5].weights[7])
+    assert d4_index.inv[60] == 53 + d4_levels[5].inv_ordinal[7]
+    assert np.array_equal(d4_index.inv[d4_index.inv], np.arange(192))
+
+
+def _replace_level(levels, k, **fields):
+    level = levels[k]
+    changed = we.Level(index=level.index, weights=level.weights.copy(),
+                       matrices=level.matrices.copy(), words=list(level.words),
+                       inv_ordinal=level.inv_ordinal.copy())
+    for name, value in fields.items():
+        setattr(changed, name, value)
+    return levels[:k] + [changed] + levels[k + 1:]
+
+
+def test_build_index_rejects_duplicate_weight(d4_levels):
+    # a copy of the self-inverse s1 appended to level 2 agrees with its own
+    # matrix, so only the uniqueness of weight keys can catch it
+    two, s1 = d4_levels[2], d4_levels[1]
+    levels = _replace_level(
+        d4_levels, 2,
+        weights=np.concatenate([two.weights, s1.weights[:1]]),
+        matrices=np.concatenate([two.matrices, s1.matrices[:1]]),
+        words=two.words + [(1,)],
+        inv_ordinal=np.append(two.inv_ordinal, two.size))
+    with pytest.raises(IntegrityError, match="duplicate weights at rows 1 and 14"):
+        we.build_index(levels)
+
+
+def test_build_index_rejects_weight_disagreeing_with_matrix(d4_levels):
+    weights = d4_levels[5].weights.copy()
+    weights[7] = -weights[7]
+    levels = _replace_level(d4_levels, 5, weights=weights)
+    with pytest.raises(IntegrityError, match=r"level 5, record \d+: start @ M .* disagrees"):
+        we.build_index(levels)
+
+
+def test_build_index_rejects_truncated_run(d4_levels):
+    with pytest.raises(IntegrityError, match="top level 6 holds 30 element"):
+        we.build_index(d4_levels[:7])
+    # a singleton top level that is not the longest element
+    with pytest.raises(IntegrityError, match="top level 0 holds 1 element"):
+        we.build_index(d4_levels[:1])
 
 
 def test_build_index_sizes(b3_levels):
