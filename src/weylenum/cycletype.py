@@ -12,6 +12,7 @@ Only family D has a signed-permutation model here; other families raise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import IntegrityError, WeylError
@@ -57,7 +58,9 @@ def _family_rank(system: RootSystem | str) -> tuple[str, int]:
     return parse_id(system)
 
 
-def _action(n: int, i: int) -> SignedPermutation:
+@lru_cache(maxsize=None)
+def _action(n: int, i: int) -> tuple[int, ...]:
+    """Images of generator i of D_n as a plain tuple; composed words are validated once."""
     if not 1 <= i <= n:
         raise WeylError(f"generator index {i} out of range 1..{n}")
     images = list(range(1, n + 1))
@@ -65,25 +68,28 @@ def _action(n: int, i: int) -> SignedPermutation:
         images[i - 1], images[i] = i + 1, i
     else:
         images[n - 2], images[n - 1] = -n, -(n - 1)
-    return SignedPermutation(tuple(images))
+    return tuple(images)
 
 
 def generator_action(system: RootSystem | str, i: int) -> SignedPermutation:
     """Action of generator i on the basis, for a D_n system."""
     family, n = _family_rank(system)
     if family == "D":
-        return _action(n, i)
+        return SignedPermutation(_action(n, i))
     raise WeylError(f"signed permutations are implemented for family D, not {family}")
 
 
 def word_to_signed_perm(word: Sequence[int], n: int) -> SignedPermutation:
-    """Compose a word's generator actions, rightmost generator first (D_n)."""
+    """Compose a word's generator actions, rightmost generator first (D_n).
+
+    The images are composed as plain tuples and validated once, at the end.
+    """
     if n < 3:
         raise WeylError(f"family D needs rank >= 3, got {n}")
-    perm = SignedPermutation.identity(n)
+    images = tuple(range(1, n + 1))
     for g in word:
-        perm = perm.compose(_action(n, int(g)))
-    return perm
+        images = tuple(images[v - 1] if v > 0 else -images[-v - 1] for v in _action(n, int(g)))
+    return SignedPermutation(images)
 
 
 def signed_cycle_type(p: SignedPermutation) -> tuple[int, ...]:

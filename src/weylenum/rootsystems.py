@@ -158,25 +158,15 @@ def fundamental_weight_in_root_basis(name: str, i: int) -> tuple[Fraction, ...]:
 
 
 def _leading_minors_positive(matrix: np.ndarray) -> bool:
-    n = len(matrix)
-    for k in range(1, n + 1):
-        sub = [[Fraction(int(matrix[i][j])) for j in range(k)] for i in range(k)]
-        det = Fraction(1)
-        for col in range(k):
-            pivot = next((r for r in range(col, k) if sub[r][col] != 0), None)
-            if pivot is None:
-                return False
-            if pivot != col:
-                sub[col], sub[pivot] = sub[pivot], sub[col]
-                det = -det
-            det *= sub[col][col]
-            inv = 1 / sub[col][col]
-            for r in range(col + 1, k):
-                f = sub[r][col] * inv
-                if f:
-                    sub[r] = [x - f * y for x, y in zip(sub[r], sub[col])]
-        if det <= 0:
+    """Elimination without row swaps makes pivot k equal to D_k / D_(k-1), so
+    every leading principal minor D_k is positive exactly when every pivot is."""
+    a = [[Fraction(int(x)) for x in row] for row in matrix]
+    for k in range(len(a)):
+        if a[k][k] <= 0:
             return False
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
     return True
 
 

@@ -1,20 +1,23 @@
 """Disk persistence for levels plus the whole-run element index.
 
 One text file per level, named ``{prefix}_WeightMatrByLevel_{k}_elems={n}.txt``.
-Each record is a header line
+`_record_lines(rank)` states the record grammar once, as %-templates: a
+header line
 
     n={ordinal}, name={word}, w={comma-joined weight}, n_inv={inverse ordinal}
 
-followed by one bracketed integer list per matrix row.  The identity's word
-is a single space on disk and the empty word in memory.  Files are UTF-8
-with LF line endings, and a loaded level writes back byte-identically.
-Each loaded word must have as many generators as the level index, each in
-1..rank.  `build_index` keys the elements of a complete run by weight row.
+followed by one bracketed list ``[a, b, ...]`` per matrix row.  The identity's
+word is a single space on disk and the empty word in memory.  `format_level`
+fills the template once per record, and `read_level` accepts exactly what it
+writes: UTF-8 with LF line endings, canonical integers (no leading zeros, no
+"-0", at most 18 digits so each fits int64) and canonical words.  A loaded
+level therefore writes back byte-identically.  Each loaded word must have as
+many generators as the level index, each in 1..rank.  `build_index` keys the
+elements of a complete run by weight row.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 import re
 from dataclasses import dataclass
@@ -27,7 +30,10 @@ from .errors import IntegrityError, ParseError, WeylError
 from .orbit import Level, match_rows
 
 _FILE_RE = re.compile(r"^(?P<prefix>.+)_WeightMatrByLevel_(?P<k>\d+)_elems=(?P<n>\d+)\.txt$")
-_HEADER_RE = re.compile(r"^n=(\d+), name=([^,]*), w=([-\d,]*), n_inv=(\d+)$")
+# Canonical fields of the record grammar: %u never carries a sign, and a
+# word is one space for the identity or s-prefixed generators joined by dots.
+_FIELD_RE = {"%d": r"(0|-?[1-9][0-9]{0,17})", "%u": r"(0|[1-9][0-9]{0,17})", "%s": r"([^,]*)"}
+_WORD_RE = re.compile(r" |s[1-9][0-9]*(?:\.s[1-9][0-9]*)*")
 
 
 @dataclass(frozen=True)
@@ -63,24 +69,27 @@ def parse_word(text: str) -> tuple[int, ...]:
     stripped = text.strip()
     if not stripped:
         return ()
-    parts = stripped.split(".")
-    if not all(p.startswith("s") and p[1:].isdigit() for p in parts):
+    if not _WORD_RE.fullmatch(stripped):
         raise ParseError(f"malformed word {text!r}")
-    return tuple(int(p[1:]) for p in parts)
+    return tuple(map(int, stripped[1:].split(".s")))
+
+
+def _record_lines(rank: int) -> tuple[str, str]:
+    """The record grammar as %-templates: a header line, then `rank` row lines."""
+    ints = ["%d"] * rank
+    return "n=%u, name=%s, w=" + ",".join(ints) + ", n_inv=%u", "[" + ", ".join(ints) + "]"
 
 
 def format_level(level: Level) -> str:
-    """The exact file body for a level."""
-    chunks = []
-    for j in range(level.size):
-        header = (f"n={j}, name={format_word(level.words[j])}, "
-                  f"w={','.join(str(int(x)) for x in level.weights[j])}, "
-                  f"n_inv={int(level.inv_ordinal[j])}")
-        chunks.append(header)
-        for row in level.matrices[j]:
-            chunks.append("\n" + str(row.tolist()))
-        chunks.append("\n")
-    return "".join(chunks)
+    """The exact file body for a level: the record template filled once per element."""
+    rank = level.weights.shape[1]
+    header, row = _record_lines(rank)
+    record = "\n".join([header] + [row] * rank) + "\n"
+    # Flat memoryviews hand the template Python ints without a whole-level list.
+    w, m, k = memoryview(level.weights.ravel()), memoryview(level.matrices.ravel()), rank * rank
+    return "".join(
+        record % (j, format_word(word), *w[j * rank:(j + 1) * rank], inv, *m[j * k:(j + 1) * k])
+        for j, (word, inv) in enumerate(zip(level.words, level.inv_ordinal.tolist())))
 
 
 def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
@@ -98,69 +107,58 @@ def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
 
 
 def read_level(path: Path | str) -> Level:
-    """Load a level file written by write_level.
+    """Load a level file, accepting exactly the bytes write_level writes.
 
-    The inverse pointers must be reciprocal, since the level derives each
-    inverse matrix from them.
+    Record j fills the rank + 1 lines from line j*(rank+1) + 1: its header,
+    then its matrix rows.  The first line that does not fit its slot is
+    reported.  The inverse pointers must be reciprocal, since the level
+    derives each inverse matrix from them.
     """
     path = Path(path)
-    m = _FILE_RE.match(path.name)
-    if not m:
-        raise ParseError(f"{path.name}: file name does not match the level pattern")
-    index, size = int(m.group("k")), int(m.group("n"))
+    _, index, size = parse_level_file_name(path)
     if size == 0:
         raise ParseError(f"{path}:1: no records; a level holds at least one element")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    words: list[tuple[int, ...]] = []
-    weights: list[list[int]] = []
-    matrices: list[list[list[int]]] = []
-    inv_ordinal: list[int] = []
-    rank: int | None = None
-    pos = 0
-    for j in range(size):
-        if pos >= len(lines):
-            raise ParseError(f"{path}:{len(lines)}: truncated file, expected {size} records")
-        header = _HEADER_RE.match(lines[pos])
-        if not header:
-            raise ParseError(f"{path}:{pos + 1}: malformed header {lines[pos]!r}")
-        if int(header.group(1)) != j:
-            raise IntegrityError(
-                f"{path}:{pos + 1}: record ordinal {header.group(1)} out of sequence, expected {j}")
-        try:
-            word = parse_word(header.group(2))
-        except ParseError as exc:
-            raise ParseError(f"{path}:{pos + 1}: {exc}") from None
-        coords = [int(t) for t in header.group(3).split(",") if t]
-        if rank is None:
-            rank = len(coords)
-        if len(coords) != rank:
-            raise ParseError(f"{path}:{pos + 1}: expected {rank} weight coordinates")
+    try:  # bytes, so that no CR LF is translated
+        lines = path.read_bytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from None
+    rank = max(lines[0].count(",") - 2, 1)  # a header holds rank + 2 commas
+    header_re, row_re = (re.compile(re.sub("%[dus]", lambda m: _FIELD_RE[m[0]], re.escape(t)))
+                         for t in _record_lines(rank))
+    step = rank + 1
+    body = lines[:min(size * step, len(lines) - 1)]  # the text after the last LF is no line
+    rows = body.copy()
+    del rows[::step]
+    fits = list(map(bool, map(row_re.fullmatch, rows)))
+    bad_row = len(rows) if all(fits) else fits.index(False)
+    bad_line = bad_row // rank * step + bad_row % rank + 2
+    words, fields = [], []
+    for j, line in enumerate(body[:bad_line - 1:step]):  # the headers before that row
+        at = f"{path}:{j * step + 1}"
+        m = header_re.fullmatch(line)
+        if not m:
+            raise ParseError(f"{at}: malformed header {line!r}")
+        if int(m[1]) != j:
+            raise IntegrityError(f"{at}: record ordinal {m[1]} out of sequence, expected {j}")
+        if not _WORD_RE.fullmatch(m[2]):
+            raise ParseError(f"{at}: malformed word {m[2]!r}")
+        word = parse_word(m[2])
         if len(word) != index:
-            raise ParseError(f"{path}:{pos + 1}: word of length {len(word)} in level {index}")
-        if not all(1 <= g <= rank for g in word):
-            raise ParseError(f"{path}:{pos + 1}: word names a generator outside 1..{rank}")
+            raise ParseError(f"{at}: word of length {len(word)} in level {index}")
+        if max(word, default=1) > rank:  # _WORD_RE admits no generator 0
+            raise ParseError(f"{at}: word names a generator outside 1..{rank}")
         words.append(word)
-        weights.append(coords)
-        inv_ordinal.append(int(header.group(4)))
-        pos += 1
-        rows = []
-        for r in range(rank):
-            if pos >= len(lines):
-                raise ParseError(f"{path}:{len(lines)}: truncated matrix in record {j}")
-            try:
-                row = ast.literal_eval(lines[pos])
-            except (ValueError, SyntaxError):
-                raise ParseError(f"{path}:{pos + 1}: malformed matrix row {lines[pos]!r}") from None
-            if not isinstance(row, list) or len(row) != rank \
-                    or not all(isinstance(x, int) for x in row):
-                raise ParseError(f"{path}:{pos + 1}: expected a list of {rank} integers")
-            rows.append(row)
-            pos += 1
-        matrices.append(rows)
-    if pos != len(lines):
-        raise ParseError(f"{path}:{pos + 1}: trailing content after {size} records")
-    inv = np.asarray(inv_ordinal, dtype=np.int64)
-    if ((inv < 0) | (inv >= size)).any():
+        fields.append(m.groups()[2:])
+    if bad_row < len(rows):
+        raise ParseError(f"{path}:{bad_line}: malformed matrix row {rows[bad_row]!r}, "
+                         f"expected a list of {rank} integers")
+    if len(body) < size * step:
+        raise ParseError(f"{path}:{len(lines)}: truncated file, expected {size} records")
+    if lines[size * step:] != [""]:
+        raise ParseError(f"{path}:{size * step + 1}: trailing content after {size} records")
+    numbers = np.array(fields).astype(np.int64)
+    inv = numbers[:, -1]
+    if (inv >= size).any():
         raise IntegrityError(f"{path}: inverse ordinal out of range")
     bad = np.flatnonzero(inv[inv] != np.arange(size))
     if bad.size:
@@ -168,10 +166,11 @@ def read_level(path: Path | str) -> Level:
         raise IntegrityError(
             f"{path}: record {j} has n_inv={inv[j]}, but record {inv[j]} has "
             f"n_inv={inv[inv[j]]}; inverse ordinals must be reciprocal")
+    entries = ", ".join(rows).replace("[", "").replace("]", "")
     return Level(
         index=index,
-        weights=np.asarray(weights, dtype=np.int64),
-        matrices=np.asarray(matrices, dtype=np.int64),
+        weights=numbers[:, :-1],
+        matrices=np.fromstring(entries, dtype=np.int64, sep=",").reshape(size, rank, rank),
         words=words,
         inv_ordinal=inv,
     )

@@ -103,6 +103,14 @@ def test_orders_and_classes_refuse_truncated_run(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_orders_rejects_malformed_level_file(d4_run, capsys):
+    path = d4_run / store.level_file_name("D4", 2, 9)
+    body = path.read_text(encoding="utf-8")
+    path.write_text(body.replace("w=1,-2,3,3", "w=1,-,3,3"), encoding="utf-8", newline="\n")
+    assert main(["orders", "D4", "--out", str(d4_run)]) == EXIT_FAILURE
+    assert "elems=9.txt:1: malformed header" in capsys.readouterr().err
+
+
 def test_orders(d4_run, capsys):
     assert main(["orders", "D4", "--out", str(d4_run)]) == EXIT_OK
     assert "1:1, 2:43, 3:32, 4:84, 6:32" in capsys.readouterr().out

@@ -59,6 +59,11 @@ def test_word_to_signed_perm_examples():
         we.word_to_signed_perm((1,), 2)
 
 
+def test_word_to_signed_perm_rejects_generator_out_of_range():
+    with pytest.raises(WeylError, match=r"generator index 5 out of range 1\.\.4"):
+        we.word_to_signed_perm((5,), 4)
+
+
 def test_word_to_signed_perm_negation_pairs():
     # s3 then s4 negates the last two basis vectors
     assert we.word_to_signed_perm((3, 4), 4).images == (1, 2, -3, -4)

@@ -6,9 +6,8 @@ import pytest
 
 import oracles
 from weylenum import positive_root_count, weyl_order
-from weylenum import reference
+from weylenum import reference, store
 from weylenum.rootsystems import parse_id
-from weylenum.store import _HEADER_RE
 
 
 @pytest.mark.parametrize("name", ["D4", "B7", "D8", "E7", "B8"])
@@ -44,18 +43,17 @@ def test_repaired_entries():
     assert reference.TOTALS["D8"] == 5160960
 
 
-def test_golden_level_two_shape():
+def test_golden_level_two_shape(tmp_path):
     lines = reference.GOLDEN_D4_LEVEL2.splitlines()
     assert len(lines) == 45  # 9 records of header + 4 rows
     headers = [l for l in lines if l.startswith("n=")]
     assert len(headers) == 9
-    parsed = [_HEADER_RE.match(h) for h in headers]
-    assert all(parsed)
-    ordinals = [int(m.group(1)) for m in parsed]
-    assert ordinals == list(range(9))
-    inv = [int(m.group(4)) for m in parsed]
-    assert [inv[i] for i in inv] == list(range(9))
     assert headers[0] == "n=0, name=s2.s1, w=1,-2,3,3, n_inv=3"
+    # the strict reader parses the golden text and checks ordinals 0..8 in order
+    path = tmp_path / store.level_file_name("D4", 2, 9)
+    path.write_text(reference.GOLDEN_D4_LEVEL2, encoding="utf-8", newline="\n")
+    inv = store.read_level(path).inv_ordinal.tolist()
+    assert [inv[i] for i in inv] == list(range(9))
 
 
 def test_class_rows_consistent():

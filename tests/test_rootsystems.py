@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from weylenum import (UnsupportedRootSystem, cartan_matrix, inverse_cartan,
@@ -224,6 +226,31 @@ def test_validate_cartan_accepts():
 def test_validate_cartan_rejects(bad):
     with pytest.raises(UnsupportedRootSystem):
         validate_cartan(bad)
+
+
+@st.composite
+def generalized_cartan(draw):
+    """A 2x2 to 4x4 matrix with the structure of a generalized Cartan matrix."""
+    n = draw(st.integers(2, 4))
+    c = 2 * np.eye(n, dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                c[i, j], c[j, i] = draw(st.integers(-3, -1)), draw(st.integers(-3, -1))
+    return c
+
+
+@settings(max_examples=200)
+@given(generalized_cartan())
+def test_validate_cartan_accepts_exactly_positive_leading_minors(c):
+    m = sympy.Matrix(c.tolist())
+    finite = all(m[:k, :k].det() > 0 for k in range(1, len(c) + 1))
+    try:
+        validate_cartan(c)
+        accepted = True
+    except UnsupportedRootSystem:
+        accepted = False
+    assert accepted == finite
 
 
 def test_load_cartan_file(tmp_path):

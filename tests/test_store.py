@@ -174,6 +174,73 @@ def test_read_level_inverse_not_reciprocal(tmp_path, d4_levels):
         store.read_level(path)
 
 
+# Bytes write_level never writes: each is refused, naming its line.
+@pytest.mark.parametrize("old, new, line", [
+    ("[-1, 1, 0, 0]", "[True, 1, 0, 0]", 2),
+    ("[-1, 1, 0, 0]", "[-1, 1, 0, 0,]", 2),
+    ("[-1, 1, 0, 0]", "[-1, 1, 0, 00]", 2),
+    ("[-1, 1, 0, 0]", "[-1, 1, 0, -0]", 2),
+    ("[-1, 1, 0, 0]", "[-1,1,0,0]", 2),
+    ("n=0, ", "n=00, ", 1),
+    ("w=1,-2,3,3", "w=1,,-2,3,3", 1),
+    ("w=1,-2,3,3", "w=1,-,3,3", 1),
+    ("w=-1,3,-1,1", "w=-1,3,,-1,1", 6),
+    ("name=s2.s1", "name=s2.s01", 1),
+    ("\n", "\r\n", 1),
+], ids=["bool-entry", "trailing-comma", "leading-zero", "minus-zero", "no-spaces",
+        "ordinal-leading-zero", "empty-coordinate", "bare-minus", "empty-coordinate-record-1",
+        "word-leading-zero", "crlf"])
+def test_read_level_rejects_non_canonical_bytes(tmp_path, d4_levels, old, new, line):
+    path = _write_then_mutate(tmp_path, d4_levels[2], lambda t: t.replace(old, new))
+    with pytest.raises(ParseError, match=rf"elems=9\.txt:{line}: "):
+        store.read_level(path)
+
+
+def test_read_level_requires_final_line_ending(tmp_path, d4_levels):
+    path = _write_then_mutate(tmp_path, d4_levels[2], lambda t: t[:-1])
+    with pytest.raises(ParseError, match=r":45: truncated"):
+        store.read_level(path)
+
+
+def test_read_level_rejects_non_utf8(tmp_path, d4_levels):
+    written = store.write_level(d4_levels[2], "D4", tmp_path)
+    written.path.write_bytes(written.path.read_bytes().replace(b"s2.s1", b"s2.s\xff"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        store.read_level(written.path)
+
+
+def _edit_lines(text, edit):
+    lines = text.split("\n")
+    edit(lines)
+    return "\n".join(lines)
+
+
+# Faults that shift the lines after them: the first line out of its slot is named.
+@pytest.mark.parametrize("edit, line", [
+    (lambda ls: ls.insert(3, "[0, 0, 0, 1]"), 6),
+    (lambda ls: ls.pop(2), 5),
+    (lambda ls: ls.pop(5), 6),
+    (lambda ls: ls.insert(5, ""), 6),
+], ids=["insert-row-after-3", "delete-line-3", "delete-header-6", "blank-after-record-0"])
+def test_read_level_reports_first_line_out_of_slot(tmp_path, d4_levels, edit, line):
+    path = _write_then_mutate(tmp_path, d4_levels[2], lambda t: _edit_lines(t, edit))
+    with pytest.raises(ParseError, match=rf"elems=9\.txt:{line}: "):
+        store.read_level(path)
+
+
+@pytest.mark.parametrize("name, start", [
+    ("G2", (3, 2)), ("B3", (3, 1, 2)), ("F4", (3, 1, 2, 1)),
+])
+def test_round_trip_custom_start(tmp_path, name, start):
+    levels = list(we.generate_group(we.root_system(name), start=start))
+    assert max(int(abs(level.weights).max()) for level in levels) >= 10
+    for level in levels:
+        written = store.write_level(level, name, tmp_path)
+        loaded = store.read_level(written.path)
+        assert loaded == level
+        assert store.format_level(loaded) == written.path.read_text(encoding="utf-8")
+
+
 def test_read_level_checks_file_name(tmp_path, d4_levels):
     written = store.write_level(d4_levels[1], "D4", tmp_path)
     odd = tmp_path / "notes.txt"
