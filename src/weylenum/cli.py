@@ -49,10 +49,12 @@ def cmd_generate(name: str, out_dir: str, start_weight: str | None = None,
     t0 = time.perf_counter()
     for level in generate_group(rs, start=start, levels_up_to=levels_up_to):
         store.write_level(level, rs.name, out_dir)
+        if level.index == 0:
+            start = level.weights[0].tolist()  # the identity carries the start weight
         sizes.append(level.size)
         print(f"level {level.index}: {level.size}")
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    store.write_summary(out_dir, rs.name, rs.name, sizes, elapsed_ms)
+    store.write_summary(out_dir, rs.name, rs.name, sizes, elapsed_ms, rs.rank, start)
     print(f"{rs.name}: {sum(sizes)} elements in {len(sizes)} levels, {elapsed_ms:.1f} ms")
     print(f"wrote {len(sizes)} level files and {rs.name}_summary.json to {out_dir}")
     return EXIT_OK

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .errors import IntegrityError, WeylError
 from .rootsystems import RootSystem, parse_id
 
@@ -119,20 +121,63 @@ def render_cycle_type(ctype: Sequence[int]) -> str:
     return "[" + "".join(str(c) if c > 0 else f"~{-c}" for c in ctype) + "]"
 
 
+def _signed_images(words: np.ndarray, n: int) -> np.ndarray:
+    """Signed permutations of D_n words, one row per word of generators 1..n.
+
+    A 0 pads a shorter word and acts as the identity.  Word position p is
+    applied to all rows at once, composed as in word_to_signed_perm.
+    """
+    if words.size and (words.min() < 0 or words.max() > n):
+        bad = words[(words < 0) | (words > n)][0]
+        raise WeylError(f"generator index {bad} out of range 1..{n}")
+    actions = np.array([tuple(range(1, n + 1))] + [_action(n, g) for g in range(1, n + 1)])
+    images = np.tile(np.arange(1, n + 1, dtype=np.int64), (len(words), 1))
+    for p in range(words.shape[1]):
+        a = actions[words[:, p]]
+        images = np.sign(a) * np.take_along_axis(images, np.abs(a) - 1, axis=1)
+    return images
+
+
+def _cycle_labels(images: np.ndarray) -> np.ndarray:
+    """Per row, each position's cycle length, negated on a negative cycle, sorted.
+
+    Position s lies on a cycle of length L when L is the first power of the
+    permutation that sends e_s to +-e_s; the sign there is the cycle's sign.
+    Two rows agree exactly when their signed cycle types do.
+    """
+    n = images.shape[1]
+    home = np.arange(1, n + 1)
+    labels = np.zeros(images.shape, dtype=np.int64)
+    power = images
+    for k in range(1, n + 1):
+        back = (labels == 0) & (np.abs(power) == home)
+        labels[back] = np.where(power[back] > 0, k, -k)
+        power = np.sign(power) * np.take_along_axis(images, np.abs(power) - 1, axis=1)
+    return np.sort(labels, axis=1)
+
+
 def class_cycle_type(cls, store) -> tuple[int, ...]:
     """Cycle type of a conjugacy class, checked to be constant over all members.
 
     `store` is the sequence of levels the class's (level, ordinal) member
-    coordinates point into.
+    coordinates point into.  All members are replayed together, as one array
+    of signed permutations.
     """
     levels = list(store)
     n = levels[0].weights.shape[1]
     rep_lvl, rep_ord = cls.representative
-    expected = signed_cycle_type(word_to_signed_perm(levels[rep_lvl].words[rep_ord], n))
-    for lvl, j in cls.members:
+    rep_word = levels[rep_lvl].words[rep_ord]
+    expected = signed_cycle_type(word_to_signed_perm(rep_word, n))
+    want = _cycle_labels(_signed_images(
+        np.array(rep_word, dtype=np.int64).reshape(1, len(rep_word)), n))
+    words = [levels[lvl].words[j] for lvl, j in cls.members]
+    width = max(map(len, words))
+    padded = np.array([w + (0,) * (width - len(w)) for w in words], dtype=np.int64)
+    differ = np.flatnonzero((_cycle_labels(_signed_images(padded, n)) != want).any(axis=1))
+    if differ.size:
+        lvl, j = cls.members[differ[0]]
         got = signed_cycle_type(word_to_signed_perm(levels[lvl].words[j], n))
-        if got != expected:
-            raise IntegrityError(
-                f"cycle type {got} of member ({lvl}, {j}) differs from the "
-                f"representative's {expected}; conjugation must preserve it")
+        raise IntegrityError(
+            f"cycle type {got} of member ({lvl}, {j}) differs from the "
+            f"representative's {expected}; conjugation must preserve it")
     return expected

@@ -6,6 +6,12 @@ the applied generators ascending.  A candidate successor of weight ``nu``
 under generator ``i`` (0-based here) is accepted when ``nu[i] > 0`` and
 every coordinate of the image past position ``i`` is nonnegative; that rule
 reaches each element of the next level exactly once.
+
+Image coordinate ``k`` is ``nu[k] - cartan[i, k] * nu[i]``, so acceptance is
+tested one generator at a time on the columns of the weights, and only the
+accepted images are built.  The generator matrix ``R_i`` differs from the
+identity in row ``i`` alone, ``delta_ik - cartan[i, k]``, so ``R_i @ M`` is
+``M`` with row ``i`` replaced.
 """
 
 from __future__ import annotations
@@ -13,28 +19,40 @@ from __future__ import annotations
 import numpy as np
 
 
-def _acceptance_mask(weights: np.ndarray, images: np.ndarray) -> np.ndarray:
-    # images[j, i] is the weight of element j moved by generator i; only the
-    # coordinates strictly past i matter for acceptance.
-    n = weights.shape[1]
-    dont_care = np.tril(np.ones((n, n), dtype=bool))
-    tail_ok = ((images >= 0) | dont_care[None, :, :]).all(axis=2)
-    return (weights > 0) & tail_ok
+def _accepted(weights, cartan):
+    """The accepted successors of a level of weights: (images, src, gen)."""
+    m, n = weights.shape
+    col = np.ascontiguousarray(weights.T)
+    nonneg = col >= 0
+    mask = np.empty((m, n), dtype=bool)
+    for i in range(n):
+        ok = col[i] > 0
+        for k in range(i + 1, n):
+            if cartan[i, k] == 0:
+                ok &= nonneg[k]
+            else:
+                ok &= col[k] - cartan[i, k] * col[i] >= 0
+        mask[:, i] = ok
+    src, gen = np.nonzero(mask)
+    images = weights[src]
+    rows = np.arange(len(src))
+    images -= images[rows, gen, None] * cartan[gen]
+    return images, src, gen
 
 
-def step_level(weights, matrices, cartan, reflections):
+def step_level(weights, matrices, cartan):
     """One enumeration step; returns (weights, matrices, src, gen).
 
     ``gen`` is 0-based.  Inverses are not computed here: the pairing of the
     new level determines them.
     """
-    images = weights[:, None, :] - weights[:, :, None] * cartan[None, :, :]
-    src, gen = np.nonzero(_acceptance_mask(weights, images))
-    return images[src, gen], np.matmul(reflections[gen], matrices[src]), src, gen
+    images, src, gen = _accepted(weights, cartan)
+    new = matrices[src]
+    rows = np.arange(len(src))
+    new[rows, gen] -= np.einsum("jk,jkl->jl", cartan[gen], new)
+    return images, new, src, gen
 
 
 def step_orbit(weights, cartan):
     """One orbit step; returns (weights, src, gen) with ``gen`` 0-based."""
-    images = weights[:, None, :] - weights[:, :, None] * cartan[None, :, :]
-    src, gen = np.nonzero(_acceptance_mask(weights, images))
-    return images[src, gen], src, gen
+    return _accepted(weights, cartan)

@@ -199,8 +199,7 @@ def build_next_level(current: Level, rs: RootSystem) -> Level:
     """
     if not current.sealed:
         raise IntegrityError(f"level {current.index} is not sealed; pair it first")
-    new_w, new_m, src, gen0 = kernels.step_level(
-        current.weights, current.matrices, rs.cartan, rs.reflections)
+    new_w, new_m, src, gen0 = kernels.step_level(current.weights, current.matrices, rs.cartan)
     words = [(int(g) + 1,) + current.words[int(s)] for s, g in zip(src, gen0)]
     nxt = Level(
         index=current.index + 1,

@@ -12,13 +12,15 @@ fills the template once per record, and `read_level` accepts exactly what it
 writes: UTF-8 with LF line endings, canonical integers (no leading zeros, no
 "-0", at most 18 digits so each fits int64) and canonical words.  A loaded
 level therefore writes back byte-identically.  Each loaded word must have as
-many generators as the level index, each in 1..rank.  `build_index` keys the
-elements of a complete run by weight row.
+many generators as the level index, each in 1..rank.  `write_level` renames a
+finished temporary file into place, so no partial level file is ever seen.
+`build_index` keys the elements of a complete run by weight row.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,7 +95,7 @@ def format_level(level: Level) -> str:
 
 
 def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
-    """Persist a sealed level; empty levels are refused."""
+    """Persist a sealed level atomically; empty levels are refused."""
     if level.size == 0:
         raise WeylError(f"refusing to write empty level {level.index}")
     if not level.sealed:
@@ -101,8 +103,17 @@ def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
     directory = Path(dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / level_file_name(prefix, level.index, level.size)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(format_level(level))
+    body = format_level(level)
+    # Write under a name no level-file pattern matches, then rename it into
+    # place, so that a failed write never leaves a partial level file.
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            f.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return LevelFile(path=path, index=level.index, size=level.size)
 
 
@@ -257,13 +268,18 @@ def summary_path(dir: Path | str, prefix: str) -> Path:
 
 
 def write_summary(dir: Path | str, prefix: str, root_system: str,
-                  level_sizes: Sequence[int], elapsed_ms: float) -> Path:
+                  level_sizes: Sequence[int], elapsed_ms: float,
+                  rank: int, start_weight: Sequence[int]) -> Path:
+    """Record a run's level sizes and inputs; readers must not require the
+    `rank` and `start_weight` keys, which older summaries lack."""
     path = summary_path(dir, prefix)
     payload = {
         "root_system": root_system,
         "levels": [int(n) for n in level_sizes],
         "total": int(sum(level_sizes)),
         "elapsed_ms": float(elapsed_ms),
+        "rank": int(rank),
+        "start_weight": [int(x) for x in start_weight],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(payload, f, indent=2)

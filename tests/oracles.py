@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 _EXCEPTIONAL_DEGREES = {
@@ -210,6 +211,25 @@ def matrix_closure_order(cartan) -> int:
                     grown.append(product)
         frontier = grown
     return len(seen)
+
+
+def step_reference(weights, matrices, cartan):
+    """The level step over the whole candidate tensor: (images, matrices, src, gen).
+
+    Every generator's image of every weight row is formed as one (m, n, n)
+    array, the acceptance rule masks all of it at once, and each kept
+    element's matrix is multiplied by the whole reflection matrix of its
+    generator.  ``gen`` is 0-based; the order is source, then generator.
+    """
+    weights, matrices, cartan = (np.asarray(a, dtype=np.int64)
+                                 for a in (weights, matrices, cartan))
+    n = weights.shape[1]
+    images = weights[:, None, :] - weights[:, :, None] * cartan[None, :, :]
+    dont_care = np.tril(np.ones((n, n), dtype=bool))
+    tail_ok = ((images >= 0) | dont_care[None, :, :]).all(axis=2)
+    src, gen = np.nonzero((weights > 0) & tail_ok)
+    refls = np.array(_reflections(cartan.tolist()), dtype=np.int64).reshape(n, n, n)
+    return images[src, gen], np.matmul(refls[gen], matrices[src]), src, gen
 
 
 class PairingDictionary:

@@ -179,6 +179,70 @@ def test_generate_refuses_stale_level_files(d4_run, capsys):
     assert main(["generate", "A1", "--out", str(d4_run)]) == EXIT_OK
 
 
+def test_generate_records_inputs_in_summary(tmp_path, d4_run):
+    summary = store.read_summary(d4_run, "D4")
+    assert summary["rank"] == 4
+    assert summary["start_weight"] == [1, 1, 1, 1]
+    out = tmp_path / "custom"
+    assert main(["generate", "B3", "--out", str(out), "--start-weight", "3,1,2"]) == EXIT_OK
+    summary = store.read_summary(out, "B3")
+    assert summary["rank"] == 3
+    assert summary["start_weight"] == [3, 1, 2]
+
+
+def test_verify_accepts_summary_without_inputs(d4_run, capsys):
+    # summaries written before rank and start_weight were recorded
+    path = store.summary_path(d4_run, "D4")
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    del summary["rank"], summary["start_weight"]
+    path.write_text(json.dumps(summary), encoding="utf-8")
+    assert store.read_summary(d4_run, "D4") == summary
+    assert main(["verify", "D4", "--out", str(d4_run)]) == EXIT_OK
+    assert "D4: OK" in capsys.readouterr().out
+
+
+def _fail_at_level(monkeypatch, index, where):
+    """Make writing level `index` fail: while formatting it, or on the rename."""
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    if where == "format_level":
+        real = store.format_level
+        monkeypatch.setattr(store, "format_level",
+                            lambda level: disk_full() if level.index == index else real(level))
+    else:
+        real = store.os.replace
+        monkeypatch.setattr(store.os, "replace", lambda a, b: disk_full()
+                            if f"_WeightMatrByLevel_{index}_" in str(b) else real(a, b))
+
+
+@pytest.mark.parametrize("where", ["format_level", "replace"])
+def test_failed_write_leaves_no_partial_level_file(tmp_path, d4_levels, monkeypatch,
+                                                   capsys, where):
+    out = tmp_path / "run"
+    _fail_at_level(monkeypatch, 2, where)
+    assert main(["generate", "D4", "--out", str(out)]) == EXIT_FAILURE
+    assert "No space left on device" in capsys.readouterr().err
+    # only the complete files of the levels before the failure remain
+    assert sorted(p.name for p in out.iterdir()) == [
+        store.level_file_name("D4", k, d4_levels[k].size) for k in (0, 1)]
+    for k in (0, 1):
+        assert store.read_level(out / store.level_file_name("D4", k, d4_levels[k].size)) \
+            == d4_levels[k]
+
+
+@pytest.mark.parametrize("where", ["format_level", "replace"])
+def test_generate_after_failed_first_write_is_not_refused(tmp_path, monkeypatch, capsys,
+                                                          where):
+    out = tmp_path / "run"
+    _fail_at_level(monkeypatch, 0, where)
+    assert main(["generate", "D4", "--out", str(out)]) == EXIT_FAILURE
+    assert list(out.iterdir()) == []
+    monkeypatch.undo()
+    assert main(["generate", "D4", "--out", str(out)]) == EXIT_OK
+    assert main(["verify", "D4", "--out", str(out)]) == EXIT_OK
+
+
 def test_generate_deterministic(tmp_path):
     first = tmp_path / "one"
     second = tmp_path / "two"

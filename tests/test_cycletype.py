@@ -3,12 +3,13 @@ from __future__ import annotations
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylenum as we
 from weylenum import IntegrityError, WeylError
-from weylenum.cycletype import SignedPermutation, _action
+from weylenum.cycletype import SignedPermutation, _action, _cycle_labels, _signed_images
 from weylenum.reference import D4_CYCLE_TYPES
 
 
@@ -149,6 +150,38 @@ def test_cycle_type_is_canonical(word):
     ctype = we.signed_cycle_type(we.word_to_signed_perm(word, 5))
     assert sum(abs(c) for c in ctype) == 5
     assert list(ctype) == sorted(ctype, key=lambda c: (-abs(c), c > 0))
+
+
+@st.composite
+def word_batch(draw):
+    """A rank n and several D_n words."""
+    n = draw(st.integers(3, 6))
+    return n, draw(st.lists(st.lists(st.integers(1, n), max_size=10), min_size=1, max_size=8))
+
+
+@settings(max_examples=80)
+@given(word_batch())
+def test_batched_replay_matches_word_by_word(batch):
+    # the array replay behind class_cycle_type against the one-word path
+    n, words = batch
+    width = max(map(len, words))
+    images = _signed_images(np.array([w + [0] * (width - len(w)) for w in words]).reshape(
+        len(words), width), n)
+    labels = _cycle_labels(images)
+    for word, row, label in zip(words, images, labels):
+        perm = we.word_to_signed_perm(word, n)
+        assert tuple(row.tolist()) == perm.images
+        # label c marks each of the |c| positions of a cycle c
+        cycles = Counter({c: k // abs(c) for c, k in Counter(label.tolist()).items()})
+        assert cycles == Counter(we.signed_cycle_type(perm))
+
+
+def test_class_cycle_type_rejects_generator_out_of_range(d4_levels):
+    levels = list(d4_levels)
+    levels[1] = SimpleNamespace(words=[(1,), (5,), (3,), (4,)])
+    fake = SimpleNamespace(representative=(1, 0), members=((1, 0), (1, 1)))
+    with pytest.raises(WeylError, match="out of range 1..4"):
+        we.class_cycle_type(fake, levels)
 
 
 def test_action_bounds():

@@ -133,8 +133,7 @@ def test_pairing_dictionary_protocol():
 
 
 def _unpaired_successor(level: Level, rs) -> Level:
-    new_w, new_m, src, gen = we.kernels.step_level(
-        level.weights, level.matrices, rs.cartan, rs.reflections)
+    new_w, new_m, src, gen = we.kernels.step_level(level.weights, level.matrices, rs.cartan)
     return Level(index=level.index + 1, weights=new_w, matrices=new_m,
                  words=[(int(g) + 1,) + level.words[int(s)] for s, g in zip(src, gen)],
                  inv_ordinal=np.full(len(new_w), -1, dtype=np.int64))

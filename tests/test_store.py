@@ -333,13 +333,16 @@ def test_build_index_sizes(b3_levels):
 
 
 def test_summary_round_trip(tmp_path):
-    store.write_summary(tmp_path, "D4", "D4", [1, 4, 9], 12.5)
+    store.write_summary(tmp_path, "D4", "D4", [1, 4, 9], 12.5, 4, (1, 2, 1, 1))
     data = store.read_summary(tmp_path, "D4")
-    assert set(data) == {"root_system", "levels", "total", "elapsed_ms"}
+    assert set(data) == {"root_system", "levels", "total", "elapsed_ms", "rank",
+                         "start_weight"}
     assert data["root_system"] == "D4"
     assert data["levels"] == [1, 4, 9]
     assert data["total"] == 14
     assert data["elapsed_ms"] == 12.5
+    assert data["rank"] == 4
+    assert data["start_weight"] == [1, 2, 1, 1]
 
 
 def test_read_summary_missing(tmp_path):
