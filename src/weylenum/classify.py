@@ -111,7 +111,7 @@ def conjugacy_classes(levels: Iterable[Level], index: ElementIndex,
         lvl, j = members[0]
         classes.append(ConjugacyClass(
             representative=members[0],
-            representative_word=levels[lvl].words[j],
+            representative_word=levels[lvl].word(j),
             members=members,
             size=len(members),
             element_order=element_order(levels[lvl].matrices[j], bound=max(index.total, 2)),

@@ -166,17 +166,19 @@ def class_cycle_type(cls, store) -> tuple[int, ...]:
     levels = list(store)
     n = levels[0].weights.shape[1]
     rep_lvl, rep_ord = cls.representative
-    rep_word = levels[rep_lvl].words[rep_ord]
+    rep_word = levels[rep_lvl].word(rep_ord)
     expected = signed_cycle_type(word_to_signed_perm(rep_word, n))
     want = _cycle_labels(_signed_images(
         np.array(rep_word, dtype=np.int64).reshape(1, len(rep_word)), n))
-    words = [levels[lvl].words[j] for lvl, j in cls.members]
-    width = max(map(len, words))
-    padded = np.array([w + (0,) * (width - len(w)) for w in words], dtype=np.int64)
+    lvl_of, ord_of = np.array(cls.members, dtype=np.int64).reshape(-1, 2).T
+    padded = np.zeros((len(lvl_of), lvl_of.max(initial=0)), dtype=np.int64)
+    for lvl in np.unique(lvl_of).tolist():  # a level's words all have length lvl
+        rows = np.flatnonzero(lvl_of == lvl)
+        padded[rows, :lvl] = levels[lvl].words[ord_of[rows]]
     differ = np.flatnonzero((_cycle_labels(_signed_images(padded, n)) != want).any(axis=1))
     if differ.size:
         lvl, j = cls.members[differ[0]]
-        got = signed_cycle_type(word_to_signed_perm(levels[lvl].words[j], n))
+        got = signed_cycle_type(word_to_signed_perm(levels[lvl].word(j), n))
         raise IntegrityError(
             f"cycle type {got} of member ({lvl}, {j}) differs from the "
             f"representative's {expected}; conjugation must preserve it")

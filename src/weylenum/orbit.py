@@ -2,9 +2,14 @@
 
 Elements are generated as levels L_0, L_1, ... where L_k holds the elements
 of reduced word length k, each represented by its weight (the image of the
-start weight), its matrix, and its word.  A candidate successor is kept only
-when the acceptance rule of :func:`snow_accepts` fires, which reaches every
-element of the next level exactly once, so no global visited-set is needed.
+start weight), its matrix, and its word.  The words of a level are one
+``(n, k)`` array of the smallest unsigned dtype that holds the rank,
+generators 1..rank with the first letter first, and `Level.word` gives one
+as a tuple.  A successor's word is its generator prepended to its source's
+row, built for a whole level in one array operation.  A candidate successor
+is kept only when the acceptance rule of :func:`snow_accepts` fires, which
+reaches every element of the next level exactly once, so no global
+visited-set is needed.
 
 Because an element and its inverse share a word length, each level is paired
 against itself in the pass that builds it: the weight of the inverse of
@@ -43,7 +48,7 @@ class Level:
     index: int
     weights: np.ndarray          # (n, rank) int64
     matrices: np.ndarray         # (n, rank, rank) int64
-    words: list[tuple[int, ...]]
+    words: np.ndarray            # (n, index) of np.min_scalar_type(rank)
     inv_ordinal: np.ndarray      # (n,) int64; -1 until the level is sealed
 
     @property
@@ -53,6 +58,10 @@ class Level:
     @property
     def sealed(self) -> bool:
         return bool((self.inv_ordinal >= 0).all())
+
+    def word(self, j: int) -> tuple[int, ...]:
+        """Element j's word as a tuple of Python ints, first letter first."""
+        return tuple(self.words[j].tolist())
 
     @property
     def inv_matrices(self) -> np.ndarray:
@@ -69,7 +78,7 @@ class Level:
         if not isinstance(other, Level):
             return NotImplemented
         return (self.index == other.index
-                and self.words == other.words
+                and np.array_equal(self.words, other.words)
                 and np.array_equal(self.weights, other.weights)
                 and np.array_equal(self.matrices, other.matrices)
                 and np.array_equal(self.inv_ordinal, other.inv_ordinal))
@@ -176,7 +185,7 @@ def build_level_zero(start: Weight) -> Level:
         index=0,
         weights=arr[None, :].copy(),
         matrices=np.eye(rank, dtype=np.int64)[None],
-        words=[()],
+        words=np.zeros((1, 0), dtype=np.min_scalar_type(rank)),
         inv_ordinal=np.zeros(1, dtype=np.int64),
     )
 
@@ -200,7 +209,8 @@ def build_next_level(current: Level, rs: RootSystem) -> Level:
     if not current.sealed:
         raise IntegrityError(f"level {current.index} is not sealed; pair it first")
     new_w, new_m, src, gen0 = kernels.step_level(current.weights, current.matrices, rs.cartan)
-    words = [(int(g) + 1,) + current.words[int(s)] for s, g in zip(src, gen0)]
+    words = np.concatenate(
+        [(gen0 + 1).astype(current.words.dtype)[:, None], current.words[src]], axis=1)
     nxt = Level(
         index=current.index + 1,
         weights=new_w,

@@ -8,12 +8,14 @@ header line
 
 followed by one bracketed list ``[a, b, ...]`` per matrix row.  The identity's
 word is a single space on disk and the empty word in memory.  `format_level`
-fills the template once per record, and `read_level` accepts exactly what it
-writes: UTF-8 with LF line endings, canonical integers (no leading zeros, no
-"-0", at most 18 digits so each fits int64) and canonical words.  A loaded
-level therefore writes back byte-identically.  Each loaded word must have as
-many generators as the level index, each in 1..rank.  `write_level` renames a
-finished temporary file into place, so no partial level file is ever seen.
+builds a whole level's bytes with array operations, taking its literal
+pieces from the template split at the slots, and `read_level` accepts
+exactly what it writes: UTF-8 with LF line endings, canonical integers (no
+leading zeros, no "-0", at most 18 digits so each fits int64) and canonical
+words.  A loaded level therefore writes back byte-identically.  Each loaded
+word must have as many generators as the level index, each in 1..rank.
+`write_level` renames a finished temporary file into place, so no partial
+level file is ever seen.
 `build_index` keys the elements of a complete run by weight row.
 """
 
@@ -36,6 +38,11 @@ _FILE_RE = re.compile(r"^(?P<prefix>.+)_WeightMatrByLevel_(?P<k>\d+)_elems=(?P<n
 # word is one space for the identity or s-prefixed generators joined by dots.
 _FIELD_RE = {"%d": r"(0|-?[1-9][0-9]{0,17})", "%u": r"(0|[1-9][0-9]{0,17})", "%s": r"([^,]*)"}
 _WORD_RE = re.compile(r" |s[1-9][0-9]*(?:\.s[1-9][0-9]*)*")
+# 10^1..10^19, the least magnitudes of 2..20 digits; no int64 has 20.
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+# format_level works this many records at a time, which bounds its scratch
+# arrays whatever the level size.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -82,16 +89,81 @@ def _record_lines(rank: int) -> tuple[str, str]:
     return "n=%u, name=%s, w=" + ",".join(ints) + ", n_inv=%u", "[" + ", ".join(ints) + "]"
 
 
-def format_level(level: Level) -> str:
-    """The exact file body for a level: the record template filled once per element."""
-    rank = level.weights.shape[1]
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    """|values| as uint64, exact for every int64: abs keeps -2^63, read back as 2^63."""
+    return np.abs(values).view(np.uint64)
+
+
+def _word_tokens(rank: int) -> np.ndarray:
+    """Row g: generator g's word token, padded with 0, then a dot in the last byte."""
+    tokens = [format_word((g,)).encode() for g in range(1, rank + 1)]
+    table = np.zeros((rank + 1, max(map(len, tokens)) + 1), dtype=np.uint8)
+    table[1:, -1] = ord(".")
+    for g, token in enumerate(tokens, start=1):
+        table[g, :len(token)] = np.frombuffer(token, dtype=np.uint8)
+    return table
+
+
+def format_level(level: Level) -> bytes:
+    """The exact file body for a level, formatted with array operations.
+
+    The record template, split at its slots, gives one byte layout per
+    level: each literal piece, then each slot at its widest.  A number slot
+    holds a sign byte and as many digits as its column's largest magnitude;
+    the word slot holds one token per letter, less the last dot.  Records
+    are laid out a block at a time in rows of that layout, with 0 in every
+    byte a record leaves unused, and one boolean compaction per block drops
+    those bytes; no literal, digit or token byte is 0.
+    """
+    n, rank = level.weights.shape
     header, row = _record_lines(rank)
-    record = "\n".join([header] + [row] * rank) + "\n"
-    # Flat memoryviews hand the template Python ints without a whole-level list.
-    w, m, k = memoryview(level.weights.ravel()), memoryview(level.matrices.ravel()), rank * rank
-    return "".join(
-        record % (j, format_word(word), *w[j * rank:(j + 1) * rank], inv, *m[j * k:(j + 1) * k])
-        for j, (word, inv) in enumerate(zip(level.words, level.inv_ordinal.tolist())))
+    template = "\n".join([header] + [row] * rank) + "\n"
+    slots = re.findall("%[dus]", template)
+    pieces = [p.encode() for p in re.split("%[dus]", template)]
+    word_slot = slots.index("%s")
+    # The template's number slots in order: ordinal, weight, n_inv, matrix.
+    columns = [np.arange(n)[:, None], level.weights, level.inv_ordinal[:, None],
+               level.matrices.reshape(n, -1)]
+    top = np.maximum(_magnitudes(np.concatenate([c.min(axis=0, initial=0) for c in columns])),
+                     _magnitudes(np.concatenate([c.max(axis=0, initial=0) for c in columns])))
+    digits = 1 + (top[:, None] >= _POW10).sum(axis=1)
+    tokens = _word_tokens(rank)
+    length = level.words.shape[1]
+    identity = np.frombuffer(format_word(()).encode(), dtype=np.uint8)
+    word_width = length * tokens.shape[1] - 1 if length else identity.size
+    widths = np.empty(2 * len(slots) + 1, dtype=np.int64)
+    widths[0::2] = [len(p) for p in pieces]
+    widths[1::2] = np.insert(digits + 1, word_slot, word_width)
+    starts = np.cumsum(widths) - widths
+    signs = np.delete(starts[1::2], word_slot)
+    word = slice(starts[2 * word_slot + 1], starts[2 * word_slot + 1] + word_width)
+    rows = np.empty((min(n, _BLOCK), widths.sum()), dtype=np.uint8)
+    pieces_at = np.repeat(np.arange(widths.size) % 2 == 0, widths)  # even segments
+    rows[:, pieces_at] = np.frombuffer(b"".join(pieces), np.uint8)
+    if not length:
+        rows[:, word] = identity
+    # Digits come from repeated division by 10, the longest columns first, so
+    # that the columns still holding digits at each place are a prefix.
+    order = np.argsort(-digits, kind="stable")
+    units = signs[order] + digits[order]  # where each column's last digit goes
+    places = [units[:np.count_nonzero(digits > k)] - k for k in range(digits.max())]
+    blocks = []
+    for lo in range(0, n, _BLOCK):
+        block = rows[:min(n - lo, _BLOCK)]
+        values = np.concatenate([c[lo:lo + len(block)] for c in columns], axis=1)
+        block[:, signs] = (values < 0) * np.uint8(ord("-"))
+        quotient = _magnitudes(values)[:, order]
+        for k, place in enumerate(places):
+            quotient = quotient[:, :len(place)]
+            shifted = quotient // 10
+            digit = (quotient - shifted * 10).astype(np.uint8) + np.uint8(ord("0"))
+            block[:, place] = digit * (quotient > 0) if k else digit  # no leading zeros
+            quotient = shifted
+        if length:
+            letters = np.take(tokens, level.words[lo:lo + len(block)], axis=0)
+            block[:, word] = letters.reshape(len(block), -1)[:, :word_width]
+        blocks.append(block[block != 0])
+    return b"".join(blocks)
 
 
 def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
@@ -108,7 +180,7 @@ def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
     # place, so that a failed write never leaves a partial level file.
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+        with open(tmp, "wb") as f:
             f.write(body)
         os.replace(tmp, path)
     except BaseException:
@@ -182,7 +254,7 @@ def read_level(path: Path | str) -> Level:
         index=index,
         weights=numbers[:, :-1],
         matrices=np.fromstring(entries, dtype=np.int64, sep=",").reshape(size, rank, rank),
-        words=words,
+        words=np.array(words, dtype=np.min_scalar_type(rank)).reshape(size, index),
         inv_ordinal=inv,
     )
 

@@ -296,3 +296,46 @@ def pair_level_dict(matrices, words, cartan) -> tuple[list[int], PairingDictiona
         raise ValueError(f"dictionary holds {len(waiting)} entries, "
                          f"expected ({n} - {self_count})/2")
     return inv, waiting
+
+
+def format_level_reference(level) -> bytes:
+    """A level's file body, the record %-template filled once per element.
+
+    The grammar is restated here: a header ``n=%u, name=%s, w=%d,...,%d,
+    n_inv=%u`` and one ``[%d, ..., %d]`` line per matrix row.  A word is
+    its generators as ``s%d`` joined by dots, and the identity's is a space.
+    """
+    rank = level.weights.shape[1]
+    ints = ["%d"] * rank
+    header = "n=%u, name=%s, w=" + ",".join(ints) + ", n_inv=%u"
+    record = "\n".join([header] + ["[" + ", ".join(ints) + "]"] * rank) + "\n"
+    k = rank * rank
+    w, m = memoryview(level.weights.ravel()), memoryview(level.matrices.ravel())
+    words = level.words.tolist()
+    return "".join(
+        record % (j, ".".join(f"s{g}" for g in words[j]) or " ",
+                  *w[j * rank:(j + 1) * rank], inv, *m[j * k:(j + 1) * k])
+        for j, inv in enumerate(level.inv_ordinal.tolist())).encode()
+
+
+def descent_words(weights, cartan) -> np.ndarray:
+    """Each weight's word, read off by descent to the dominant start.
+
+    An element's first letter is 1 + the index of its weight's last negative
+    coordinate; applying that reflection gives the weight one letter
+    shorter, and so on until no coordinate is negative.  All rows of a level
+    have the same length, which is returned as the array's width.
+    """
+    weights = np.array(weights, dtype=np.int64)
+    cartan = np.asarray(cartan, dtype=np.int64)
+    n, rank = weights.shape
+    rows = np.arange(n)
+    letters = []
+    while (weights < 0).any():
+        negative = weights < 0
+        if not negative.any(axis=1).all():
+            raise ValueError("weights of one level reach the start at different lengths")
+        i = rank - 1 - np.argmax(negative[:, ::-1], axis=1)
+        letters.append(i + 1)
+        weights = weights - weights[rows, i][:, None] * cartan[i]
+    return np.array(letters, dtype=np.int64).reshape(-1, n).T

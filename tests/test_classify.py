@@ -61,8 +61,8 @@ def test_d4_reflection_class_members(d4_classes, d4_levels):
     cls = d4_classes[1]
     assert cls.members == D4_CLASS1_MEMBERS
     assert cls.representative_word == (1,)
-    assert d4_levels[3].words[5] == (2, 1, 2)
-    assert d4_levels[9].words[6] == (2, 4, 3, 2, 1, 2, 4, 3, 2)
+    assert d4_levels[3].word(5) == (2, 1, 2)
+    assert d4_levels[9].word(6) == (2, 4, 3, 2, 1, 2, 4, 3, 2)
 
 
 def _matrix_coords(levels):

@@ -201,6 +201,29 @@ def test_verify_accepts_summary_without_inputs(d4_run, capsys):
     assert "D4: OK" in capsys.readouterr().out
 
 
+def test_verify_custom_start_skips_only_the_golden_file(tmp_path, capsys):
+    out = tmp_path / "custom"
+    assert main(["generate", "D4", "--start-weight", "1,2,1,1", "--out", str(out)]) == EXIT_OK
+    assert main(["verify", "D4", "--out", str(out)]) == EXIT_OK
+    assert ("D4: OK (192 elements over 13 levels, golden level-2 file does not apply "
+            "to start 1,2,1,1)") in capsys.readouterr().out
+    # the size checks still run
+    (out / store.level_file_name("D4", 5, 28)).rename(out / store.level_file_name("D4", 5, 27))
+    assert main(["verify", "D4", "--out", str(out)]) == EXIT_MISMATCH
+    assert "level file 5: expected elems=28, got elems=27" in capsys.readouterr().out
+
+
+def test_verify_golden_checks_summary_without_start(d4_run, capsys):
+    path = store.summary_path(d4_run, "D4")
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    del summary["start_weight"]
+    path.write_text(json.dumps(summary), encoding="utf-8")
+    golden = d4_run / store.level_file_name("D4", 2, 9)
+    golden.write_bytes(golden.read_bytes().replace(b"w=1,-2,3,3", b"w=1,-2,3,4"))
+    assert main(["verify", "D4", "--out", str(d4_run)]) == EXIT_MISMATCH
+    assert "golden level-2 file differs at line 1" in capsys.readouterr().out
+
+
 def _fail_at_level(monkeypatch, index, where):
     """Make writing level `index` fail: while formatting it, or on the rename."""
     def disk_full(*args):

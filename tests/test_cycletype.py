@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
@@ -178,7 +179,8 @@ def test_batched_replay_matches_word_by_word(batch):
 
 def test_class_cycle_type_rejects_generator_out_of_range(d4_levels):
     levels = list(d4_levels)
-    levels[1] = SimpleNamespace(words=[(1,), (5,), (3,), (4,)])
+    words = np.array([[1], [5], [3], [4]], dtype=np.uint8)
+    levels[1] = dataclasses.replace(levels[1], words=words)
     fake = SimpleNamespace(representative=(1, 0), members=((1, 0), (1, 1)))
     with pytest.raises(WeylError, match="out of range 1..4"):
         we.class_cycle_type(fake, levels)

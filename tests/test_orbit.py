@@ -64,7 +64,8 @@ def test_build_level_zero():
     assert lvl.size == 1
     assert lvl.sealed
     assert lvl.weights.tolist() == [[1, 2, 1]]
-    assert lvl.words == [()]
+    assert lvl.words.shape == (1, 0)
+    assert lvl.word(0) == ()
     assert lvl.inv_ordinal.tolist() == [0]
     assert np.array_equal(lvl.matrices, np.eye(3, dtype=np.int64)[None])
 
@@ -97,7 +98,7 @@ def test_inv_matrices_requires_sealed(d4_levels):
 
 def test_d4_level_one_exact(d4_levels):
     one = d4_levels[1]
-    assert one.words == [(1,), (2,), (3,), (4,)]
+    assert one.words.tolist() == [[1], [2], [3], [4]]
     assert one.weights.tolist() == [[-1, 2, 1, 1], [2, -1, 2, 2],
                                     [1, 2, -1, 1], [1, 2, 1, -1]]
     # simple reflections are their own inverses
@@ -106,8 +107,8 @@ def test_d4_level_one_exact(d4_levels):
 
 def test_d4_level_two_exact(d4_levels):
     two = d4_levels[2]
-    assert two.words == [(2, 1), (3, 1), (4, 1), (1, 2), (3, 2), (4, 2),
-                         (2, 3), (4, 3), (2, 4)]
+    assert two.words.tolist() == [[2, 1], [3, 1], [4, 1], [1, 2], [3, 2], [4, 2],
+                                  [2, 3], [4, 3], [2, 4]]
     assert two.weights.tolist() == [
         [1, -2, 3, 3], [-1, 3, -1, 1], [-1, 3, 1, -1], [-2, 1, 2, 2],
         [2, 1, -2, 2], [2, 1, 2, -2], [3, -2, 1, 3], [1, 3, -1, -1],
@@ -135,7 +136,8 @@ def test_pairing_dictionary_protocol():
 def _unpaired_successor(level: Level, rs) -> Level:
     new_w, new_m, src, gen = we.kernels.step_level(level.weights, level.matrices, rs.cartan)
     return Level(index=level.index + 1, weights=new_w, matrices=new_m,
-                 words=[(int(g) + 1,) + level.words[int(s)] for s, g in zip(src, gen)],
+                 words=np.concatenate(
+                     [(gen + 1).astype(level.words.dtype)[:, None], level.words[src]], axis=1),
                  inv_ordinal=np.full(len(new_w), -1, dtype=np.int64))
 
 
@@ -181,7 +183,8 @@ def test_pair_level_weights_rejects_duplicate_rows():
     eye = np.eye(2, dtype=np.int64)
     level = Level(index=1, weights=np.array([[1, 0], [1, 0]], dtype=np.int64),
                   matrices=np.stack([eye, eye]),
-                  words=[(1,), (2,)], inv_ordinal=np.full(2, -1, dtype=np.int64))
+                  words=np.array([[1], [2]], dtype=np.uint8),
+                  inv_ordinal=np.full(2, -1, dtype=np.int64))
     with pytest.raises(IntegrityError, match="duplicate weights"):
         pair_level_weights(level, np.array([1, 0], dtype=np.int64))
 
@@ -231,14 +234,23 @@ def test_generate_group_deterministic(d4, d4_levels):
         assert a == b
 
 
+@pytest.mark.parametrize("name", ["A4", "B4", "C3", "D4", "F4", "G2", "E6"])
+def test_words_are_the_descent_of_the_weights(name):
+    rs = we.root_system(name)
+    for level in we.generate_group(rs):
+        assert level.words.dtype == np.min_scalar_type(rs.rank) == np.uint8
+        assert level.words.shape == (level.size, level.index)
+        assert np.array_equal(oracles.descent_words(level.weights, rs.cartan), level.words)
+
+
 def test_word_invariants(d4_levels):
     start = d4_levels[0].weights[0]
     rs = we.root_system("D4")
     eye = np.eye(4, dtype=np.int64)
     for level in d4_levels:
-        assert len(set(level.words)) == level.size
+        assert len(set(map(tuple, level.words.tolist()))) == level.size
         for j in range(level.size):
-            word = level.words[j]
+            word = level.word(j)
             assert len(word) == level.index
             v = start
             for g in reversed(word):

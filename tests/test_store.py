@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 import weylenum as we
 from weylenum import IntegrityError, ParseError, WeylError
 from weylenum import store
@@ -50,7 +52,48 @@ def test_write_and_read_levels_round_trip(tmp_path, d4_levels):
         loaded = store.read_level(written.path)
         assert loaded == level
         # re-emission is byte-identical
-        assert store.format_level(loaded) == written.path.read_text(encoding="utf-8")
+        assert store.format_level(loaded) == written.path.read_bytes()
+
+
+@st.composite
+def _random_levels(draw):
+    """A level of random records: its size, rank, word length and entry bound vary."""
+    rank = draw(st.sampled_from([1, 2, 4, 7, 10, 12]))
+    block = store._BLOCK
+    size = draw(st.one_of(st.integers(1, 30),
+                          st.sampled_from([block - 1, block, block + 1, 2 * block + 7])))
+    length = draw(st.sampled_from([0, 1, 2, 5]))
+    bound = draw(st.sampled_from([1, 9, 10, 99, 12345, 2**40 - 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(*shape):
+        x = rng.integers(-bound, bound, size=shape, endpoint=True)
+        x[rng.random(shape) < 0.3] = 0
+        x.flat[rng.integers(x.size)] = rng.choice([-bound, bound])
+        return x
+
+    return we.Level(
+        index=length, weights=entries(size, rank), matrices=entries(size, rank, rank),
+        words=rng.integers(1, rank, size=(size, length), endpoint=True).astype(
+            np.min_scalar_type(rank)),
+        inv_ordinal=rng.integers(0, draw(st.sampled_from([1, 10, 10**6])), size=size))
+
+
+@settings(max_examples=60)
+@given(_random_levels())
+def test_format_level_matches_template_reference(level):
+    assert store.format_level(level) == oracles.format_level_reference(level)
+
+
+def test_format_level_any_int64():
+    least, most = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    level = we.Level(index=1, weights=np.array([[least, most], [0, -1]]),
+                     matrices=np.array([[[most, 0], [-most, least]], [[1, -10], [10, -9]]]),
+                     words=np.array([[2], [1]], dtype=np.uint8), inv_ordinal=np.array([1, 0]))
+    body = store.format_level(level)
+    assert body == oracles.format_level_reference(level)
+    assert body.startswith(
+        b"n=0, name=s2, w=-9223372036854775808,9223372036854775807, n_inv=1\n")
 
 
 def test_read_level_recovers_inverse_matrices(tmp_path, d4_levels):
@@ -76,12 +119,13 @@ def test_level_one_s3_record(tmp_path, d4_levels):
 def test_write_level_refusals(tmp_path, d4, d4_levels):
     empty = we.Level(index=1, weights=np.empty((0, 4), dtype=np.int64),
                      matrices=np.empty((0, 4, 4), dtype=np.int64),
-                     words=[], inv_ordinal=np.empty(0, dtype=np.int64))
+                     words=np.empty((0, 1), dtype=np.uint8),
+                     inv_ordinal=np.empty(0, dtype=np.int64))
     with pytest.raises(WeylError, match="empty"):
         store.write_level(empty, "D4", tmp_path)
     unsealed = we.Level(index=1, weights=d4_levels[1].weights.copy(),
                         matrices=d4_levels[1].matrices.copy(),
-                        words=list(d4_levels[1].words),
+                        words=d4_levels[1].words.copy(),
                         inv_ordinal=np.full(4, -1, dtype=np.int64))
     with pytest.raises(IntegrityError, match="not sealed"):
         store.write_level(unsealed, "D4", tmp_path)
@@ -238,7 +282,7 @@ def test_round_trip_custom_start(tmp_path, name, start):
         written = store.write_level(level, name, tmp_path)
         loaded = store.read_level(written.path)
         assert loaded == level
-        assert store.format_level(loaded) == written.path.read_text(encoding="utf-8")
+        assert store.format_level(loaded) == written.path.read_bytes()
 
 
 def test_read_level_checks_file_name(tmp_path, d4_levels):
@@ -287,7 +331,7 @@ def test_build_index(d4_levels, d4_index):
 def _replace_level(levels, k, **fields):
     level = levels[k]
     changed = we.Level(index=level.index, weights=level.weights.copy(),
-                       matrices=level.matrices.copy(), words=list(level.words),
+                       matrices=level.matrices.copy(), words=level.words.copy(),
                        inv_ordinal=level.inv_ordinal.copy())
     for name, value in fields.items():
         setattr(changed, name, value)
@@ -302,7 +346,7 @@ def test_build_index_rejects_duplicate_weight(d4_levels):
         d4_levels, 2,
         weights=np.concatenate([two.weights, s1.weights[:1]]),
         matrices=np.concatenate([two.matrices, s1.matrices[:1]]),
-        words=two.words + [(1,)],
+        words=np.concatenate([two.words, [[1, 1]]]).astype(two.words.dtype),
         inv_ordinal=np.append(two.inv_ordinal, two.size))
     with pytest.raises(IntegrityError, match="duplicate weights at rows 1 and 14"):
         we.build_index(levels)
