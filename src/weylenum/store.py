@@ -9,11 +9,14 @@ header line
 followed by one bracketed list ``[a, b, ...]`` per matrix row.  The identity's
 word is a single space on disk and the empty word in memory.  `format_level`
 builds a whole level's bytes with array operations, taking its literal
-pieces from the template split at the slots, and `read_level` accepts
-exactly what it writes: UTF-8 with LF line endings, canonical integers (no
+pieces from the template split at the slots, and is the one statement of
+what is canonical: UTF-8 with LF line endings, canonical integers (no
 leading zeros, no "-0", at most 18 digits so each fits int64) and canonical
-words.  A loaded level therefore writes back byte-identically.  Each loaded
-word must have as many generators as the level index, each in 1..rank.
+words.  `read_level` parses every integer of a file in one numpy pass and
+accepts the file only when the level they make writes back byte for byte,
+so a loaded level is exactly what its file says.  Each loaded word has as
+many generators as the level index, each in 1..rank.  A rejected file is
+classified line by line, and the error names its first line out of slot.
 `write_level` renames a finished temporary file into place, so no partial
 level file is ever seen.
 `build_index` keys the elements of a complete run by weight row.
@@ -24,9 +27,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -38,6 +42,11 @@ _FILE_RE = re.compile(r"^(?P<prefix>.+)_WeightMatrByLevel_(?P<k>\d+)_elems=(?P<n
 # word is one space for the identity or s-prefixed generators joined by dots.
 _FIELD_RE = {"%d": r"(0|-?[1-9][0-9]{0,17})", "%u": r"(0|[1-9][0-9]{0,17})", "%s": r"([^,]*)"}
 _WORD_RE = re.compile(r" |s[1-9][0-9]*(?:\.s[1-9][0-9]*)*")
+# Every byte but a digit or "-" becomes a space, which leaves a record's
+# integers in template order, separated by spaces.
+_NUMBER_BYTES = bytes(b if chr(b) in "0123456789-" else ord(" ") for b in range(256))
+# The least magnitude of 19 digits: %d and %u slots hold at most 18.
+_CAP = 10**18
 # 10^1..10^19, the least magnitudes of 2..20 digits; no int64 has 20.
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 # format_level works this many records at a time, which bounds its scratch
@@ -192,32 +201,90 @@ def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
 def read_level(path: Path | str) -> Level:
     """Load a level file, accepting exactly the bytes write_level writes.
 
-    Record j fills the rank + 1 lines from line j*(rank+1) + 1: its header,
-    then its matrix rows.  The first line that does not fit its slot is
-    reported.  The inverse pointers must be reciprocal, since the level
-    derives each inverse matrix from them.
+    Every integer of the file is read in one pass: per record its ordinal,
+    word letters, weight, n_inv and matrix, a fixed count per level.  The
+    file is accepted when those numbers make a level that `format_level`
+    writes back byte for byte, so the writer alone says what is canonical.
+    Any other file is classified by `_first_fault`, which names the first
+    line out of its slot.  The inverse pointers must be reciprocal, since
+    the level derives each inverse matrix from them.
     """
     path = Path(path)
     _, index, size = parse_level_file_name(path)
     if size == 0:
         raise ParseError(f"{path}:1: no records; a level holds at least one element")
+    data = path.read_bytes()
+    level = _parse_level(data, index, size)
+    if level is None or format_level(level) != data:
+        _first_fault(path, data, index, size)
+    inv = level.inv_ordinal
+    if (inv >= size).any():
+        raise IntegrityError(f"{path}: inverse ordinal out of range")
+    bad = np.flatnonzero(inv[inv] != np.arange(size))
+    if bad.size:
+        j = int(bad[0])
+        raise IntegrityError(
+            f"{path}: record {j} has n_inv={inv[j]}, but record {inv[j]} has "
+            f"n_inv={inv[inv[j]]}; inverse ordinals must be reciprocal")
+    return level
+
+
+def _parse_level(data: bytes, index: int, size: int) -> Level | None:
+    """The level whose integers `data` holds in template order, or None.
+
+    None when the integers do not parse, do not fill `size` records, or hold
+    a value no canonical file has: a word letter outside 1..rank (0 is
+    format_level's padding byte), a negative n_inv, or 19 or more digits.
+    """
+    rank = max(data.count(b",", 0, data.find(b"\n")) - 2, 1)  # a header holds rank + 2 commas
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy warns, rather than raises, on a bad token
+            numbers = np.fromstring(data.translate(_NUMBER_BYTES), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if numbers.size != size * (2 + index + rank + rank * rank):
+        return None
+    records = numbers.reshape(size, -1)
+    words = records[:, 1:1 + index]
+    inv = records[:, 1 + index + rank]
+    if (numbers.min() <= -_CAP or numbers.max() >= _CAP
+            or (words < 1).any() or (words > rank).any() or (inv < 0).any()):
+        return None
+    # Copies, so that the level does not keep the whole parse buffer alive.
+    return Level(
+        index=index,
+        weights=records[:, 1 + index:1 + index + rank].copy(),
+        matrices=records[:, 2 + index + rank:].reshape(size, rank, rank).copy(),
+        words=words.astype(np.min_scalar_type(rank)),
+        inv_ordinal=inv.copy(),
+    )
+
+
+def _first_fault(path: Path, data: bytes, index: int, size: int) -> NoReturn:
+    """Raise the error for the first line of `data` that does not fit its slot.
+
+    Record j fills the rank + 1 lines from line j*(rank+1) + 1: its header,
+    then its matrix rows.  Lines are checked in file order, then the line
+    count; `read_level` calls this only for a file it did not accept.
+    """
     try:  # bytes, so that no CR LF is translated
-        lines = path.read_bytes().decode("utf-8").split("\n")
+        lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8: {exc}") from None
-    rank = max(lines[0].count(",") - 2, 1)  # a header holds rank + 2 commas
+    rank = max(lines[0].count(",") - 2, 1)
     header_re, row_re = (re.compile(re.sub("%[dus]", lambda m: _FIELD_RE[m[0]], re.escape(t)))
                          for t in _record_lines(rank))
     step = rank + 1
     body = lines[:min(size * step, len(lines) - 1)]  # the text after the last LF is no line
-    rows = body.copy()
-    del rows[::step]
-    fits = list(map(bool, map(row_re.fullmatch, rows)))
-    bad_row = len(rows) if all(fits) else fits.index(False)
-    bad_line = bad_row // rank * step + bad_row % rank + 2
-    words, fields = [], []
-    for j, line in enumerate(body[:bad_line - 1:step]):  # the headers before that row
-        at = f"{path}:{j * step + 1}"
+    for i, line in enumerate(body):
+        j, slot = divmod(i, step)
+        at = f"{path}:{i + 1}"
+        if slot:
+            if not row_re.fullmatch(line):
+                raise ParseError(f"{at}: malformed matrix row {line!r}, "
+                                 f"expected a list of {rank} integers")
+            continue
         m = header_re.fullmatch(line)
         if not m:
             raise ParseError(f"{at}: malformed header {line!r}")
@@ -230,33 +297,13 @@ def read_level(path: Path | str) -> Level:
             raise ParseError(f"{at}: word of length {len(word)} in level {index}")
         if max(word, default=1) > rank:  # _WORD_RE admits no generator 0
             raise ParseError(f"{at}: word names a generator outside 1..{rank}")
-        words.append(word)
-        fields.append(m.groups()[2:])
-    if bad_row < len(rows):
-        raise ParseError(f"{path}:{bad_line}: malformed matrix row {rows[bad_row]!r}, "
-                         f"expected a list of {rank} integers")
     if len(body) < size * step:
         raise ParseError(f"{path}:{len(lines)}: truncated file, expected {size} records")
     if lines[size * step:] != [""]:
         raise ParseError(f"{path}:{size * step + 1}: trailing content after {size} records")
-    numbers = np.array(fields).astype(np.int64)
-    inv = numbers[:, -1]
-    if (inv >= size).any():
-        raise IntegrityError(f"{path}: inverse ordinal out of range")
-    bad = np.flatnonzero(inv[inv] != np.arange(size))
-    if bad.size:
-        j = int(bad[0])
-        raise IntegrityError(
-            f"{path}: record {j} has n_inv={inv[j]}, but record {inv[j]} has "
-            f"n_inv={inv[inv[j]]}; inverse ordinals must be reciprocal")
-    entries = ", ".join(rows).replace("[", "").replace("]", "")
-    return Level(
-        index=index,
-        weights=numbers[:, :-1],
-        matrices=np.fromstring(entries, dtype=np.int64, sep=",").reshape(size, rank, rank),
-        words=np.array(words, dtype=np.min_scalar_type(rank)).reshape(size, index),
-        inv_ordinal=inv,
-    )
+    # Not reached while format_level writes exactly this grammar: a file whose
+    # every line fits its slot writes back identically and was accepted.
+    raise ParseError(f"{path}: does not write back identically")
 
 
 def level_files(dir: Path | str, prefix: str) -> dict[int, Path]:

@@ -5,12 +5,15 @@ route: level sizes come from the length generating function expanded with
 sympy, the reflection action is replayed on explicit root vectors in
 Euclidean space with Fraction arithmetic, and orbits and closures are built
 by brute force with plain-dict bookkeeping.  Nothing here imports from the
-package except the tests that compare both sides.
+package except `read_level_reference`, which returns the package's `Level`
+and raises its errors so that a test can compare outcomes.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import sympy
@@ -316,6 +319,87 @@ def format_level_reference(level) -> bytes:
         record % (j, ".".join(f"s{g}" for g in words[j]) or " ",
                   *w[j * rank:(j + 1) * rank], inv, *m[j * k:(j + 1) * k])
         for j, inv in enumerate(level.inv_ordinal.tolist())).encode()
+
+
+def read_level_reference(path):
+    """Load a level file by matching each line against its slot's pattern.
+
+    The grammar is restated here as in `format_level_reference`.  Record j
+    fills the rank + 1 lines from line j*(rank+1) + 1: its header, then its
+    matrix rows.  Integers are canonical (no leading zero, no "-0", at most
+    18 digits); a word is one space for the identity or s-prefixed
+    generators in 1..rank joined by dots, as many as the level index.  The
+    first line that does not fit its slot is reported, then a short or long
+    file, then inverse ordinals that are out of range or not reciprocal.
+    """
+    from weylenum import IntegrityError, Level, ParseError
+
+    path = Path(path)
+    m = re.fullmatch(r".+_WeightMatrByLevel_(\d+)_elems=(\d+)\.txt", path.name)
+    if not m:
+        raise ParseError(f"{path.name}: file name does not match the level pattern")
+    index, size = int(m[1]), int(m[2])
+    if size == 0:
+        raise ParseError(f"{path}:1: no records; a level holds at least one element")
+    try:
+        lines = path.read_bytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from None
+    rank = max(lines[0].count(",") - 2, 1)
+    signed, unsigned = r"(0|-?[1-9][0-9]{0,17})", r"(0|[1-9][0-9]{0,17})"
+    header_re = re.compile(rf"n={unsigned}, name=([^,]*), w="
+                           + ",".join([signed] * rank) + rf", n_inv={unsigned}")
+    row_re = re.compile(r"\[" + ", ".join([signed] * rank) + r"\]")
+    word_re = re.compile(r" |s[1-9][0-9]*(?:\.s[1-9][0-9]*)*")
+    step = rank + 1
+    body = lines[:min(size * step, len(lines) - 1)]
+    rows = body.copy()
+    del rows[::step]
+    fits = [bool(row_re.fullmatch(row)) for row in rows]
+    bad_row = len(rows) if all(fits) else fits.index(False)
+    bad_line = bad_row // rank * step + bad_row % rank + 2
+    words, fields = [], []
+    for j, line in enumerate(body[:bad_line - 1:step]):
+        at = f"{path}:{j * step + 1}"
+        m = header_re.fullmatch(line)
+        if not m:
+            raise ParseError(f"{at}: malformed header {line!r}")
+        if int(m[1]) != j:
+            raise IntegrityError(f"{at}: record ordinal {m[1]} out of sequence, expected {j}")
+        if not word_re.fullmatch(m[2]):
+            raise ParseError(f"{at}: malformed word {m[2]!r}")
+        word = tuple(map(int, m[2][1:].split(".s"))) if m[2] != " " else ()
+        if len(word) != index:
+            raise ParseError(f"{at}: word of length {len(word)} in level {index}")
+        if max(word, default=1) > rank:
+            raise ParseError(f"{at}: word names a generator outside 1..{rank}")
+        words.append(word)
+        fields.append([int(x) for x in m.groups()[2:]])
+    if bad_row < len(rows):
+        raise ParseError(f"{path}:{bad_line}: malformed matrix row {rows[bad_row]!r}, "
+                         f"expected a list of {rank} integers")
+    if len(body) < size * step:
+        raise ParseError(f"{path}:{len(lines)}: truncated file, expected {size} records")
+    if lines[size * step:] != [""]:
+        raise ParseError(f"{path}:{size * step + 1}: trailing content after {size} records")
+    numbers = np.array(fields, dtype=np.int64)
+    inv = numbers[:, -1]
+    if (inv >= size).any():
+        raise IntegrityError(f"{path}: inverse ordinal out of range")
+    bad = np.flatnonzero(inv[inv] != np.arange(size))
+    if bad.size:
+        j = int(bad[0])
+        raise IntegrityError(
+            f"{path}: record {j} has n_inv={inv[j]}, but record {inv[j]} has "
+            f"n_inv={inv[inv[j]]}; inverse ordinals must be reciprocal")
+    matrix = [[int(x) for x in row_re.fullmatch(row).groups()] for row in rows]
+    return Level(
+        index=index,
+        weights=numbers[:, :-1],
+        matrices=np.array(matrix, dtype=np.int64).reshape(size, rank, rank),
+        words=np.array(words, dtype=np.min_scalar_type(rank)).reshape(size, index),
+        inv_ordinal=inv,
+    )
 
 
 def descent_words(weights, cartan) -> np.ndarray:

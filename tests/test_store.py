@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,9 +235,15 @@ def test_read_level_inverse_not_reciprocal(tmp_path, d4_levels):
     ("w=-1,3,-1,1", "w=-1,3,,-1,1", 6),
     ("name=s2.s1", "name=s2.s01", 1),
     ("\n", "\r\n", 1),
+    ("[-1, 1, 0, 0]", "[-1, 1, 0, 1000000000000000000]", 2),
+    ("[-1, 1, 0, 0]", "[-1000000000000000000, 1, 0, 0]", 2),
+    ("name=s2.s1", "name=s0.s1", 1),
+    ("name=s2.s1", "name=s5.s1", 1),
+    ("n_inv=3", "n_inv=-3", 1),
 ], ids=["bool-entry", "trailing-comma", "leading-zero", "minus-zero", "no-spaces",
         "ordinal-leading-zero", "empty-coordinate", "bare-minus", "empty-coordinate-record-1",
-        "word-leading-zero", "crlf"])
+        "word-leading-zero", "crlf", "nineteen-digits", "nineteen-digits-negative",
+        "generator-zero", "generator-past-rank", "negative-inverse"])
 def test_read_level_rejects_non_canonical_bytes(tmp_path, d4_levels, old, new, line):
     path = _write_then_mutate(tmp_path, d4_levels[2], lambda t: t.replace(old, new))
     with pytest.raises(ParseError, match=rf"elems=9\.txt:{line}: "):
@@ -272,17 +282,82 @@ def test_read_level_reports_first_line_out_of_slot(tmp_path, d4_levels, edit, li
         store.read_level(path)
 
 
+def _assert_round_trip(tmp_path, name, levels):
+    rank = levels[0].weights.shape[1]
+    for level in levels:
+        written = store.write_level(level, name, tmp_path)
+        loaded = store.read_level(written.path)
+        assert loaded == level
+        assert loaded.words.dtype == np.min_scalar_type(rank)
+        assert loaded.words.shape == (level.size, level.index)
+        assert store.format_level(loaded) == written.path.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                                  "C3", "D4", "D5", "D6", "F4", "G2"])
+def test_round_trip_every_level(tmp_path, name):
+    _assert_round_trip(tmp_path, name, list(we.generate_group(we.root_system(name))))
+
+
 @pytest.mark.parametrize("name, start", [
     ("G2", (3, 2)), ("B3", (3, 1, 2)), ("F4", (3, 1, 2, 1)),
 ])
 def test_round_trip_custom_start(tmp_path, name, start):
     levels = list(we.generate_group(we.root_system(name), start=start))
     assert max(int(abs(level.weights).max()) for level in levels) >= 10
-    for level in levels:
-        written = store.write_level(level, name, tmp_path)
-        loaded = store.read_level(written.path)
-        assert loaded == level
-        assert store.format_level(loaded) == written.path.read_bytes()
+    _assert_round_trip(tmp_path, name, levels)
+
+
+@functools.cache
+def _level_files():
+    """(file name, bytes) of every level of D4, B3 and G2, the identity's included."""
+    return [(store.level_file_name(name, level.index, level.size), store.format_level(level))
+            for name in ("D4", "B3", "G2")
+            for level in we.generate_group(we.root_system(name))]
+
+
+_GRAMMAR_BYTES = b"0123456789-s.,\n"
+
+
+@st.composite
+def _edited_level_files(draw):
+    """A written level file with one to three random one-byte or token edits."""
+    name, data = draw(st.sampled_from(_level_files()))
+    byte = st.one_of(st.sampled_from(_GRAMMAR_BYTES + b" []=nw"), st.integers(0, 255))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "splice"]))
+        if kind == "replace":
+            data = data[:at] + bytes([draw(byte)]) + data[at + 1:]
+        elif kind == "insert":
+            data = data[:at] + bytes([draw(byte)]) + data[at:]
+        elif kind == "delete":
+            data = data[:at] + data[at + 1:]
+        else:  # one grammar byte swapped for another: digit, sign, s, dot, comma or LF
+            spots = [i for i, b in enumerate(data) if b in _GRAMMAR_BYTES]
+            at = spots[draw(st.integers(0, len(spots) - 1))]
+            data = data[:at] + bytes([draw(st.sampled_from(_GRAMMAR_BYTES))]) + data[at + 1:]
+    return name, data
+
+
+@settings(max_examples=400)
+@given(_edited_level_files())
+def test_read_level_agrees_with_reference_on_edited_bytes(named):
+    name, data = named
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        try:
+            expected = oracles.read_level_reference(path)
+        except WeylError as exc:
+            with pytest.raises(type(exc)) as got:
+                store.read_level(path)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            return
+        loaded = store.read_level(path)
+    assert loaded == expected
+    assert store.format_level(loaded) == data
 
 
 def test_read_level_checks_file_name(tmp_path, d4_levels):
