@@ -1,5 +1,6 @@
 """Element orders, the order partition, and conjugacy classes.
 
+Each takes a complete run as one `ElementIndex`, which holds its levels.
 Classes are closed under conjugation by the simple reflections alone, which
 suffices because they generate the group.  Each generator's conjugation is
 computed for every element at once through the weight keys of the index,
@@ -12,15 +13,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import cycletype
 from .errors import IntegrityError, WeylError
-from .orbit import Level, match_rows
+from .orbit import match_rows
 from .reference import D4_CLASS_ROWS
-from .store import ElementIndex
+from .store import ElementIndex, format_word
 
 # Conjugacy needs the whole group in memory; refuse beyond this many elements
 # unless the caller raises the ceiling explicitly.
@@ -33,11 +34,17 @@ DEFAULT_ORDER_BOUND = 10_000
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    representative: tuple[int, int]          # least member as (level, ordinal)
     representative_word: tuple[int, ...]
-    members: tuple[tuple[int, int], ...]     # sorted by (level, ordinal)
-    size: int
+    members: tuple[tuple[int, int], ...]     # (level, ordinal), sorted
     element_order: int
+
+    @property
+    def representative(self) -> tuple[int, int]:  # the least member
+        return self.members[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
 
 def _orders(matrices: np.ndarray, bound: int) -> np.ndarray:
@@ -73,15 +80,14 @@ def order_partition(index: ElementIndex) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def conjugacy_classes(levels: Iterable[Level], index: ElementIndex,
+def conjugacy_classes(index: ElementIndex,
                       ceiling: int = DEFAULT_CEILING) -> list[ConjugacyClass]:
     """Partition the group into conjugacy classes.
 
-    Levels must be the complete run the index was built from.  Generator
-    matrices are taken from level 1, whose elements are exactly the simple
-    reflections in ascending order.
+    Generator matrices are taken from level 1, whose elements are exactly
+    the simple reflections in ascending order.
     """
-    levels = list(levels)
+    levels = index.levels
     if index.total > ceiling:
         raise WeylError(
             f"group has {index.total} elements, above the ceiling {ceiling}; "
@@ -110,10 +116,8 @@ def conjugacy_classes(levels: Iterable[Level], index: ElementIndex,
         members = tuple(coords[lo:hi])
         lvl, j = members[0]
         classes.append(ConjugacyClass(
-            representative=members[0],
             representative_word=levels[lvl].word(j),
             members=members,
-            size=len(members),
             element_order=element_order(levels[lvl].matrices[j], bound=max(index.total, 2)),
         ))
     return classes
@@ -136,20 +140,18 @@ def class_label_d4(cls: ConjugacyClass) -> str | None:
     return "ambiguous: " + " / ".join(f"{label} (line {row})" for row, label in hits)
 
 
-def format_class_report(classes: Sequence[ConjugacyClass], levels: Sequence[Level],
-                        family: str | None, rank: int) -> str:
+def format_class_report(classes: Sequence[ConjugacyClass], index: ElementIndex,
+                        family: str | None) -> str:
     """Human-readable class report, one block per class."""
-    from .store import format_word
-
-    with_types = family == "D" and rank >= 3
-    with_labels = family == "D" and rank == 4
+    with_types = family == "D" and index.start.size >= 3
+    with_labels = family == "D" and index.start.size == 4
     lines = []
     for i, cls in enumerate(classes):
         word = format_word(cls.representative_word).strip() or "e"
         head = (f"class {i}: size={cls.size}, order={cls.element_order}, "
                 f"representative={cls.representative}, word={word}")
         if with_types:
-            ctype = cycletype.class_cycle_type(cls, levels)
+            ctype = cycletype.class_cycle_type(cls, index)
             head += f", cycle_type={cycletype.render_cycle_type(ctype)}"
         if with_labels:
             label = class_label_d4(cls)

@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import classify, reference, store
+from . import classify, cycletype, reference, store
 from .errors import WeylError
 from .orbit import generate_group
 from .rootsystems import (RootSystem, load_cartan_file, parse_id, root_system,
@@ -93,8 +93,10 @@ def cmd_verify(name: str, out_dir: str) -> int:
     golden = name == "D4" and (start is None or all(x == 1 for x in start))
     if golden:
         golden_path = Path(out_dir) / store.level_file_name("D4", 2, 9)
-        body = golden_path.read_text(encoding="utf-8")
-        if body != reference.GOLDEN_D4_LEVEL2:
+        body = golden_path.read_text(encoding="utf-8") if golden_path.is_file() else None
+        if body is None:
+            mismatches.append(f"golden level-2 file {golden_path.name} is missing")
+        elif body != reference.GOLDEN_D4_LEVEL2:
             for ln, (want, have) in enumerate(
                     zip(reference.GOLDEN_D4_LEVEL2.splitlines(), body.splitlines()), start=1):
                 if want != have:
@@ -118,29 +120,25 @@ def cmd_verify(name: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _load_levels(name: str, out_dir: str):
+def _load_index(name: str, out_dir: str, ceiling: int | None = None) -> store.ElementIndex:
+    """The run in `out_dir` as one index; above `ceiling` elements no file is read."""
     paths = store.find_level_files(out_dir, name)
     total = sum(store.parse_level_file_name(p)[2] for p in paths)
-    return paths, total
+    if ceiling is not None and total > ceiling:
+        raise WeylError(f"{name} has {total} elements, above the ceiling {ceiling}; "
+                        "pass --ceiling to raise the limit if you have the memory")
+    return store.build_index([store.read_level(p) for p in paths])
 
 
 def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING,
                 as_json: bool = False) -> int:
-    paths, total = _load_levels(name, out_dir)
-    if total > ceiling:
-        print(f"{name} has {total} elements, above the ceiling {ceiling}; "
-              "pass --ceiling to raise the limit if you have the memory",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    levels = [store.read_level(p) for p in paths]
-    index = store.build_index(levels)
-    classes = classify.conjugacy_classes(levels, index, ceiling=ceiling)
-    rank = levels[0].weights.shape[1]
+    index = _load_index(name, out_dir, ceiling)
+    classes = classify.conjugacy_classes(index, ceiling=ceiling)
     try:
         family, _ = parse_id(name)
     except WeylError:
         family = None
-    report = classify.format_class_report(classes, levels, family, rank)
+    report = classify.format_class_report(classes, index, family)
     report_path = Path(out_dir) / f"{name}_classes.txt"
     with open(report_path, "w", encoding="utf-8", newline="\n") as f:
         f.write(report)
@@ -173,8 +171,7 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
                 f"{sorted(reference.D4_CLASS_SIZES)}")
         if partition != reference.D4_ORDER_PARTITION:
             problems.append(f"order partition {partition} != {reference.D4_ORDER_PARTITION}")
-        from . import cycletype
-        types = tuple(cycletype.class_cycle_type(c, levels) for c in classes)
+        types = tuple(cycletype.class_cycle_type(c, index) for c in classes)
         if types != reference.D4_CYCLE_TYPES:
             problems.append("cycle-type sequence deviates from the published rows")
         for line in problems:
@@ -187,10 +184,7 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
 
 
 def cmd_orders(name: str, out_dir: str, as_json: bool = False) -> int:
-    paths, _ = _load_levels(name, out_dir)
-    levels = [store.read_level(p) for p in paths]
-    index = store.build_index(levels)
-    partition = classify.order_partition(index)
+    partition = classify.order_partition(_load_index(name, out_dir))
     if as_json:
         print(json.dumps({"root_system": name,
                           "order_partition": {str(k): v for k, v in partition.items()}},

@@ -156,15 +156,15 @@ def _cycle_labels(images: np.ndarray) -> np.ndarray:
     return np.sort(labels, axis=1)
 
 
-def class_cycle_type(cls, store) -> tuple[int, ...]:
+def class_cycle_type(cls, index) -> tuple[int, ...]:
     """Cycle type of a conjugacy class, checked to be constant over all members.
 
-    `store` is the sequence of levels the class's (level, ordinal) member
-    coordinates point into.  All members are replayed together, as one array
-    of signed permutations.
+    `index` is the `ElementIndex` of the run whose levels the class's
+    (level, ordinal) member coordinates point into.  All members are
+    replayed together, as one array of signed permutations.
     """
-    levels = list(store)
-    n = levels[0].weights.shape[1]
+    levels = index.levels
+    n = index.start.size
     rep_lvl, rep_ord = cls.representative
     rep_word = levels[rep_lvl].word(rep_ord)
     expected = signed_cycle_type(word_to_signed_perm(rep_word, n))

@@ -15,12 +15,13 @@ Because an element and its inverse share a word length, each level is paired
 against itself in the pass that builds it: the weight of the inverse of
 element ``w`` equals ``start @ w.matr``, so partners are found by matching
 weight rows.  This needs a strictly dominant start weight, which makes the
-weights within a level distinct.  The pairing alone determines the inverse
-matrices, so they are derived on demand rather than stored.
+weights within a level distinct.  A `Level` is built once, already paired,
+and is immutable.  The pairing alone determines the inverse matrices, so
+they are derived on demand rather than stored.
 
 Only the level under construction and its predecessor are needed in memory;
-`generate_group` yields sealed levels one at a time so callers can stream
-them to disk and drop them.
+`generate_group` yields levels one at a time so callers can stream them to
+disk and drop them.
 """
 
 from __future__ import annotations
@@ -41,23 +42,19 @@ ENTRY_LIMIT = 1 << 40
 Weight = Sequence[int]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Level:
-    """All elements of one word length, in discovery order."""
+    """All elements of one word length, in discovery order, each with its inverse."""
 
     index: int
     weights: np.ndarray          # (n, rank) int64
     matrices: np.ndarray         # (n, rank, rank) int64
     words: np.ndarray            # (n, index) of np.min_scalar_type(rank)
-    inv_ordinal: np.ndarray      # (n,) int64; -1 until the level is sealed
+    inv_ordinal: np.ndarray      # (n,) int64; ordinal of each element's inverse
 
     @property
     def size(self) -> int:
         return len(self.weights)
-
-    @property
-    def sealed(self) -> bool:
-        return bool((self.inv_ordinal >= 0).all())
 
     def word(self, j: int) -> tuple[int, ...]:
         """Element j's word as a tuple of Python ints, first letter first."""
@@ -66,8 +63,6 @@ class Level:
     @property
     def inv_matrices(self) -> np.ndarray:
         """Matrix of each element's inverse: its partner's matrix, matrices[inv_ordinal]."""
-        if not self.sealed:
-            raise IntegrityError(f"level {self.index} is not sealed; its inverses are unknown")
         return self.matrices[self.inv_ordinal]
 
     def __repr__(self) -> str:
@@ -82,6 +77,20 @@ class Level:
                 and np.array_equal(self.weights, other.weights)
                 and np.array_equal(self.matrices, other.matrices)
                 and np.array_equal(self.inv_ordinal, other.inv_ordinal))
+
+
+def check_inverse_ordinals(inv: np.ndarray, where: str) -> None:
+    """The inverse rule of a level: each ordinal in 0..size-1, and inv[inv[j]] == j.
+
+    A breach is an IntegrityError whose message starts with `where`."""
+    if ((inv < 0) | (inv >= len(inv))).any():
+        raise IntegrityError(f"{where}: inverse ordinal out of range")
+    bad = np.flatnonzero(inv[inv] != np.arange(len(inv)))
+    if bad.size:
+        j = int(bad[0])
+        raise IntegrityError(
+            f"{where}: record {j} has n_inv={inv[j]}, but record {inv[j]} has "
+            f"n_inv={inv[inv[j]]}; inverse ordinals must be reciprocal")
 
 
 @dataclass(frozen=True)
@@ -157,20 +166,20 @@ def match_rows(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return pos
 
 
-def pair_level_weights(level: Level, start: np.ndarray) -> None:
-    """Resolve inverse ordinals by weight matching (vectorized).
+def pair_level_weights(index: int, weights: np.ndarray, matrices: np.ndarray,
+                       start: np.ndarray) -> np.ndarray:
+    """Inverse ordinals of level `index`, found by weight matching (vectorized).
 
     The weight of the inverse of element j is start @ matrices[j]; with a
     strictly dominant start the weights within a level are pairwise distinct,
     so row matching recovers the pairing in one shot.
     """
     try:
-        pos = match_rows(level.weights, np.matmul(start, level.matrices))
+        inv = match_rows(weights, np.matmul(start, matrices))
     except IntegrityError as exc:
-        raise IntegrityError(f"level {level.index}: {exc}") from None
-    if not np.array_equal(pos[pos], np.arange(level.size)):
-        raise IntegrityError(f"level {level.index}: inverse pairing is not reciprocal")
-    level.inv_ordinal = pos
+        raise IntegrityError(f"level {index}: {exc}") from None
+    check_inverse_ordinals(inv, f"level {index}")
+    return inv
 
 
 def build_level_zero(start: Weight) -> Level:
@@ -190,40 +199,33 @@ def build_level_zero(start: Weight) -> Level:
     )
 
 
-def _check_entry_limit(level: Level) -> None:
-    worst = max(int(np.abs(level.matrices).max(initial=0)),
-                int(np.abs(level.weights).max(initial=0)))
+def _check_entry_limit(index: int, weights: np.ndarray, matrices: np.ndarray) -> None:
+    worst = max(int(np.abs(matrices).max(initial=0)), int(np.abs(weights).max(initial=0)))
     if worst >= ENTRY_LIMIT:
         raise IntegrityError(
-            f"level {level.index}: entry magnitude {worst} exceeds the checked "
+            f"level {index}: entry magnitude {worst} exceeds the checked "
             f"arithmetic bound {ENTRY_LIMIT}")
 
 
 def build_next_level(current: Level, rs: RootSystem) -> Level:
-    """Construct and seal the successor of a sealed level.
+    """Construct the successor of a level, paired with its inverses.
 
     Sources are scanned in stored order and generators in ascending order;
     survivors of the acceptance rule are appended in discovery order with
     word = generator prepended to the source's word.
     """
-    if not current.sealed:
-        raise IntegrityError(f"level {current.index} is not sealed; pair it first")
+    index = current.index + 1
     new_w, new_m, src, gen0 = kernels.step_level(current.weights, current.matrices, rs.cartan)
-    words = np.concatenate(
-        [(gen0 + 1).astype(current.words.dtype)[:, None], current.words[src]], axis=1)
-    nxt = Level(
-        index=current.index + 1,
+    _check_entry_limit(index, new_w, new_m)
+    start = current.weights[0] @ current.matrices[0]
+    return Level(
+        index=index,
         weights=new_w,
         matrices=new_m,
-        words=words,
-        inv_ordinal=np.full(len(new_w), -1, dtype=np.int64),
+        words=np.concatenate(
+            [(gen0 + 1).astype(current.words.dtype)[:, None], current.words[src]], axis=1),
+        inv_ordinal=pair_level_weights(index, new_w, new_m, start),
     )
-    if nxt.size == 0:
-        return nxt
-    _check_entry_limit(nxt)
-    start = current.weights[0] @ current.matrices[0]
-    pair_level_weights(nxt, start)
-    return nxt
 
 
 def _max_levels(rs: RootSystem) -> int:
@@ -236,7 +238,7 @@ def _max_levels(rs: RootSystem) -> int:
 
 def generate_group(rs: RootSystem, start: Weight | None = None,
                    levels_up_to: int | None = None) -> Iterator[Level]:
-    """Yield the levels L_0..L_N of the full group, each sealed.
+    """Yield the levels L_0..L_N of the full group, each paired.
 
     The start weight defaults to all-ones and must be strictly dominant so
     that weights stay in bijection with elements.  A full run is checked

@@ -17,9 +17,10 @@ accepts the file only when the level they make writes back byte for byte,
 so a loaded level is exactly what its file says.  Each loaded word has as
 many generators as the level index, each in 1..rank.  A rejected file is
 classified line by line, and the error names its first line out of slot.
-`write_level` renames a finished temporary file into place, so no partial
-level file is ever seen.
-`build_index` keys the elements of a complete run by weight row.
+`write_level` and `write_summary` rename a finished temporary file into
+place, so no partial level file or summary is ever seen.
+`build_index` keys the elements of a complete run by weight row and numbers
+each element's inverse from its level's inverse ordinals.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import IntegrityError, ParseError, WeylError
-from .orbit import Level, match_rows
+from .orbit import Level, check_inverse_ordinals, match_rows
 
 _FILE_RE = re.compile(r"^(?P<prefix>.+)_WeightMatrByLevel_(?P<k>\d+)_elems=(?P<n>\d+)\.txt$")
 # Canonical fields of the record grammar: %u never carries a sign, and a
@@ -175,26 +176,27 @@ def format_level(level: Level) -> bytes:
     return b"".join(blocks)
 
 
-def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
-    """Persist a sealed level atomically; empty levels are refused."""
-    if level.size == 0:
-        raise WeylError(f"refusing to write empty level {level.index}")
-    if not level.sealed:
-        raise IntegrityError(f"level {level.index} is not sealed")
-    directory = Path(dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / level_file_name(prefix, level.index, level.size)
-    body = format_level(level)
-    # Write under a name no level-file pattern matches, then rename it into
-    # place, so that a failed write never leaves a partial level file.
+def _write_atomically(path: Path, body: bytes) -> None:
+    """Write under a name no level-file or summary pattern matches, then rename
+    it into place, so that a failed write never leaves a partial file."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "wb") as f:
-            f.write(body)
+        tmp.write_bytes(body)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
+    """Persist a level atomically; empty or unpaired levels are refused."""
+    if level.size == 0:
+        raise WeylError(f"refusing to write empty level {level.index}")
+    check_inverse_ordinals(level.inv_ordinal, f"level {level.index}")
+    directory = Path(dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / level_file_name(prefix, level.index, level.size)
+    _write_atomically(path, format_level(level))
     return LevelFile(path=path, index=level.index, size=level.size)
 
 
@@ -206,8 +208,8 @@ def read_level(path: Path | str) -> Level:
     file is accepted when those numbers make a level that `format_level`
     writes back byte for byte, so the writer alone says what is canonical.
     Any other file is classified by `_first_fault`, which names the first
-    line out of its slot.  The inverse pointers must be reciprocal, since
-    the level derives each inverse matrix from them.
+    line out of its slot.  The inverse ordinals must obey the inverse rule,
+    since the level derives each inverse matrix from them.
     """
     path = Path(path)
     _, index, size = parse_level_file_name(path)
@@ -217,15 +219,7 @@ def read_level(path: Path | str) -> Level:
     level = _parse_level(data, index, size)
     if level is None or format_level(level) != data:
         _first_fault(path, data, index, size)
-    inv = level.inv_ordinal
-    if (inv >= size).any():
-        raise IntegrityError(f"{path}: inverse ordinal out of range")
-    bad = np.flatnonzero(inv[inv] != np.arange(size))
-    if bad.size:
-        j = int(bad[0])
-        raise IntegrityError(
-            f"{path}: record {j} has n_inv={inv[j]}, but record {inv[j]} has "
-            f"n_inv={inv[inv[j]]}; inverse ordinals must be reciprocal")
+    check_inverse_ordinals(level.inv_ordinal, str(path))
     return level
 
 
@@ -338,7 +332,6 @@ class ElementIndex:
     """
 
     levels: tuple[Level, ...]
-    start: np.ndarray        # (rank,) the identity's weight
     weights: np.ndarray      # (N, rank) every element's weight, stacked
     inv: np.ndarray          # (N,) id of each element's inverse
     offsets: np.ndarray      # (len(levels) + 1,) id of each level's first element
@@ -347,15 +340,20 @@ class ElementIndex:
     def total(self) -> int:
         return len(self.weights)
 
+    @property
+    def start(self) -> np.ndarray:  # (rank,) the identity's weight
+        return self.levels[0].weights[0]
+
 
 def build_index(levels: Iterable[Level]) -> ElementIndex:
     """Number every element of a complete run and check its weight keys.
 
     Each weight must agree with its matrix, start @ M == weights[inv_ordinal],
     and no two elements may share a weight; that makes a weight row as sound
-    a key as the matrix itself.  A truncated run is refused: only the
-    longest element sends the strictly dominant start to a strictly negative
-    weight, so the top level must be that element alone.
+    a key as the matrix itself, and makes the inverse of ordinal j of level
+    k the element ``offsets[k] + inv_ordinal[j]``.  A truncated run is refused:
+    only the longest element sends the strictly dominant start to a strictly
+    negative weight, so the top level must be that element alone.
     """
     levels = tuple(levels)
     if not levels:
@@ -366,20 +364,19 @@ def build_index(levels: Iterable[Level]) -> ElementIndex:
         raise IntegrityError(
             f"top level {top.index} holds {top.size} element(s) and is not the longest "
             "element alone; the run is incomplete")
-    queries = []
     for level in levels:
+        check_inverse_ordinals(level.inv_ordinal, f"level {level.index}")
         q = np.matmul(start, level.matrices)
         bad = np.flatnonzero((q != level.weights[level.inv_ordinal]).any(axis=1))
         if bad.size:
             raise IntegrityError(
                 f"level {level.index}, record {bad[0]}: start @ M = {q[bad[0]].tolist()} "
                 f"disagrees with the weight of its inverse, record {level.inv_ordinal[bad[0]]}")
-        queries.append(q)
     offsets = np.cumsum([0] + [level.size for level in levels])
     weights = np.concatenate([level.weights for level in levels])
-    inv = match_rows(weights, np.concatenate(queries))
-    return ElementIndex(levels=levels, start=start, weights=weights, inv=inv,
-                        offsets=offsets)
+    match_rows(weights, weights[:0])  # raises on two elements sharing a weight
+    inv = np.concatenate([offsets[k] + level.inv_ordinal for k, level in enumerate(levels)])
+    return ElementIndex(levels=levels, weights=weights, inv=inv, offsets=offsets)
 
 
 def summary_path(dir: Path | str, prefix: str) -> Path:
@@ -389,8 +386,8 @@ def summary_path(dir: Path | str, prefix: str) -> Path:
 def write_summary(dir: Path | str, prefix: str, root_system: str,
                   level_sizes: Sequence[int], elapsed_ms: float,
                   rank: int, start_weight: Sequence[int]) -> Path:
-    """Record a run's level sizes and inputs; readers must not require the
-    `rank` and `start_weight` keys, which older summaries lack."""
+    """Record a run's level sizes and inputs, atomically; readers must not
+    require the `rank` and `start_weight` keys, which older summaries lack."""
     path = summary_path(dir, prefix)
     payload = {
         "root_system": root_system,
@@ -400,15 +397,19 @@ def write_summary(dir: Path | str, prefix: str, root_system: str,
         "rank": int(rank),
         "start_weight": [int(x) for x in start_weight],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+    _write_atomically(path, (json.dumps(payload, indent=2) + "\n").encode())
     return path
 
 
 def read_summary(dir: Path | str, prefix: str) -> dict:
+    """A run's summary; a missing, malformed or non-object summary is a WeylError."""
     path = summary_path(dir, prefix)
     if not path.is_file():
         raise WeylError(f"summary file {path} not found")
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are both
+        raise WeylError(f"summary file {path} is not valid JSON: {exc}") from None
+    if not isinstance(summary, dict):
+        raise WeylError(f"summary file {path} holds a JSON {type(summary).__name__}, not an object")
+    return summary

@@ -25,8 +25,8 @@ def d4_index(d4_levels):
 
 
 @pytest.fixture(scope="session")
-def d4_classes(d4_levels, d4_index):
-    return we.conjugacy_classes(d4_levels, d4_index)
+def d4_classes(d4_index):
+    return we.conjugacy_classes(d4_index)
 
 
 @pytest.fixture(scope="session")

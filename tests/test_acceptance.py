@@ -76,9 +76,9 @@ def test_criterion_3_d4_conjugacy_sizes_and_order_partition(d4_classes, d4_index
              "order partition", failures)
 
 
-def test_criterion_4_d4_cycle_types_row_by_row(d4_classes, d4_levels):
+def test_criterion_4_d4_cycle_types_row_by_row(d4_classes, d4_index):
     failures = []
-    got = tuple(we.class_cycle_type(c, d4_levels) for c in d4_classes)
+    got = tuple(we.class_cycle_type(c, d4_index) for c in d4_classes)
     expected = ((1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2), (2, 2),
                 (-1, -1, 1, 1), (4,), (4,), (2, -1, -1), (-2, -1, 1),
                 (-3, -1), (-2, -2), (-1, -1, -1, -1))

@@ -89,7 +89,7 @@ def test_class_counts_small_systems():
                            ("B4", 20), ("D5", 18), ("F4", 25), ("E6", 25)]:
         levels = list(we.generate_group(we.root_system(name)))
         index = we.build_index(levels)
-        classes = we.conjugacy_classes(levels, index)
+        classes = we.conjugacy_classes(index)
         assert len(classes) == expected, name
         assert sum(c.size for c in classes) == index.total
 
@@ -97,7 +97,7 @@ def test_class_counts_small_systems():
 def test_a2_class_sizes():
     levels = list(we.generate_group(we.root_system("A2")))
     index = we.build_index(levels)
-    classes = we.conjugacy_classes(levels, index)
+    classes = we.conjugacy_classes(index)
     assert sorted(c.size for c in classes) == [1, 2, 3]
 
 
@@ -129,9 +129,9 @@ def test_partition_independent_of_generator_order(d4_levels, d4_classes):
     assert set(parts) == {frozenset(c.members) for c in d4_classes}
 
 
-def test_conjugacy_ceiling(d4_levels, d4_index):
+def test_conjugacy_ceiling(d4_index):
     with pytest.raises(WeylError, match="ceiling"):
-        we.conjugacy_classes(d4_levels, d4_index, ceiling=100)
+        we.conjugacy_classes(d4_index, ceiling=100)
 
 
 def test_d4_labels(d4_classes):
@@ -154,13 +154,14 @@ def test_d4_labels(d4_classes):
 
 
 def test_d4_label_unknown_combination():
-    fake = we.ConjugacyClass(representative=(0, 0), representative_word=(),
-                             members=((0, 0),), size=5, element_order=7)
+    fake = we.ConjugacyClass(representative_word=(),
+                             members=((0, 0), (1, 0), (1, 1), (1, 2), (1, 3)),
+                             element_order=7)
     assert we.class_label_d4(fake) is None
 
 
-def test_format_class_report_d4(d4_classes, d4_levels):
-    report = format_class_report(d4_classes, d4_levels, "D", 4)
+def test_format_class_report_d4(d4_classes, d4_index):
+    report = format_class_report(d4_classes, d4_index, "D")
     assert "class 0: size=1, order=1" in report
     assert "word=e" in report
     assert "cycle_type=[1111]" in report
@@ -171,7 +172,7 @@ def test_format_class_report_d4(d4_classes, d4_levels):
 
 def test_format_class_report_family_a(a3_levels):
     index = we.build_index(a3_levels)
-    classes = we.conjugacy_classes(a3_levels, index)
-    report = format_class_report(classes, a3_levels, "A", 3)
+    classes = we.conjugacy_classes(index)
+    report = format_class_report(classes, index, "A")
     assert "cycle_type" not in report
     assert "label" not in report

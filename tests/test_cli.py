@@ -66,6 +66,33 @@ def test_verify_truncated_run(tmp_path, capsys):
     assert main(["verify", "D4", "--out", str(out)]) == EXIT_MISMATCH
 
 
+def test_verify_run_cut_before_golden_level(tmp_path, capsys):
+    out = tmp_path / "part"
+    assert main(["generate", "D4", "--out", str(out), "--levels-up-to", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "D4", "--out", str(out)]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "level count: expected 13, got 2",
+        "total: expected 192, got 5",
+        "level file count: expected 13, got 2",
+        "golden level-2 file D4_WeightMatrByLevel_2_elems=9.txt is missing",
+        "D4: FAIL (4 mismatches)",
+    ]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("damage", [lambda body: body[:40], lambda body: b"[1, 4, 9]\n"],
+                         ids=["truncated", "not-an-object"])
+def test_verify_malformed_summary_is_a_failure(d4_run, capsys, damage):
+    path = store.summary_path(d4_run, "D4")
+    path.write_bytes(damage(path.read_bytes()))
+    assert main(["verify", "D4", "--out", str(d4_run)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: summary file {path} ")
+    assert captured.out == ""
+
+
 def test_classes_d4(d4_run, capsys):
     assert main(["classes", "D4", "--out", str(d4_run)]) == EXIT_OK
     out = capsys.readouterr().out
@@ -252,6 +279,23 @@ def test_failed_write_leaves_no_partial_level_file(tmp_path, d4_levels, monkeypa
     for k in (0, 1):
         assert store.read_level(out / store.level_file_name("D4", k, d4_levels[k].size)) \
             == d4_levels[k]
+
+
+def test_failed_summary_write_leaves_no_summary(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    real = store.os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith("_summary.json"):
+            raise OSError(28, "No space left on device")
+        real(src, dst)
+
+    monkeypatch.setattr(store.os, "replace", replace)
+    assert main(["generate", "D4", "--out", str(out)]) == EXIT_FAILURE
+    assert "No space left on device" in capsys.readouterr().err
+    # the 13 level files are all that is left: no summary and no temporary file
+    names = sorted(p.name for p in out.iterdir())
+    assert len(names) == 13 and all("_WeightMatrByLevel_" in n for n in names)
 
 
 @pytest.mark.parametrize("where", ["format_level", "replace"])

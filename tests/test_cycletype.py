@@ -106,15 +106,15 @@ def test_whole_group_cycle_type_census(d4_levels):
     assert sum(census.values()) == 192
 
 
-def test_class_cycle_types_match_published_rows(d4_classes, d4_levels):
-    types = tuple(we.class_cycle_type(c, d4_levels) for c in d4_classes)
+def test_class_cycle_types_match_published_rows(d4_classes, d4_index):
+    types = tuple(we.class_cycle_type(c, d4_index) for c in d4_classes)
     assert types == D4_CYCLE_TYPES
 
 
-def test_class_cycle_type_detects_disagreement(d4_levels):
+def test_class_cycle_type_detects_disagreement(d4_index):
     fake = SimpleNamespace(representative=(1, 0), members=((1, 0), (2, 0)))
     with pytest.raises(IntegrityError, match="differs"):
-        we.class_cycle_type(fake, d4_levels)
+        we.class_cycle_type(fake, d4_index)
 
 
 def test_signed_perm_order_matches_matrix_order(d4_classes, d4_levels):
@@ -177,13 +177,13 @@ def test_batched_replay_matches_word_by_word(batch):
         assert cycles == Counter(we.signed_cycle_type(perm))
 
 
-def test_class_cycle_type_rejects_generator_out_of_range(d4_levels):
-    levels = list(d4_levels)
+def test_class_cycle_type_rejects_generator_out_of_range(d4_index):
+    levels = list(d4_index.levels)
     words = np.array([[1], [5], [3], [4]], dtype=np.uint8)
     levels[1] = dataclasses.replace(levels[1], words=words)
     fake = SimpleNamespace(representative=(1, 0), members=((1, 0), (1, 1)))
     with pytest.raises(WeylError, match="out of range 1..4"):
-        we.class_cycle_type(fake, levels)
+        we.class_cycle_type(fake, dataclasses.replace(d4_index, levels=tuple(levels)))
 
 
 def test_action_bounds():

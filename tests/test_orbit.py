@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import weylenum as we
 from weylenum import IntegrityError, WeylError
-from weylenum.orbit import (ENTRY_LIMIT, Level, build_level_zero, build_next_level,
+from weylenum.orbit import (ENTRY_LIMIT, build_level_zero, build_next_level,
                             pair_level_weights)
 
 
@@ -62,7 +64,6 @@ def test_build_level_zero():
     lvl = build_level_zero([1, 2, 1])
     assert lvl.index == 0
     assert lvl.size == 1
-    assert lvl.sealed
     assert lvl.weights.tolist() == [[1, 2, 1]]
     assert lvl.words.shape == (1, 0)
     assert lvl.word(0) == ()
@@ -79,21 +80,13 @@ def test_build_level_zero_rejects():
         build_level_zero([])
 
 
-def test_build_next_level_requires_sealed(d4):
-    lvl = build_level_zero([1, 1, 1, 1])
-    one = build_next_level(lvl, d4)
-    one.inv_ordinal = np.full(one.size, -1, dtype=np.int64)
-    assert not one.sealed
-    with pytest.raises(IntegrityError, match="not sealed"):
-        build_next_level(one, d4)
-
-
-def test_inv_matrices_requires_sealed(d4_levels):
-    two = d4_levels[2]
-    unsealed = Level(index=2, weights=two.weights, matrices=two.matrices,
-                     words=two.words, inv_ordinal=np.full(two.size, -1, dtype=np.int64))
-    with pytest.raises(IntegrityError, match="not sealed"):
-        unsealed.inv_matrices
+def test_levels_are_built_paired_and_stay_so(d4, d4_levels):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d4_levels[1].inv_ordinal = np.full(4, -1, dtype=np.int64)
+    # the step past the top level is empty, and paired as every other level
+    past = build_next_level(d4_levels[-1], d4)
+    assert (past.index, past.size, past.words.shape) == (13, 0, (0, 13))
+    assert past.inv_ordinal.shape == (0,)
 
 
 def test_d4_level_one_exact(d4_levels):
@@ -131,14 +124,6 @@ def test_pairing_dictionary_protocol():
     assert len(d) == 1
     with pytest.raises(ValueError, match="registered twice"):
         d.insert(b"k1", 2)
-
-
-def _unpaired_successor(level: Level, rs) -> Level:
-    new_w, new_m, src, gen = we.kernels.step_level(level.weights, level.matrices, rs.cartan)
-    return Level(index=level.index + 1, weights=new_w, matrices=new_m,
-                 words=np.concatenate(
-                     [(gen + 1).astype(level.words.dtype)[:, None], level.words[src]], axis=1),
-                 inv_ordinal=np.full(len(new_w), -1, dtype=np.int64))
 
 
 @pytest.mark.parametrize("name", ["D4", "B3", "A3", "G2", "F4"])
@@ -181,23 +166,31 @@ def test_match_rows_agrees_with_dict(distinct, rnd):
 
 def test_pair_level_weights_rejects_duplicate_rows():
     eye = np.eye(2, dtype=np.int64)
-    level = Level(index=1, weights=np.array([[1, 0], [1, 0]], dtype=np.int64),
-                  matrices=np.stack([eye, eye]),
-                  words=np.array([[1], [2]], dtype=np.uint8),
-                  inv_ordinal=np.full(2, -1, dtype=np.int64))
-    with pytest.raises(IntegrityError, match="duplicate weights"):
-        pair_level_weights(level, np.array([1, 0], dtype=np.int64))
+    with pytest.raises(IntegrityError, match="level 1: duplicate weights"):
+        pair_level_weights(1, np.array([[1, 0], [1, 0]], dtype=np.int64),
+                           np.stack([eye, eye]), np.array([1, 0], dtype=np.int64))
+
+
+def test_pair_level_weights_rejects_non_reciprocal():
+    # start @ M is M's first row, so the partners are 0 -> 1 -> 2 -> 0
+    weights = np.array([[1, 0], [2, 0], [3, 0]], dtype=np.int64)
+    matrices = np.zeros((3, 2, 2), dtype=np.int64)
+    matrices[:, 0] = weights[[1, 2, 0]]
+    with pytest.raises(IntegrityError, match=(
+            r"^level 1: record 0 has n_inv=1, but record 1 has n_inv=2; "
+            "inverse ordinals must be reciprocal$")):
+        pair_level_weights(1, weights, matrices, np.array([1, 0], dtype=np.int64))
 
 
 def test_pair_level_weights_rejects_wall_level(d4):
     # from a wall start the inverse's weight can sit in a different level,
     # so weight pairing must refuse rather than mispair
-    one = _unpaired_successor(build_level_zero([1, 0, 0, 0]), d4)
-    one.inv_ordinal = np.array(
-        oracles.pair_level_dict(one.matrices, one.words, d4.cartan)[0], dtype=np.int64)
-    two = _unpaired_successor(one, d4)
-    with pytest.raises(IntegrityError, match="no matching element"):
-        pair_level_weights(two, np.array([1, 0, 0, 0], dtype=np.int64))
+    zero = build_level_zero([1, 0, 0, 0])
+    weights, matrices = zero.weights, zero.matrices
+    for _ in range(2):
+        weights, matrices, _, _ = we.kernels.step_level(weights, matrices, d4.cartan)
+    with pytest.raises(IntegrityError, match="level 2: query row .* no matching element"):
+        pair_level_weights(2, weights, matrices, np.array([1, 0, 0, 0], dtype=np.int64))
 
 
 def test_generate_group_sizes(d4_levels, b3_levels, a3_levels):

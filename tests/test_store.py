@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,12 +129,14 @@ def test_write_level_refusals(tmp_path, d4, d4_levels):
                      inv_ordinal=np.empty(0, dtype=np.int64))
     with pytest.raises(WeylError, match="empty"):
         store.write_level(empty, "D4", tmp_path)
-    unsealed = we.Level(index=1, weights=d4_levels[1].weights.copy(),
-                        matrices=d4_levels[1].matrices.copy(),
-                        words=d4_levels[1].words.copy(),
-                        inv_ordinal=np.full(4, -1, dtype=np.int64))
-    with pytest.raises(IntegrityError, match="not sealed"):
-        store.write_level(unsealed, "D4", tmp_path)
+    unpaired = dataclasses.replace(d4_levels[1], inv_ordinal=np.full(4, -1, dtype=np.int64))
+    with pytest.raises(IntegrityError, match="^level 1: inverse ordinal out of range$"):
+        store.write_level(unpaired, "D4", tmp_path)
+    cycled = dataclasses.replace(d4_levels[1], inv_ordinal=np.array([1, 2, 3, 0]))
+    with pytest.raises(IntegrityError, match="^level 1: record 0 has n_inv=1, but record 1 "
+                                             "has n_inv=2; inverse ordinals must be reciprocal$"):
+        store.write_level(cycled, "D4", tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _write_then_mutate(tmp_path, level, transform):
@@ -248,6 +252,28 @@ def test_read_level_rejects_non_canonical_bytes(tmp_path, d4_levels, old, new, l
     path = _write_then_mutate(tmp_path, d4_levels[2], lambda t: t.replace(old, new))
     with pytest.raises(ParseError, match=rf"elems=9\.txt:{line}: "):
         store.read_level(path)
+
+
+def test_read_level_older_numpy_parse_warning(tmp_path, d4_levels, monkeypatch):
+    # numpy before 2.x warns, rather than raises, on a bad token, and returns
+    # the integers read before it
+    calls = []
+
+    def fromstring(text, dtype, sep):
+        calls.append(text)
+        warnings.warn("string or file could not be read to its end due to unmatched "
+                      "data; this will raise a ValueError in the future.", DeprecationWarning)
+        return np.array([0, 2, 1], dtype=dtype)
+
+    path = _write_then_mutate(tmp_path, d4_levels[2],
+                              lambda t: t.replace("w=1,-2,3,3", "w=1,-,3,3"))
+    monkeypatch.setattr(store.np, "fromstring", fromstring)
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match=r"elems=9\.txt:1: malformed header"):
+            store.read_level(path)
+    assert escaped == []
+    assert len(calls) == 1
 
 
 def test_read_level_requires_final_line_ending(tmp_path, d4_levels):
@@ -404,13 +430,25 @@ def test_build_index(d4_levels, d4_index):
 
 
 def _replace_level(levels, k, **fields):
-    level = levels[k]
-    changed = we.Level(index=level.index, weights=level.weights.copy(),
-                       matrices=level.matrices.copy(), words=level.words.copy(),
-                       inv_ordinal=level.inv_ordinal.copy())
-    for name, value in fields.items():
-        setattr(changed, name, value)
-    return levels[:k] + [changed] + levels[k + 1:]
+    return levels[:k] + [dataclasses.replace(levels[k], **fields)] + levels[k + 1:]
+
+
+@pytest.mark.parametrize("name", ["D4", "B3", "G2"])
+def test_build_index_inverse_ids_agree_with_weight_matching(name):
+    # each inverse id is the position of start @ M among all the run's weights
+    index = we.build_index(we.generate_group(we.root_system(name)))
+    queries = np.concatenate([index.start @ level.matrices for level in index.levels])
+    assert np.array_equal(index.inv, we.match_rows(index.weights, queries))
+
+
+def test_build_index_rejects_inverse_ordinal_out_of_range(d4_levels):
+    # -1 would pass the weight check by wrapping to the level's last record
+    four = d4_levels[4]
+    inv = four.inv_ordinal.copy()
+    inv[inv == four.size - 1] = -1
+    levels = _replace_level(d4_levels, 4, inv_ordinal=inv)
+    with pytest.raises(IntegrityError, match="^level 4: inverse ordinal out of range$"):
+        we.build_index(levels)
 
 
 def test_build_index_rejects_duplicate_weight(d4_levels):
@@ -466,4 +504,15 @@ def test_summary_round_trip(tmp_path):
 
 def test_read_summary_missing(tmp_path):
     with pytest.raises(WeylError, match="not found"):
+        store.read_summary(tmp_path, "D4")
+
+
+@pytest.mark.parametrize("body, problem", [
+    (b'{\n  "root_system": "D4",\n  "levels": [1', "is not valid JSON"),
+    (b"\xff\xfe{}", "is not valid JSON"),
+    (b"[1, 4, 9]\n", "holds a JSON list, not an object"),
+], ids=["truncated", "not-utf8", "not-an-object"])
+def test_read_summary_malformed(tmp_path, body, problem):
+    store.summary_path(tmp_path, "D4").write_bytes(body)
+    with pytest.raises(WeylError, match=f"summary file .*D4_summary.json {problem}"):
         store.read_summary(tmp_path, "D4")
