@@ -8,16 +8,13 @@ step is a single numpy kernel; inverse matrices are derived from the pairing.
 
 from .classify import (ConjugacyClass, class_label_d4, conjugacy_classes,
                        element_order, order_partition)
-from .cycletype import (SignedPermutation, class_cycle_type, generator_action,
-                        render_cycle_type, signed_cycle_type, word_to_signed_perm)
+from .cycletype import (SignedPermutation, class_cycle_type, render_cycle_type,
+                        signed_cycle_type, word_to_signed_perm)
 from .errors import IntegrityError, ParseError, UnsupportedRootSystem, WeylError
-from .orbit import (Level, OrbitLevel, apply_reflection, build_level_zero,
-                    build_next_level, generate_group, generate_orbit, level_delta,
-                    match_rows, snow_accepts)
-from .rootsystems import (RootSystem, cartan_matrix, fundamental_weight_in_root_basis,
-                          inverse_cartan, load_cartan_file, positive_root_count,
-                          reflection_matrix, root_system, root_system_from_cartan,
-                          weyl_order)
+from .orbit import (Level, OrbitLevel, build_level_zero, build_next_level,
+                    generate_group, generate_orbit, match_rows)
+from .rootsystems import (RootSystem, cartan_matrix, load_cartan_file, positive_root_count,
+                          root_system, root_system_from_cartan, weyl_order)
 from .store import (ElementIndex, LevelFile, build_index, read_level, read_summary,
                     write_level, write_summary)
 
@@ -27,13 +24,11 @@ __all__ = [
     "ConjugacyClass", "ElementIndex", "IntegrityError", "Level",
     "LevelFile", "OrbitLevel", "ParseError", "RootSystem",
     "SignedPermutation", "UnsupportedRootSystem", "WeylError",
-    "apply_reflection", "build_index", "build_level_zero",
-    "build_next_level", "cartan_matrix", "class_cycle_type", "class_label_d4",
-    "conjugacy_classes", "element_order", "fundamental_weight_in_root_basis",
-    "generate_group", "generate_orbit", "generator_action", "inverse_cartan",
-    "level_delta", "load_cartan_file", "match_rows", "order_partition",
-    "positive_root_count", "read_level", "read_summary", "reflection_matrix",
+    "build_index", "build_level_zero", "build_next_level", "cartan_matrix",
+    "class_cycle_type", "class_label_d4", "conjugacy_classes", "element_order",
+    "generate_group", "generate_orbit", "load_cartan_file", "match_rows",
+    "order_partition", "positive_root_count", "read_level", "read_summary",
     "render_cycle_type", "root_system", "root_system_from_cartan",
-    "signed_cycle_type", "snow_accepts", "weyl_order", "word_to_signed_perm",
+    "signed_cycle_type", "weyl_order", "word_to_signed_perm",
     "write_level", "write_summary",
 ]

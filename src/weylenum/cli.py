@@ -54,7 +54,7 @@ def cmd_generate(name: str, out_dir: str, start_weight: str | None = None,
         sizes.append(level.size)
         print(f"level {level.index}: {level.size}")
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    store.write_summary(out_dir, rs.name, rs.name, sizes, elapsed_ms, rs.rank, start)
+    store.write_summary(out_dir, rs.name, sizes, elapsed_ms, rs.rank, start)
     print(f"{rs.name}: {sum(sizes)} elements in {len(sizes)} levels, {elapsed_ms:.1f} ms")
     print(f"wrote {len(sizes)} level files and {rs.name}_summary.json to {out_dir}")
     return EXIT_OK
@@ -67,7 +67,7 @@ def cmd_verify(name: str, out_dir: str) -> int:
               f"{', '.join(sorted(reference.LEVEL_SIZES))}", file=sys.stderr)
         return EXIT_FAILURE
     summary = store.read_summary(out_dir, name)
-    got = list(summary.get("levels", []))
+    got = summary.get("levels", [])
     mismatches = []
     if len(got) != len(expected):
         mismatches.append(f"level count: expected {len(expected)}, got {len(got)}")
@@ -93,16 +93,17 @@ def cmd_verify(name: str, out_dir: str) -> int:
     golden = name == "D4" and (start is None or all(x == 1 for x in start))
     if golden:
         golden_path = Path(out_dir) / store.level_file_name("D4", 2, 9)
-        body = golden_path.read_text(encoding="utf-8") if golden_path.is_file() else None
+        body = golden_path.read_bytes() if golden_path.is_file() else None
+        want_body = reference.GOLDEN_D4_LEVEL2.encode()
         if body is None:
             mismatches.append(f"golden level-2 file {golden_path.name} is missing")
-        elif body != reference.GOLDEN_D4_LEVEL2:
+        elif body != want_body:
             for ln, (want, have) in enumerate(
-                    zip(reference.GOLDEN_D4_LEVEL2.splitlines(), body.splitlines()), start=1):
+                    zip(want_body.splitlines(), body.splitlines()), start=1):
                 if want != have:
                     mismatches.append(
                         f"golden level-2 file differs at line {ln}: "
-                        f"expected {want!r}, got {have!r}")
+                        f"expected {want.decode()!r}, got {have.decode(errors='replace')!r}")
                     break
             else:
                 mismatches.append("golden level-2 file differs in length")

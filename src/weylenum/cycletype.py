@@ -6,7 +6,8 @@ e_n -> -e_{n-1}.  A word maps to the composition of its generators with the
 rightmost applied first, matching how words label group elements elsewhere
 in this package.
 
-Only family D has a signed-permutation model here; other families raise.
+Only family D has a signed-permutation model here; the functions take its
+rank n and do not check the family.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrityError, WeylError
-from .rootsystems import RootSystem, parse_id
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,6 @@ class SignedPermutation:
         return sum(1 for v in self.images if v < 0)
 
 
-def _family_rank(system: RootSystem | str) -> tuple[str, int]:
-    if isinstance(system, RootSystem):
-        if system.family is None:
-            raise WeylError("custom root systems carry no signed-permutation model")
-        return system.family, system.rank
-    return parse_id(system)
-
-
 @lru_cache(maxsize=None)
 def _action(n: int, i: int) -> tuple[int, ...]:
     """Images of generator i of D_n as a plain tuple; composed words are validated once."""
@@ -71,14 +63,6 @@ def _action(n: int, i: int) -> tuple[int, ...]:
     else:
         images[n - 2], images[n - 1] = -n, -(n - 1)
     return tuple(images)
-
-
-def generator_action(system: RootSystem | str, i: int) -> SignedPermutation:
-    """Action of generator i on the basis, for a D_n system."""
-    family, n = _family_rank(system)
-    if family == "D":
-        return SignedPermutation(_action(n, i))
-    raise WeylError(f"signed permutations are implemented for family D, not {family}")
 
 
 def word_to_signed_perm(word: Sequence[int], n: int) -> SignedPermutation:
@@ -161,21 +145,20 @@ def class_cycle_type(cls, index) -> tuple[int, ...]:
 
     `index` is the `ElementIndex` of the run whose levels the class's
     (level, ordinal) member coordinates point into.  All members are
-    replayed together, as one array of signed permutations.
+    replayed together, as one array of signed permutations, and compared
+    with row 0, the representative (the least member).
     """
     levels = index.levels
     n = index.start.size
     rep_lvl, rep_ord = cls.representative
-    rep_word = levels[rep_lvl].word(rep_ord)
-    expected = signed_cycle_type(word_to_signed_perm(rep_word, n))
-    want = _cycle_labels(_signed_images(
-        np.array(rep_word, dtype=np.int64).reshape(1, len(rep_word)), n))
+    expected = signed_cycle_type(word_to_signed_perm(levels[rep_lvl].word(rep_ord), n))
     lvl_of, ord_of = np.array(cls.members, dtype=np.int64).reshape(-1, 2).T
     padded = np.zeros((len(lvl_of), lvl_of.max(initial=0)), dtype=np.int64)
     for lvl in np.unique(lvl_of).tolist():  # a level's words all have length lvl
         rows = np.flatnonzero(lvl_of == lvl)
         padded[rows, :lvl] = levels[lvl].words[ord_of[rows]]
-    differ = np.flatnonzero((_cycle_labels(_signed_images(padded, n)) != want).any(axis=1))
+    labels = _cycle_labels(_signed_images(padded, n))
+    differ = np.flatnonzero((labels != labels[0]).any(axis=1))
     if differ.size:
         lvl, j = cls.members[differ[0]]
         got = signed_cycle_type(word_to_signed_perm(levels[lvl].word(j), n))

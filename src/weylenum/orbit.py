@@ -7,9 +7,9 @@ start weight), its matrix, and its word.  The words of a level are one
 generators 1..rank with the first letter first, and `Level.word` gives one
 as a tuple.  A successor's word is its generator prepended to its source's
 row, built for a whole level in one array operation.  A candidate successor
-is kept only when the acceptance rule of :func:`snow_accepts` fires, which
-reaches every element of the next level exactly once, so no global
-visited-set is needed.
+is kept only when the acceptance rule fires, which reaches every element of
+the next level exactly once, so no global visited-set is needed.  The
+reflection action and that rule are stated once, in :mod:`.kernels`.
 
 Because an element and its inverse share a word length, each level is paired
 against itself in the pass that builds it: the weight of the inverse of
@@ -35,8 +35,9 @@ from . import kernels
 from .errors import IntegrityError, WeylError
 from .rootsystems import RootSystem
 
-# Any matrix or weight entry at or beyond this magnitude aborts the run;
-# far below the int64 overflow threshold of the level step.
+# Any matrix or weight entry at or beyond this magnitude aborts the run,
+# and a start holding one is refused before level 0 is yielded; far below
+# the int64 overflow threshold of the level step.
 ENTRY_LIMIT = 1 << 40
 
 Weight = Sequence[int]
@@ -105,35 +106,6 @@ class OrbitLevel:
         return len(self.weights)
 
 
-def apply_reflection(w: Weight, i: int, rs: RootSystem) -> np.ndarray:
-    """Image of weight w under generator i: coordinate k becomes w[k] - w[i]*c[i][k]."""
-    if not 1 <= i <= rs.rank:
-        raise IndexError(f"generator index {i} out of range 1..{rs.rank}")
-    arr = np.asarray(w, dtype=np.int64)
-    out = arr - arr[i - 1] * rs.cartan[i - 1]
-    if np.abs(out).max(initial=0) >= ENTRY_LIMIT:
-        raise IntegrityError(f"weight entry magnitude exceeded {ENTRY_LIMIT} applying s{i}")
-    return out
-
-
-def level_delta(w: Weight, i: int) -> int:
-    """Word-length change when generator i is applied: the sign of coordinate i."""
-    v = int(np.asarray(w)[i - 1])
-    return (v > 0) - (v < 0)
-
-
-def snow_accepts(source: Weight, i: int, image: Weight) -> bool:
-    """Acceptance rule for extending level k to level k+1.
-
-    Assumes source coordinate i is positive and image is the reflection of
-    source by generator i; keeps the image iff every image coordinate past
-    position i is nonnegative.  Among all one-step ancestries of a given
-    next-level element exactly one passes this test.
-    """
-    img = np.asarray(image)
-    return bool((img[i:] >= 0).all())
-
-
 def match_rows(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Position in `rows` of each row of `queries`.
 
@@ -199,6 +171,18 @@ def build_level_zero(start: Weight) -> Level:
     )
 
 
+def _start_vector(start: Weight, rank: int, what: str) -> np.ndarray:
+    """`start` as an int64 vector of `rank` coordinates, each below ENTRY_LIMIT in magnitude."""
+    entries = np.ravel(start).tolist()  # Python ints, so no entry overflows here
+    if any(abs(x) >= ENTRY_LIMIT for x in entries):
+        raise WeylError(f"{what} {entries} has an entry of magnitude at least the "
+                        f"checked arithmetic bound {ENTRY_LIMIT}")
+    arr = np.asarray(start, dtype=np.int64)
+    if arr.shape != (rank,):
+        raise WeylError(f"{what} must have {rank} coordinates")
+    return arr
+
+
 def _check_entry_limit(index: int, weights: np.ndarray, matrices: np.ndarray) -> None:
     worst = max(int(np.abs(matrices).max(initial=0)), int(np.abs(weights).max(initial=0)))
     if worst >= ENTRY_LIMIT:
@@ -248,9 +232,7 @@ def generate_group(rs: RootSystem, start: Weight | None = None,
     if start is None:
         start = np.ones(rs.rank, dtype=np.int64)
     else:
-        start = np.asarray(start, dtype=np.int64)
-        if start.shape != (rs.rank,):
-            raise WeylError(f"start weight must have {rs.rank} coordinates")
+        start = _start_vector(start, rs.rank, "start weight")
     if (start <= 0).any():
         raise WeylError(
             f"group enumeration needs a strictly dominant start weight, got {start.tolist()}")
@@ -293,9 +275,7 @@ def generate_orbit(rs: RootSystem, mu: Weight,
     wall, distinct group elements share weights, so weight rows identify
     orbit points rather than elements.
     """
-    arr = np.asarray(mu, dtype=np.int64)
-    if arr.shape != (rs.rank,):
-        raise WeylError(f"weight must have {rs.rank} coordinates")
+    arr = _start_vector(mu, rs.rank, "weight")
     if (arr < 0).any():
         raise WeylError(f"weight must be dominant, got {arr.tolist()}")
     limit = _max_levels(rs)

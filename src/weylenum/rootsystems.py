@@ -1,9 +1,10 @@
-"""Root-system constants: Cartan matrices, simple reflections, Weyl invariants.
+"""Root-system constants: Cartan matrices and Weyl invariants.
 
 Weights are integer row vectors of coordinates in the fundamental-weight
-basis.  Generator i (1-based) acts on the right, ``w @ reflection_matrix(id, i)``,
-sending coordinate k of w to ``w[k] - w[i] * c[i][k]`` where c is the Cartan
-matrix.  All integer matrices are int64 and frozen after construction.
+basis.  Generator i (1-based) sends coordinate k of w to
+``w[k] - w[i] * c[i][k]`` where c is the Cartan matrix; :mod:`.kernels`
+applies it, and no generator matrix is stored here.  Cartan matrices are
+int64 and frozen after construction.
 
 Families follow the Bourbaki numbering: A/B/C are chains 1..n with the short
 root last for B and the long root last for C; in D the fork node n attaches
@@ -86,25 +87,6 @@ def cartan_matrix(name: str) -> np.ndarray:
     return c
 
 
-def _reflections_from_cartan(cartan: np.ndarray) -> np.ndarray:
-    # R_i is the identity except row i, which holds delta_ik - c_ik.
-    n = len(cartan)
-    refl = np.tile(np.eye(n, dtype=np.int64), (n, 1, 1))
-    for i in range(n):
-        refl[i, i, :] -= cartan[i, :]
-    return refl
-
-
-def reflection_matrix(name: str, i: int) -> np.ndarray:
-    """Matrix of generator i acting on weight rows from the right."""
-    c = cartan_matrix(name)
-    if not 1 <= i <= len(c):
-        raise IndexError(f"generator index {i} out of range 1..{len(c)}")
-    r = _reflections_from_cartan(c)[i - 1]
-    r.setflags(write=False)
-    return r
-
-
 def positive_root_count(name: str) -> int:
     """Number of positive roots; the full group has this many levels plus one."""
     family, n = parse_id(name)
@@ -124,37 +106,6 @@ def weyl_order(name: str) -> int:
     if family == "D":
         return 2 ** (n - 1) * math.factorial(n)
     return _EXCEPTIONAL_ORDER[f"{family}{n}"]
-
-
-def _invert_rational(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(matrix)
-    aug = [[Fraction(int(matrix[i][j])) for j in range(n)]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def inverse_cartan(name: str) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact rational inverse of the Cartan matrix."""
-    return _invert_rational(cartan_matrix(name))
-
-
-def fundamental_weight_in_root_basis(name: str, i: int) -> tuple[Fraction, ...]:
-    """Fundamental weight i expanded over the simple roots (row i of the inverse Cartan)."""
-    inv = inverse_cartan(name)
-    if not 1 <= i <= len(inv):
-        raise IndexError(f"weight index {i} out of range 1..{len(inv)}")
-    return inv[i - 1]
 
 
 def _leading_minors_positive(matrix: np.ndarray) -> bool:
@@ -229,39 +180,24 @@ class RootSystem:
     family: str | None
     rank: int
     cartan: np.ndarray        # (rank, rank)
-    reflections: np.ndarray   # (rank, rank, rank); reflections[i-1] is R_i
     n_positive_roots: int | None
     order: int | None
-
-    def reflection(self, i: int) -> np.ndarray:
-        """Reflection matrix of generator i (1-based)."""
-        if not 1 <= i <= self.rank:
-            raise IndexError(f"generator index {i} out of range 1..{self.rank}")
-        return self.reflections[i - 1]
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name!r}, rank={self.rank})"
 
 
-def _freeze(rs: RootSystem) -> RootSystem:
-    rs.cartan.setflags(write=False)
-    rs.reflections.setflags(write=False)
-    return rs
-
-
 def root_system(name: str) -> RootSystem:
     """Construct the named root system, e.g. root_system("D4")."""
     family, rank = parse_id(name)
-    cartan = cartan_matrix(name).copy()
-    return _freeze(RootSystem(
+    return RootSystem(
         name=f"{family}{rank}",
         family=family,
         rank=rank,
-        cartan=cartan,
-        reflections=_reflections_from_cartan(cartan),
+        cartan=cartan_matrix(name),  # a fresh, frozen array
         n_positive_roots=positive_root_count(name),
         order=weyl_order(name),
-    ))
+    )
 
 
 def root_system_from_cartan(matrix, name: str = "custom") -> RootSystem:
@@ -271,12 +207,12 @@ def root_system_from_cartan(matrix, name: str = "custom") -> RootSystem:
     enumeration discovers them and guards against non-terminating input.
     """
     cartan = validate_cartan(matrix)
-    return _freeze(RootSystem(
+    cartan.setflags(write=False)
+    return RootSystem(
         name=name,
         family=None,
         rank=len(cartan),
         cartan=cartan,
-        reflections=_reflections_from_cartan(cartan),
         n_positive_roots=None,
         order=None,
-    ))
+    )

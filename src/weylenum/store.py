@@ -383,14 +383,13 @@ def summary_path(dir: Path | str, prefix: str) -> Path:
     return Path(dir) / f"{prefix}_summary.json"
 
 
-def write_summary(dir: Path | str, prefix: str, root_system: str,
-                  level_sizes: Sequence[int], elapsed_ms: float,
-                  rank: int, start_weight: Sequence[int]) -> Path:
+def write_summary(dir: Path | str, prefix: str, level_sizes: Sequence[int],
+                  elapsed_ms: float, rank: int, start_weight: Sequence[int]) -> Path:
     """Record a run's level sizes and inputs, atomically; readers must not
     require the `rank` and `start_weight` keys, which older summaries lack."""
     path = summary_path(dir, prefix)
     payload = {
-        "root_system": root_system,
+        "root_system": prefix,
         "levels": [int(n) for n in level_sizes],
         "total": int(sum(level_sizes)),
         "elapsed_ms": float(elapsed_ms),
@@ -402,7 +401,8 @@ def write_summary(dir: Path | str, prefix: str, root_system: str,
 
 
 def read_summary(dir: Path | str, prefix: str) -> dict:
-    """A run's summary; a missing, malformed or non-object summary is a WeylError."""
+    """A run's summary; a missing, malformed or non-object summary is a WeylError,
+    and so are `levels` and `start_weight` values that are not lists of integers."""
     path = summary_path(dir, prefix)
     if not path.is_file():
         raise WeylError(f"summary file {path} not found")
@@ -412,4 +412,8 @@ def read_summary(dir: Path | str, prefix: str) -> dict:
         raise WeylError(f"summary file {path} is not valid JSON: {exc}") from None
     if not isinstance(summary, dict):
         raise WeylError(f"summary file {path} holds a JSON {type(summary).__name__}, not an object")
+    for key in ("levels", "start_weight"):
+        value = summary.get(key, [])
+        if not isinstance(value, list) or any(type(x) is not int for x in value):
+            raise WeylError(f"summary file {path} has {key} {value!r}, not a list of integers")
     return summary

@@ -120,6 +120,7 @@ def test_criterion_6_property_suite(d4_levels, b3_levels, a3_levels):
     failures = []
     start = d4_levels[0].weights[0]
     rs = we.root_system("D4")
+    generators = list(we.generate_group(rs, levels_up_to=1))[1].matrices  # R_1..R_4
     eye = np.eye(4, dtype=np.int64)
     for level in d4_levels:
         for j in range(level.size):
@@ -135,7 +136,7 @@ def test_criterion_6_property_suite(d4_levels, b3_levels, a3_levels):
         for j in range(level.size):
             v = start
             for g in reversed(level.words[j]):
-                v = we.apply_reflection(v, g, rs)
+                v = v @ generators[g - 1]
             if v.tolist() != level.weights[j].tolist():
                 failures.append(f"word replay fails at ({level.index}, {j})")
     for name, levels in (("D4", d4_levels), ("B3", b3_levels), ("A3", a3_levels)):
@@ -173,14 +174,24 @@ def test_criterion_8_reflection_action_against_euclidean_oracle(name):
     model = oracles.EuclideanModel(rs.family, rs.rank)
     rng = np.random.default_rng(20260822)
     weights = rng.integers(-50, 51, size=(1000, rs.rank))
+    generators = list(we.generate_group(rs, levels_up_to=1))[1].matrices
     for w in weights:
         for i in range(1, rs.rank + 1):
-            ours = tuple(int(x) for x in we.apply_reflection(w, i, rs))
-            theirs = model.reflect([int(x) for x in w], i)
+            ours = tuple((w @ generators[i - 1]).tolist())
+            theirs = model.reflect(w.tolist(), i)
             if ours != theirs:
-                failures.append(f"s{i} on {w.tolist()}: {ours} != {theirs}")
+                failures.append(f"R_{i} on {w.tolist()}: {ours} != {theirs}")
                 break
         if failures:
             break
-    _verdict(f"criterion 8: {name} weight action agrees with the Euclidean "
-             "realization on 1000 random weights", failures)
+    images, src, gen = we.kernels.step_orbit(weights, rs.cartan)
+    if len(images) == 0:
+        failures.append("the step accepted no image")
+    for image, s, g in zip(images.tolist(), src.tolist(), gen.tolist()):
+        theirs = model.reflect(weights[s].tolist(), g + 1)
+        if tuple(image) != theirs:
+            failures.append(f"step image s{g + 1} of {weights[s].tolist()}: {image} != {theirs}")
+            break
+    _verdict(f"criterion 8: {name} weight action of the generator matrices and of "
+             "every accepted step agrees with the Euclidean realization on 1000 "
+             "random weights", failures)

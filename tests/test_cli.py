@@ -52,6 +52,20 @@ def test_verify_detects_tampered_golden(d4_run, capsys):
     assert "golden level-2 file differs at line 1" in out
 
 
+def test_verify_golden_with_non_utf8_byte_is_a_mismatch(d4_run, capsys):
+    path = d4_run / store.level_file_name("D4", 2, 9)
+    path.write_bytes(path.read_bytes().replace(b"name=s3.s1", b"name=s3.s\xff"))
+    assert main(["verify", "D4", "--out", str(d4_run)]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "golden level-2 file differs at line 6: expected "
+        "'n=1, name=s3.s1, w=-1,3,-1,1, n_inv=1', got "
+        "'n=1, name=s3.s\ufffd, w=-1,3,-1,1, n_inv=1'",
+        "D4: FAIL (1 mismatches)",
+    ]
+    assert captured.err == ""
+
+
 def test_verify_without_reference_table(tmp_path, capsys):
     out = tmp_path / "a3"
     assert main(["generate", "A3", "--out", str(out)]) == EXIT_OK
@@ -82,8 +96,11 @@ def test_verify_run_cut_before_golden_level(tmp_path, capsys):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("damage", [lambda body: body[:40], lambda body: b"[1, 4, 9]\n"],
-                         ids=["truncated", "not-an-object"])
+@pytest.mark.parametrize("damage", [
+    lambda body: body[:40],
+    lambda body: b"[1, 4, 9]\n",
+    lambda body: json.dumps({**json.loads(body), "levels": 5}).encode(),
+], ids=["truncated", "not-an-object", "levels-number"])
 def test_verify_malformed_summary_is_a_failure(d4_run, capsys, damage):
     path = store.summary_path(d4_run, "D4")
     path.write_bytes(damage(path.read_bytes()))
@@ -171,6 +188,15 @@ def test_generate_bad_start(tmp_path, capsys):
     assert "strictly dominant" in capsys.readouterr().err
     assert main(["generate", "D4", "--out", str(out),
                  "--start-weight", "1,x,1,1"]) == EXIT_FAILURE
+    capsys.readouterr()
+    # beyond int64, and at the entry limit: refused before any file is written
+    for start in ("99999999999999999999,1", "1099511627776,1"):
+        assert main(["generate", "A2", "--out", str(out), "--start-weight", start]) \
+            == EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            f"error: start weight [{start.replace(',', ', ')}] has an entry of magnitude "
+            "at least the checked arithmetic bound 1099511627776\n")
+    assert not out.exists()
 
 
 def test_generate_cartan_file(tmp_path, capsys):

@@ -36,21 +36,11 @@ def test_identity_and_compose():
 
 
 def test_generator_actions_d4():
-    assert we.generator_action("D4", 1).images == (2, 1, 3, 4)
-    assert we.generator_action("D4", 3).images == (1, 2, 4, 3)
-    assert we.generator_action("D4", 4).images == (1, 2, -4, -3)
+    assert we.word_to_signed_perm((1,), 4).images == (2, 1, 3, 4)
+    assert we.word_to_signed_perm((3,), 4).images == (1, 2, 4, 3)
+    assert we.word_to_signed_perm((4,), 4).images == (1, 2, -4, -3)
     with pytest.raises(WeylError):
-        we.generator_action("D4", 5)
-
-
-def test_generator_action_rejections():
-    with pytest.raises(WeylError, match="family D"):
-        we.generator_action("B3", 1)
-    with pytest.raises(WeylError, match="family D"):
-        we.generator_action("A3", 1)
-    custom = we.root_system_from_cartan([[2, -1], [-1, 2]])
-    with pytest.raises(WeylError, match="custom"):
-        we.generator_action(custom, 1)
+        we.word_to_signed_perm((5,), 4)
 
 
 def test_word_to_signed_perm_examples():
@@ -109,6 +99,16 @@ def test_whole_group_cycle_type_census(d4_levels):
 def test_class_cycle_types_match_published_rows(d4_classes, d4_index):
     types = tuple(we.class_cycle_type(c, d4_index) for c in d4_classes)
     assert types == D4_CYCLE_TYPES
+
+
+def test_class_cycle_type_replays_each_class_once(d4_classes, d4_index, monkeypatch):
+    calls = []
+    real = we.cycletype._signed_images
+    monkeypatch.setattr(we.cycletype, "_signed_images",
+                        lambda words, n: calls.append(len(words)) or real(words, n))
+    for c in d4_classes:
+        we.class_cycle_type(c, d4_index)
+    assert calls == [c.size for c in d4_classes]
 
 
 def test_class_cycle_type_detects_disagreement(d4_index):

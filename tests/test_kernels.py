@@ -24,7 +24,7 @@ def test_first_step_from_identity():
     assert src.tolist() == [0, 0, 0, 0]
     assert gen.tolist() == [0, 1, 2, 3]
     for t in range(4):
-        assert np.array_equal(new_m[t], rs.reflections[t])
+        assert np.array_equal(new_m[t], oracles._reflections(rs.cartan)[t])
 
 
 def test_step_orbit_matches_step_level_weights():

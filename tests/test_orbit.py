@@ -13,51 +13,67 @@ from weylenum.orbit import (ENTRY_LIMIT, build_level_zero, build_next_level,
                             pair_level_weights)
 
 
-def test_apply_reflection_d4():
+def _generators(rs):
+    """The generator matrices R_1..R_rank as the enumeration builds them: level 1."""
+    one = list(we.generate_group(rs, levels_up_to=1))[1]
+    assert one.words.tolist() == [[g] for g in range(1, rs.rank + 1)]
+    return one.matrices
+
+
+def _step_accepts(source, i, image):
+    """Whether kernels.step_orbit keeps `image`, the D4 reflection of `source` by generator i."""
     rs = we.root_system("D4")
-    w = we.apply_reflection([1, 1, 1, 1], 1, rs)
+    assert (np.array(source) @ _generators(rs)[i - 1]).tolist() == image
+    images, _, gen = we.kernels.step_orbit(np.array([source], dtype=np.int64), rs.cartan)
+    return image in images[gen == i - 1].tolist()
+
+
+def test_apply_reflection_d4():
+    r = _generators(we.root_system("D4"))
+    w = np.array([1, 1, 1, 1]) @ r[0]
     assert w.tolist() == [-1, 2, 1, 1]
-    assert we.apply_reflection(w, 2, rs).tolist() == [1, -2, 3, 3]
-    with pytest.raises(IndexError):
-        we.apply_reflection([1, 1, 1, 1], 0, rs)
-    with pytest.raises(IndexError):
-        we.apply_reflection([1, 1, 1, 1], 5, rs)
+    assert (w @ r[1]).tolist() == [1, -2, 3, 3]
 
 
 def test_apply_reflection_interior_point():
-    rs = we.root_system("D4")
-    assert we.apply_reflection([3, -2, 1, 3], 3, rs).tolist() == [3, -1, -1, 3]
+    r = _generators(we.root_system("D4"))
+    assert (np.array([3, -2, 1, 3]) @ r[2]).tolist() == [3, -1, -1, 3]
     # zero in the acting coordinate leaves the weight fixed
-    assert we.apply_reflection([3, 0, 1, 3], 2, rs).tolist() == [3, 0, 1, 3]
+    assert (np.array([3, 0, 1, 3]) @ r[1]).tolist() == [3, 0, 1, 3]
 
 
 def test_apply_reflection_overflow_guard():
-    rs = we.root_system("A2")
-    big = ENTRY_LIMIT - 1
-    with pytest.raises(IntegrityError, match="magnitude"):
-        we.apply_reflection([big, big], 1, rs)
+    # every entry of the start is below ENTRY_LIMIT, but s1 doubles one
+    # past it, and the per-level scan stops the run at level 1
+    big = 1 << 39
+    assert 2 * big == ENTRY_LIMIT
+    levels = we.generate_group(we.root_system("A2"), start=[big, big])
+    assert next(levels).weights.tolist() == [[big, big]]
+    with pytest.raises(IntegrityError, match=f"^level 1: entry magnitude {ENTRY_LIMIT} exceeds"):
+        next(levels)
 
 
 def test_level_delta_signs():
-    assert we.level_delta([3, -1, 0], 1) == 1
-    assert we.level_delta([3, -1, 0], 2) == -1
-    assert we.level_delta([3, -1, 0], 3) == 0
+    # a generator steps a weight up a level only where its coordinate is
+    # positive; at -1 the step goes down and at 0 the weight is fixed
+    images, src, gen = we.kernels.step_orbit(np.array([[3, -1, 0]]), we.cartan_matrix("A3"))
+    assert (images.tolist(), src.tolist(), gen.tolist()) == ([[-3, 2, 0]], [0], [0])
 
 
 def test_snow_accepts_unique_ancestry():
     # the element with weight (-1,3,-1,1) in D4 has two one-step ancestries;
     # only the one through generator 3 passes
-    assert we.snow_accepts([-1, 2, 1, 1], 3, [-1, 3, -1, 1]) is True
-    assert we.snow_accepts([1, 2, -1, 1], 1, [-1, 3, -1, 1]) is False
+    assert _step_accepts([-1, 2, 1, 1], 3, [-1, 3, -1, 1]) is True
+    assert _step_accepts([1, 2, -1, 1], 1, [-1, 3, -1, 1]) is False
     # at the last generator the tail condition is vacuous
-    assert we.snow_accepts([1, 2, 1, -1], 4, [1, 3, 1, -1]) is True
+    assert _step_accepts([1, 2, 1, 1], 4, [1, 3, 1, -1]) is True
 
 
 def test_snow_accepts_shared_image():
     # (3,-1,-1,3) is reachable from two sources; the tail rule keeps
     # exactly the step through generator 3
-    assert we.snow_accepts([3, -2, 1, 3], 3, [3, -1, -1, 3]) is True
-    assert we.snow_accepts([2, 1, -2, 2], 2, [3, -1, -1, 3]) is False
+    assert _step_accepts([3, -2, 1, 3], 3, [3, -1, -1, 3]) is True
+    assert _step_accepts([2, 1, -2, 2], 2, [3, -1, -1, 3]) is False
 
 
 def test_build_level_zero():
@@ -213,6 +229,10 @@ def test_generate_group_rejects_bad_start(d4):
         list(we.generate_group(d4, start=[1, 0, 1, 1]))
     with pytest.raises(WeylError, match="coordinates"):
         list(we.generate_group(d4, start=[1, 1, 1]))
+    # refused before level 0 is yielded: beyond int64, and at the entry limit
+    for big in (99999999999999999999, ENTRY_LIMIT):
+        with pytest.raises(WeylError, match=f"the checked arithmetic bound {ENTRY_LIMIT}$"):
+            next(we.generate_group(d4, start=[big, 1, 1, 1]))
 
 
 def test_generate_group_truncation(d4):
@@ -238,7 +258,7 @@ def test_words_are_the_descent_of_the_weights(name):
 
 def test_word_invariants(d4_levels):
     start = d4_levels[0].weights[0]
-    rs = we.root_system("D4")
+    r = _generators(we.root_system("D4"))
     eye = np.eye(4, dtype=np.int64)
     for level in d4_levels:
         assert len(set(map(tuple, level.words.tolist()))) == level.size
@@ -247,7 +267,7 @@ def test_word_invariants(d4_levels):
             assert len(word) == level.index
             v = start
             for g in reversed(word):
-                v = we.apply_reflection(v, g, rs)
+                v = v @ r[g - 1]
             assert v.tolist() == level.weights[j].tolist()
             assert np.array_equal(level.matrices[j] @ level.inv_matrices[j], eye)
             assert (start @ level.inv_matrices[j]).tolist() == level.weights[j].tolist()
@@ -311,6 +331,9 @@ def test_generate_orbit_rejects(d4):
         list(we.generate_orbit(d4, [1, -1, 0, 0]))
     with pytest.raises(WeylError, match="coordinates"):
         list(we.generate_orbit(d4, [1, 0, 0]))
+    for big in (99999999999999999999, ENTRY_LIMIT):
+        with pytest.raises(WeylError, match=f"the checked arithmetic bound {ENTRY_LIMIT}$"):
+            next(we.generate_orbit(d4, [big, 0, 0, 0]))
 
 
 def test_generate_orbit_truncation(d4):
@@ -340,10 +363,10 @@ def test_orbit_matches_brute_force(mu):
 @given(st.lists(st.integers(1, 4), max_size=10),
        st.lists(st.integers(-9, 9), min_size=4, max_size=4))
 def test_word_then_reverse_returns_start(word, start):
-    rs = we.root_system("D4")
+    r = _generators(we.root_system("D4"))
     v = np.asarray(start, dtype=np.int64)
     for g in reversed(word):
-        v = we.apply_reflection(v, g, rs)
+        v = v @ r[g - 1]
     for g in word:
-        v = we.apply_reflection(v, g, rs)
+        v = v @ r[g - 1]
     assert v.tolist() == list(start)

@@ -490,7 +490,7 @@ def test_build_index_sizes(b3_levels):
 
 
 def test_summary_round_trip(tmp_path):
-    store.write_summary(tmp_path, "D4", "D4", [1, 4, 9], 12.5, 4, (1, 2, 1, 1))
+    store.write_summary(tmp_path, "D4", [1, 4, 9], 12.5, 4, (1, 2, 1, 1))
     data = store.read_summary(tmp_path, "D4")
     assert set(data) == {"root_system", "levels", "total", "elapsed_ms", "rank",
                          "start_weight"}
@@ -511,7 +511,12 @@ def test_read_summary_missing(tmp_path):
     (b'{\n  "root_system": "D4",\n  "levels": [1', "is not valid JSON"),
     (b"\xff\xfe{}", "is not valid JSON"),
     (b"[1, 4, 9]\n", "holds a JSON list, not an object"),
-], ids=["truncated", "not-utf8", "not-an-object"])
+    (b'{"levels": 5}', "has levels 5, not a list of integers"),
+    (b'{"levels": [1, "4"]}', r"has levels \[1, '4'\], not a list of integers"),
+    (b'{"levels": [1, true]}', r"has levels \[1, True\], not a list of integers"),
+    (b'{"start_weight": "1,1,1,1"}', "has start_weight '1,1,1,1', not a list of integers"),
+], ids=["truncated", "not-utf8", "not-an-object", "levels-number", "levels-string-entry",
+        "levels-bool-entry", "start-weight-string"])
 def test_read_summary_malformed(tmp_path, body, problem):
     store.summary_path(tmp_path, "D4").write_bytes(body)
     with pytest.raises(WeylError, match=f"summary file .*D4_summary.json {problem}"):
