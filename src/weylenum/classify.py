@@ -3,8 +3,9 @@
 Each takes a complete run as one `ElementIndex`, which holds its levels.
 Classes are closed under conjugation by the simple reflections alone, which
 suffices because they generate the group.  Each generator's conjugation is
-computed for every element at once through the weight keys of the index,
-and the classes are the connected components of those maps.  Classes are
+computed for every element at once: the conjugates' weights are looked up
+in the packed weight keys of the index, and the classes are the connected
+components of those maps.  Classes are
 numbered by their least member in (level, ordinal) order, which is also
 the representative, so numbering and representatives are deterministic.
 """
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import cycletype
 from .errors import IntegrityError, WeylError
-from .orbit import match_rows
 from .reference import D4_CLASS_ROWS
 from .store import ElementIndex, format_word
 
@@ -98,7 +98,7 @@ def conjugacy_classes(index: ElementIndex,
     for refl in levels[1].matrices:
         v = index.start @ refl
         q = np.concatenate([(v @ level.matrices) @ refl for level in levels])
-        conjugates.append(index.inv[match_rows(index.weights, q)])
+        conjugates.append(index.inv[index.keys.find(q)])
     # Min-label propagation with pointer jumping: each label falls to the
     # least id in its class, the class's least member in (level, ordinal) order.
     label, previous = np.arange(index.total), None

@@ -141,8 +141,7 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
         family = None
     report = classify.format_class_report(classes, index, family)
     report_path = Path(out_dir) / f"{name}_classes.txt"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(report)
+    store._write_atomically(report_path, report.encode())
     partition = classify.order_partition(index)
     if as_json:
         payload = {

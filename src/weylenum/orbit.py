@@ -14,7 +14,10 @@ reflection action and that rule are stated once, in :mod:`.kernels`.
 Because an element and its inverse share a word length, each level is paired
 against itself in the pass that builds it: the weight of the inverse of
 element ``w`` equals ``start @ w.matr``, so partners are found by matching
-weight rows.  This needs a strictly dominant start weight, which makes the
+weight rows.  `RowKeys` is that matcher, for pairing and for the whole-run
+index alike: it packs each row into integer words (one int64 for the
+weights of every built-in system) and looks queries up among the sorted
+keys.  This needs a strictly dominant start weight, which makes the
 weights within a level distinct.  A `Level` is built once, already paired,
 and is immutable.  The pairing alone determines the inverse matrices, so
 they are derived on demand rather than stored.
@@ -106,6 +109,104 @@ class OrbitLevel:
         return len(self.weights)
 
 
+# Each word of a packed key is below this, so it is exact in int64.
+_WORD_LIMIT = 1 << 62
+_INT64 = np.iinfo(np.int64)
+
+
+class RowKeys:
+    """Distinct int64 rows packed into integer keys and sorted, for lookups.
+
+    Each column is offset by its least value, so it takes values in
+    0..span-1, and consecutive columns share an int64 word as digits of a
+    mixed-radix number while the product of their spans stays within 2**62.
+    Equal keys therefore mean equal rows.  The weights of a built-in system
+    from the default start fit one word; columns spanning about 2**41
+    (entries near the entry limit) take one word each.  Raises
+    IntegrityError when two rows are equal.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        rows = np.asarray(rows, dtype=np.int64)
+        self.low = rows.min(axis=0, initial=_INT64.max)
+        high = rows.max(axis=0, initial=_INT64.min)
+        # Python ints, so that no span or product of spans overflows.
+        spans = [max(int(h) - int(l) + 1, 1) for l, h in zip(self.low, high)]
+        word_of, place = [], []
+        words, product = 0, _WORD_LIMIT + 1  # so that the first column opens a word
+        for span in spans:
+            if product * span > _WORD_LIMIT:
+                words, product = words + 1, 1
+            word_of.append(words - 1)
+            place.append(product)
+            product *= span
+        # places[c, k] is column c's place value in word k, zero in every other word.
+        self.places = np.zeros((len(spans), words), dtype=np.int64)
+        self.places[np.arange(len(spans)), word_of] = place
+        self.top = (high - self.low).view(np.uint64)  # span - 1, the largest offset
+        keys = self._pack(rows)[1]
+        self.order = np.argsort(keys[0]) if words == 1 else np.lexsort(keys[::-1])
+        self.sorted = keys[:, self.order]
+        same = (self.sorted[:, 1:] == self.sorted[:, :-1]).all(axis=0)
+        if same.any():
+            first = int(np.argmax(same))
+            group = (self.sorted == self.sorted[:, first:first + 1]).all(axis=0)
+            a, b = np.sort(self.order[group])[:2]
+            raise IntegrityError(
+                f"duplicate weights at rows {a} and {b}; "
+                "weight matching requires a strictly dominant start weight")
+
+    @property
+    def words(self) -> int:
+        return self.places.shape[1]
+
+    def _pack(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The offsets of `rows` from the least row values, and their (words, len(rows)) keys.
+
+        Offsets are taken modulo 2**64 (int64 arithmetic wraps): as uint64 an
+        offset is at most `top` exactly when the entry is in its column's
+        range, and there each word's sum is below 2**62, so exact.  Outside
+        the range a key is meaningless.  A column whose span alone exceeds
+        2**62 is a word by itself with place 1, where the wrapped offset
+        still tells its at most 2**64 values apart.
+        """
+        offsets = rows - self.low
+        return offsets, (offsets @ self.places).T
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """Position among the keyed rows of each row of `queries`.
+
+        Raises IntegrityError when a query matches no row.
+        """
+        offsets, keys = self._pack(np.asarray(queries, dtype=np.int64))
+        n = len(self.order)
+        if self.words == 1:
+            # Sorted queries make searchsorted walk the rows once, in order.
+            by_key = np.argsort(keys[0])
+            at = np.empty(len(by_key), dtype=np.int64)
+            at[by_key] = np.searchsorted(self.sorted[0], keys[0][by_key])
+        else:
+            # Merge the queries into the sorted rows; a stable sort puts each
+            # row before the queries equal to it, so a query's last preceding
+            # row is its only possible match.
+            merged = np.lexsort(np.concatenate([self.sorted, keys], axis=1)[::-1])
+            is_row = merged < n
+            last_row = np.maximum.accumulate(np.where(is_row, merged, -1))
+            at = np.empty(keys.shape[1], dtype=np.int64)
+            at[merged[~is_row] - n] = last_row[~is_row]
+        found = np.zeros(len(at), dtype=bool)
+        if n:
+            at = at.clip(0, n - 1)
+            found = (self.sorted[:, at] == keys).all(axis=0)
+            beyond = offsets.view(np.uint64) > self.top
+            if beyond.any():  # a query outside the rows' range may pack to any key
+                found &= ~beyond.any(axis=1)
+        missing = np.flatnonzero(~found)
+        if missing.size:
+            raise IntegrityError(f"query row {missing[0]} has no matching element")
+        return self.order[at]
+
+
 def match_rows(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Position in `rows` of each row of `queries`.
 
@@ -113,29 +214,7 @@ def match_rows(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     so this turns weights into element positions.  Raises IntegrityError
     when two rows are equal or a query matches no row.
     """
-    n = len(rows)
-    # Label equal rows alike: sort all rows by their columns, then number
-    # the runs of equal rows; np.unique(axis=0) does the same about 5x slower.
-    both = np.concatenate([rows, queries])
-    order = np.lexsort(both.T)
-    ordered = both[order]
-    labels = np.empty(len(both), dtype=np.int64)
-    labels[order] = np.cumsum(np.concatenate(
-        [[True], (ordered[1:] != ordered[:-1]).any(axis=1)])) - 1
-    own = labels[:n]
-    counts = np.bincount(own, minlength=labels.max(initial=-1) + 1)
-    if counts.max(initial=0) > 1:
-        a, b = np.flatnonzero(own == counts.argmax())[:2]
-        raise IntegrityError(
-            f"duplicate weights at rows {a} and {b}; "
-            "weight matching requires a strictly dominant start weight")
-    lookup = np.full(counts.size, -1, dtype=np.int64)
-    lookup[own] = np.arange(n)
-    pos = lookup[labels[n:]]
-    missing = np.flatnonzero(pos < 0)
-    if missing.size:
-        raise IntegrityError(f"query row {missing[0]} has no matching element")
-    return pos
+    return RowKeys(rows).find(queries)
 
 
 def pair_level_weights(index: int, weights: np.ndarray, matrices: np.ndarray,
@@ -183,8 +262,12 @@ def _start_vector(start: Weight, rank: int, what: str) -> np.ndarray:
     return arr
 
 
-def _check_entry_limit(index: int, weights: np.ndarray, matrices: np.ndarray) -> None:
-    worst = max(int(np.abs(matrices).max(initial=0)), int(np.abs(weights).max(initial=0)))
+def _check_entry_limit(index: int, *arrays: np.ndarray) -> None:
+    """Refuse level `index` if any of `arrays` holds an entry of magnitude ENTRY_LIMIT or more.
+
+    Scans with min and max, whose Python-int magnitudes are exact; np.abs
+    would copy each array and leaves -2**63 negative."""
+    worst = max(max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in arrays)
     if worst >= ENTRY_LIMIT:
         raise IntegrityError(
             f"level {index}: entry magnitude {worst} exceeds the checked "
@@ -291,6 +374,5 @@ def generate_orbit(rs: RootSystem, mu: Weight,
             raise IntegrityError(
                 f"exceeded {limit} levels; the Cartan matrix is not of finite type "
                 "or the enumeration is corrupted")
-        if np.abs(weights).max(initial=0) >= ENTRY_LIMIT:
-            raise IntegrityError(f"orbit level {index}: weight entry exceeds {ENTRY_LIMIT}")
+        _check_entry_limit(index, weights)
         yield OrbitLevel(index=index, weights=weights)

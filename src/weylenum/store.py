@@ -17,10 +17,12 @@ accepts the file only when the level they make writes back byte for byte,
 so a loaded level is exactly what its file says.  Each loaded word has as
 many generators as the level index, each in 1..rank.  A rejected file is
 classified line by line, and the error names its first line out of slot.
-`write_level` and `write_summary` rename a finished temporary file into
-place, so no partial level file or summary is ever seen.
-`build_index` keys the elements of a complete run by weight row and numbers
-each element's inverse from its level's inverse ordinals.
+`write_level`, `write_summary` and the class report of ``weylenum classes``
+rename a finished temporary file into place (`_write_atomically`), so no
+partial file is ever seen.
+`build_index` keys the elements of a complete run by weight row, packed and
+sorted once as `ElementIndex.keys`, and numbers each element's inverse from
+its level's inverse ordinals.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import IntegrityError, ParseError, WeylError
-from .orbit import Level, check_inverse_ordinals, match_rows
+from .orbit import Level, RowKeys, check_inverse_ordinals
 
 _FILE_RE = re.compile(r"^(?P<prefix>.+)_WeightMatrByLevel_(?P<k>\d+)_elems=(?P<n>\d+)\.txt$")
 # Canonical fields of the record grammar: %u never carries a sign, and a
@@ -328,13 +330,15 @@ class ElementIndex:
     """A complete run with every element numbered in (level, ordinal) order.
 
     Element ``offsets[k] + j`` is ordinal j of level k.  Its weight row is
-    ``weights[id]`` and names it uniquely, so weight rows serve as keys.
+    ``weights[id]`` and names it uniquely, so weight rows serve as keys:
+    ``keys.find(rows)`` gives the id of the element of each weight row.
     """
 
     levels: tuple[Level, ...]
     weights: np.ndarray      # (N, rank) every element's weight, stacked
     inv: np.ndarray          # (N,) id of each element's inverse
     offsets: np.ndarray      # (len(levels) + 1,) id of each level's first element
+    keys: RowKeys            # the weights packed and sorted, derived from `weights`
 
     @property
     def total(self) -> int:
@@ -374,9 +378,9 @@ def build_index(levels: Iterable[Level]) -> ElementIndex:
                 f"disagrees with the weight of its inverse, record {level.inv_ordinal[bad[0]]}")
     offsets = np.cumsum([0] + [level.size for level in levels])
     weights = np.concatenate([level.weights for level in levels])
-    match_rows(weights, weights[:0])  # raises on two elements sharing a weight
+    keys = RowKeys(weights)  # raises on two elements sharing a weight
     inv = np.concatenate([offsets[k] + level.inv_ordinal for k, level in enumerate(levels)])
-    return ElementIndex(levels=levels, weights=weights, inv=inv, offsets=offsets)
+    return ElementIndex(levels=levels, weights=weights, inv=inv, offsets=offsets, keys=keys)
 
 
 def summary_path(dir: Path | str, prefix: str) -> Path:

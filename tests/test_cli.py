@@ -324,6 +324,22 @@ def test_failed_summary_write_leaves_no_summary(tmp_path, monkeypatch, capsys):
     assert len(names) == 13 and all("_WeightMatrByLevel_" in n for n in names)
 
 
+def test_failed_class_report_write_leaves_no_report(d4_run, monkeypatch, capsys):
+    real = store.os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith("_classes.txt"):
+            raise OSError(28, "No space left on device")
+        real(src, dst)
+
+    monkeypatch.setattr(store.os, "replace", replace)
+    before = sorted(p.name for p in d4_run.iterdir())
+    assert main(["classes", "D4", "--out", str(d4_run)]) == EXIT_FAILURE
+    assert "No space left on device" in capsys.readouterr().err
+    # neither the report nor its temporary file is left
+    assert sorted(p.name for p in d4_run.iterdir()) == before
+
+
 @pytest.mark.parametrize("where", ["format_level", "replace"])
 def test_generate_after_failed_first_write_is_not_refused(tmp_path, monkeypatch, capsys,
                                                           where):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import weylenum as we
 from weylenum import IntegrityError, WeylError
-from weylenum.orbit import (ENTRY_LIMIT, build_level_zero, build_next_level,
-                            pair_level_weights)
+from weylenum.orbit import (ENTRY_LIMIT, RowKeys, _check_entry_limit, build_level_zero,
+                            build_next_level, pair_level_weights)
 
 
 def _generators(rs):
@@ -51,6 +51,20 @@ def test_apply_reflection_overflow_guard():
     assert next(levels).weights.tolist() == [[big, big]]
     with pytest.raises(IntegrityError, match=f"^level 1: entry magnitude {ENTRY_LIMIT} exceeds"):
         next(levels)
+
+
+@pytest.mark.parametrize("entry", [-(1 << 63), -ENTRY_LIMIT, ENTRY_LIMIT])
+@pytest.mark.parametrize("where", ["weights", "matrices"])
+def test_check_entry_limit_refuses_large_entries(entry, where):
+    # -2**63 is its own absolute value in int64, so an np.abs scan passes it
+    arrays = {"weights": np.ones((3, 2), dtype=np.int64),
+              "matrices": np.ones((3, 2, 2), dtype=np.int64)}
+    arrays[where][1, 0] = entry
+    with pytest.raises(IntegrityError, match=f"^level 4: entry magnitude {abs(entry)} exceeds"):
+        _check_entry_limit(4, arrays["weights"], arrays["matrices"])
+    arrays[where][1, 0] = -(ENTRY_LIMIT - 1)
+    _check_entry_limit(4, arrays["weights"], arrays["matrices"])
+    _check_entry_limit(4, arrays["weights"][:0], arrays["matrices"][:0])
 
 
 def test_level_delta_signs():
@@ -169,15 +183,78 @@ def test_match_rows():
         we.match_rows(rows, np.array([[2, 1], [2, 2]]))
 
 
-@given(st.sets(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=40),
-       st.randoms(use_true_random=False))
-def test_match_rows_agrees_with_dict(distinct, rnd):
-    rows = sorted(distinct)
+def _entries(wide):
+    """Small entries, or with `wide` also entries near +-2**40, so columns span about 2**41."""
+    small = st.integers(-3, 3)
+    if not wide:
+        return small
+    edge = ENTRY_LIMIT - 4
+    return st.one_of(small, small.map(lambda x: x + edge), small.map(lambda x: x - edge))
+
+
+@st.composite
+def _distinct_rows(draw):
+    rank, wide = draw(st.integers(1, 8)), draw(st.booleans())
+    return sorted(draw(st.sets(st.tuples(*[_entries(wide)] * rank), min_size=1, max_size=40)))
+
+
+@given(_distinct_rows(), st.randoms(use_true_random=False))
+def test_match_rows_agrees_with_dict(rows, rnd):
     rnd.shuffle(rows)
     queries = [rnd.choice(rows) for _ in range(2 * len(rows))]
     where = {row: j for j, row in enumerate(rows)}
     got = we.match_rows(np.array(rows, dtype=np.int64), np.array(queries, dtype=np.int64))
     assert got.tolist() == [where[q] for q in queries]
+
+
+def test_row_keys_word_count():
+    # spans of 2**30 pack two columns to a word, spans of about 2**41 one
+    narrow = np.array([[0, 0, 0], [(1 << 30) - 1] * 3], dtype=np.int64)
+    wide = np.array([[-(ENTRY_LIMIT - 1)] * 8, [ENTRY_LIMIT - 1] * 8, [0] * 8], dtype=np.int64)
+    cases = [(narrow, 2), (wide, 8), (wide[:, :1], 1), (np.ones((1, 8), dtype=np.int64), 1)]
+    for rows, words in cases:
+        keys = RowKeys(rows)
+        assert keys.words == words
+        assert keys.find(rows[::-1]).tolist() == list(range(len(rows)))[::-1]
+
+
+def test_match_rows_full_int64_range():
+    # a column spanning all of int64 is a word of its own, packed modulo 2**64
+    lo, hi = -(1 << 63), (1 << 63) - 1
+    rows = np.array([[hi, 0], [lo, 0], [0, 1], [lo, 1], [hi, 1]], dtype=np.int64)
+    assert RowKeys(rows).words == 2
+    assert we.match_rows(rows, rows[[4, 1, 0, 2, 3]]).tolist() == [4, 1, 0, 2, 3]
+    with pytest.raises(IntegrityError, match="query row 1 has no matching element"):
+        we.match_rows(rows, np.array([[0, 1], [1, 0]], dtype=np.int64))
+
+
+def test_match_rows_edge_cases():
+    rows = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int64)
+    empty = rows[:0]
+    assert we.match_rows(rows, empty).tolist() == []
+    assert we.match_rows(empty, empty).tolist() == []
+    with pytest.raises(IntegrityError, match="query row 0 has no matching element"):
+        we.match_rows(empty, rows[:1])
+    # [2, 0] is outside the rows' range but packs to the key of [0, 1]
+    with pytest.raises(IntegrityError, match="query row 1 has no matching element"):
+        we.match_rows(rows, np.array([[1, 1], [2, 0]], dtype=np.int64))
+    with pytest.raises(IntegrityError, match="query row 0 has no matching element"):
+        we.match_rows(rows, np.array([[1, 0], [0, 1]], dtype=np.int64))
+    # a duplicate among rows that pack into several words
+    big = ENTRY_LIMIT - 1
+    wide = np.array([[big, -big, 1], [-big, big, 1], [0, 0, 0], [-big, big, 1]],
+                    dtype=np.int64)
+    assert RowKeys(wide[:3]).words == 2
+    with pytest.raises(IntegrityError, match="duplicate weights at rows 1 and 3"):
+        we.match_rows(wide, wide[:0])
+
+
+def test_pair_level_weights_empty_level(d4):
+    # the empty level that ends every run pairs to no ordinals
+    top = list(we.generate_group(d4))[-1]
+    weights, matrices, _, _ = we.kernels.step_level(top.weights, top.matrices, d4.cartan)
+    assert len(weights) == 0
+    assert pair_level_weights(13, weights, matrices, top.weights[0]).tolist() == []
 
 
 def test_pair_level_weights_rejects_duplicate_rows():

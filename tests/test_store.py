@@ -439,6 +439,7 @@ def test_build_index_inverse_ids_agree_with_weight_matching(name):
     index = we.build_index(we.generate_group(we.root_system(name)))
     queries = np.concatenate([index.start @ level.matrices for level in index.levels])
     assert np.array_equal(index.inv, we.match_rows(index.weights, queries))
+    assert np.array_equal(index.inv, index.keys.find(queries))
 
 
 def test_build_index_rejects_inverse_ordinal_out_of_range(d4_levels):
