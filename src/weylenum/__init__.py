@@ -3,13 +3,14 @@
 The enumeration builds each group as levels of equal reduced-word length,
 pairing every element with its inverse in the same pass, and feeds the
 downstream conjugacy-class and signed cycle-type computations.  The level
-step is a single numpy kernel; inverse matrices are derived from the pairing.
+step is a single numpy kernel, and an inverse's matrix is found through the
+pairing rather than stored.  A D_n class's signed cycle type comes from one
+array replay of its members' words as signed permutations.
 """
 
 from .classify import (ConjugacyClass, class_label_d4, conjugacy_classes,
                        element_order, order_partition)
-from .cycletype import (SignedPermutation, class_cycle_type, render_cycle_type,
-                        signed_cycle_type, word_to_signed_perm)
+from .cycletype import class_cycle_type, render_cycle_type
 from .errors import IntegrityError, ParseError, UnsupportedRootSystem, WeylError
 from .orbit import (Level, OrbitLevel, build_level_zero, build_next_level,
                     generate_group, generate_orbit, match_rows)
@@ -23,12 +24,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ConjugacyClass", "ElementIndex", "IntegrityError", "Level",
     "LevelFile", "OrbitLevel", "ParseError", "RootSystem",
-    "SignedPermutation", "UnsupportedRootSystem", "WeylError",
+    "UnsupportedRootSystem", "WeylError",
     "build_index", "build_level_zero", "build_next_level", "cartan_matrix",
     "class_cycle_type", "class_label_d4", "conjugacy_classes", "element_order",
     "generate_group", "generate_orbit", "load_cartan_file", "match_rows",
     "order_partition", "positive_root_count", "read_level", "read_summary",
     "render_cycle_type", "root_system", "root_system_from_cartan",
-    "signed_cycle_type", "weyl_order", "word_to_signed_perm",
-    "write_level", "write_summary",
+    "weyl_order", "write_level", "write_summary",
 ]

@@ -123,14 +123,13 @@ def conjugacy_classes(index: ElementIndex,
     return classes
 
 
-def class_label_d4(cls: ConjugacyClass) -> str | None:
+def class_label_d4(cls: ConjugacyClass, ctype: tuple[int, ...]) -> str | None:
     """Published label of a D4 class, keyed by (size, order, cycle type).
 
+    `ctype` is the class's signed cycle type, as `class_cycle_type` gives it.
     Two pairs of table rows collide on all three invariants; those come back
     as an "ambiguous" answer naming both rows.  Unknown combinations give None.
     """
-    ctype = cycletype.signed_cycle_type(
-        cycletype.word_to_signed_perm(cls.representative_word, 4))
     hits = [(row, label) for row, (size, order, ct, label) in enumerate(D4_CLASS_ROWS)
             if size == cls.size and order == cls.element_order and ct == ctype]
     if not hits:
@@ -154,7 +153,7 @@ def format_class_report(classes: Sequence[ConjugacyClass], index: ElementIndex,
             ctype = cycletype.class_cycle_type(cls, index)
             head += f", cycle_type={cycletype.render_cycle_type(ctype)}"
         if with_labels:
-            label = class_label_d4(cls)
+            label = class_label_d4(cls, ctype)
             if label is not None:
                 head += f", label={label}"
         lines.append(head)

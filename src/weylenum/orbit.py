@@ -20,7 +20,7 @@ weights of every built-in system) and looks queries up among the sorted
 keys.  This needs a strictly dominant start weight, which makes the
 weights within a level distinct.  A `Level` is built once, already paired,
 and is immutable.  The pairing alone determines the inverse matrices, so
-they are derived on demand rather than stored.
+none is stored: the inverse of element j has matrix ``matrices[inv_ordinal[j]]``.
 
 Only the level under construction and its predecessor are needed in memory;
 `generate_group` yields levels one at a time so callers can stream them to
@@ -63,11 +63,6 @@ class Level:
     def word(self, j: int) -> tuple[int, ...]:
         """Element j's word as a tuple of Python ints, first letter first."""
         return tuple(self.words[j].tolist())
-
-    @property
-    def inv_matrices(self) -> np.ndarray:
-        """Matrix of each element's inverse: its partner's matrix, matrices[inv_ordinal]."""
-        return self.matrices[self.inv_ordinal]
 
     def __repr__(self) -> str:
         return f"Level(index={self.index}, size={self.size})"

@@ -37,3 +37,18 @@ def b3_levels():
 @pytest.fixture(scope="session")
 def a3_levels():
     return list(we.generate_group(we.root_system("A3")))
+
+
+@pytest.fixture(scope="session")
+def d5_index():
+    return we.build_index(list(we.generate_group(we.root_system("D5"))))
+
+
+@pytest.fixture(scope="session")
+def d6_index():
+    return we.build_index(list(we.generate_group(we.root_system("D6"))))
+
+
+@pytest.fixture(scope="session")
+def d6_classes(d6_index):
+    return we.conjugacy_classes(d6_index)

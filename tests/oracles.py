@@ -3,15 +3,17 @@
 Each oracle recomputes something the package also knows, but by a different
 route: level sizes come from the length generating function expanded with
 sympy, the reflection action is replayed on explicit root vectors in
-Euclidean space with Fraction arithmetic, and orbits and closures are built
-by brute force with plain-dict bookkeeping.  Nothing here imports from the
-package except `read_level_reference`, which returns the package's `Level`
-and raises its errors so that a test can compare outcomes.
+Euclidean space with Fraction arithmetic, D_n words are replayed one
+generator at a time as signed permutations, and orbits and closures are
+built by brute force with plain-dict bookkeeping.  Nothing here imports
+from the package except `read_level_reference`, which returns the
+package's `Level` and raises its errors so that a test can compare outcomes.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -156,6 +158,81 @@ class EuclideanModel:
         if any(x.denominator != 1 for x in out):
             raise AssertionError(f"non-integral image coordinates {out}")
         return tuple(int(x) for x in out)
+
+
+@dataclass(frozen=True)
+class SignedPermutation:
+    """images[i] = j means e_{i+1} -> e_j, with j < 0 for a sign flip."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.images)
+        if sorted(abs(v) for v in self.images) != list(range(1, n + 1)) or 0 in self.images:
+            raise ValueError(f"not a signed permutation: {self.images}")
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    @classmethod
+    def identity(cls, n: int) -> "SignedPermutation":
+        return cls(tuple(range(1, n + 1)))
+
+    def compose(self, inner: "SignedPermutation") -> "SignedPermutation":
+        """self after inner (inner is applied first)."""
+        out = []
+        for v in inner.images:
+            w = self.images[abs(v) - 1]
+            out.append(w if v > 0 else -w)
+        return SignedPermutation(tuple(out))
+
+    def negative_count(self) -> int:
+        return sum(1 for v in self.images if v < 0)
+
+
+def d_generator(n: int, i: int) -> SignedPermutation:
+    """Generator i of D_n on e_1..e_n: it swaps e_i and e_{i+1} for i < n, and
+    sends e_{n-1} -> -e_n and e_n -> -e_{n-1} for i = n."""
+    if not 1 <= i <= n:
+        raise ValueError(f"generator index {i} out of range 1..{n}")
+    images = {k: k for k in range(1, n + 1)}
+    if i < n:
+        images[i], images[i + 1] = i + 1, i
+    else:
+        images[n - 1], images[n] = -n, -(n - 1)
+    return SignedPermutation(tuple(images[k] for k in range(1, n + 1)))
+
+
+def word_to_signed_perm(word, n: int) -> SignedPermutation:
+    """A D_n word as one signed permutation, composed one generator at a time
+    with the rightmost generator applied first."""
+    perm = SignedPermutation.identity(n)
+    for g in word:
+        perm = perm.compose(d_generator(n, int(g)))
+    return perm
+
+
+def signed_cycle_type(p: SignedPermutation) -> tuple[int, ...]:
+    """Cycle lengths of the underlying permutation, negated when the signs
+    along the cycle multiply to -1.  Canonical order: longer cycles first,
+    negative before positive at equal length; length-1 cycles included."""
+    seen = [False] * p.n
+    cycles = []
+    for s in range(p.n):
+        if seen[s]:
+            continue
+        length, sign, k = 0, 1, s
+        while not seen[k]:
+            seen[k] = True
+            v = p.images[k]
+            if v < 0:
+                sign = -sign
+            k = abs(v) - 1
+            length += 1
+        cycles.append(length if sign > 0 else -length)
+    cycles.sort(key=lambda c: (-abs(c), c > 0))
+    return tuple(cycles)
 
 
 def brute_force_orbit(cartan, start) -> set[tuple[int, ...]]:

@@ -124,7 +124,7 @@ def test_criterion_6_property_suite(d4_levels, b3_levels, a3_levels):
     eye = np.eye(4, dtype=np.int64)
     for level in d4_levels:
         for j in range(level.size):
-            if not np.array_equal(level.matrices[j] @ level.inv_matrices[j], eye):
+            if not np.array_equal(level.matrices[j] @ level.matrices[level.inv_ordinal[j]], eye):
                 failures.append(f"matrix times inverse fails at ({level.index}, {j})")
         inv = level.inv_ordinal
         if not np.array_equal(inv[inv], np.arange(level.size)):

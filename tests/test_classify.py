@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -135,8 +136,8 @@ def test_conjugacy_ceiling(d4_index):
         we.conjugacy_classes(d4_index, ceiling=100)
 
 
-def test_d4_labels(d4_classes):
-    labels = [we.class_label_d4(c) for c in d4_classes]
+def test_d4_labels(d4_classes, d4_index):
+    labels = [we.class_label_d4(c, we.class_cycle_type(c, d4_index)) for c in d4_classes]
     assert labels == [
         "∅",
         "A_1",
@@ -158,7 +159,7 @@ def test_d4_label_unknown_combination():
     fake = we.ConjugacyClass(representative_word=(),
                              members=((0, 0), (1, 0), (1, 1), (1, 2), (1, 3)),
                              element_order=7)
-    assert we.class_label_d4(fake) is None
+    assert we.class_label_d4(fake, (1, 1, 1, 1)) is None
 
 
 def test_format_class_report_d4(d4_classes, d4_index):
@@ -169,6 +170,13 @@ def test_format_class_report_d4(d4_classes, d4_index):
     assert "label=ambiguous: 2A_1 (line 3) / 2A_1 (line 4)" in report
     assert "cycle_type=[~1~1~1~1]" in report
     assert report.count("members:") == 13
+
+
+def test_format_class_report_d6_is_pinned(d6_classes, d6_index):
+    # the bytes of D6_classes.txt as `weylenum classes D6` writes it
+    report = format_class_report(d6_classes, d6_index, "D").encode("utf-8")
+    assert hashlib.sha256(report).hexdigest() \
+        == "8841cbde7b2590d1a37190d822ae8ed699b1cb628bc015ae9c3fc9a736aa3bb2"
 
 
 def test_format_class_report_family_a(a3_levels):

@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import weylenum as we
+from oracles import SignedPermutation, signed_cycle_type, word_to_signed_perm
 from weylenum import IntegrityError, WeylError
-from weylenum.cycletype import SignedPermutation, _action, _cycle_labels, _signed_images
+from weylenum.cycletype import _cycle_labels, _cycle_type, _signed_images
 from weylenum.reference import D4_CYCLE_TYPES
 
 
 def test_signed_permutation_validation():
     SignedPermutation((2, -1, 3))
-    with pytest.raises(WeylError):
+    with pytest.raises(ValueError):
         SignedPermutation((1, 1, 3))
-    with pytest.raises(WeylError):
+    with pytest.raises(ValueError):
         SignedPermutation((1, 0, 3))
-    with pytest.raises(WeylError):
+    with pytest.raises(ValueError):
         SignedPermutation((1, 2, 4))
 
 
@@ -36,45 +38,61 @@ def test_identity_and_compose():
 
 
 def test_generator_actions_d4():
-    assert we.word_to_signed_perm((1,), 4).images == (2, 1, 3, 4)
-    assert we.word_to_signed_perm((3,), 4).images == (1, 2, 4, 3)
-    assert we.word_to_signed_perm((4,), 4).images == (1, 2, -4, -3)
-    with pytest.raises(WeylError):
-        we.word_to_signed_perm((5,), 4)
+    assert word_to_signed_perm((1,), 4).images == (2, 1, 3, 4)
+    assert word_to_signed_perm((3,), 4).images == (1, 2, 4, 3)
+    assert word_to_signed_perm((4,), 4).images == (1, 2, -4, -3)
+    with pytest.raises(ValueError):
+        word_to_signed_perm((5,), 4)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_generator_images_match_euclidean_reflections(n):
+    # generator i reflects e_k in the simple root a_i of the Euclidean D_n
+    # model; both replays must send e_k where that reflection does
+    roots = oracles.simple_roots("D", n)
+    basis = [tuple(int(d == k) for d in range(n)) for k in range(n)]
+    for i, a in enumerate(roots, start=1):
+        expected = []
+        for v in basis:
+            scale = 2 * oracles._dot(v, a) / oracles._dot(a, a)
+            image = [x - scale * y for x, y in zip(v, a)]
+            (j,) = [d for d, x in enumerate(image) if x]
+            assert abs(image[j]) == 1
+            expected.append(int(image[j]) * (j + 1))
+        assert oracles.d_generator(n, i).images == tuple(expected)
+        assert _signed_images(np.array([[i]]), n)[0].tolist() == expected
 
 
 def test_word_to_signed_perm_examples():
-    assert we.word_to_signed_perm((3, 2, 4), 4).images == (1, 4, -3, -2)
-    assert we.word_to_signed_perm((), 4) == SignedPermutation.identity(4)
-    assert we.word_to_signed_perm((2, 1), 4).images == (3, 1, 2, 4)
-    with pytest.raises(WeylError, match="rank"):
-        we.word_to_signed_perm((1,), 2)
+    assert word_to_signed_perm((3, 2, 4), 4).images == (1, 4, -3, -2)
+    assert word_to_signed_perm((), 4) == SignedPermutation.identity(4)
+    assert word_to_signed_perm((2, 1), 4).images == (3, 1, 2, 4)
 
 
 def test_word_to_signed_perm_rejects_generator_out_of_range():
-    with pytest.raises(WeylError, match=r"generator index 5 out of range 1\.\.4"):
-        we.word_to_signed_perm((5,), 4)
+    with pytest.raises(ValueError, match=r"generator index 5 out of range 1\.\.4"):
+        word_to_signed_perm((5,), 4)
 
 
 def test_word_to_signed_perm_negation_pairs():
     # s3 then s4 negates the last two basis vectors
-    assert we.word_to_signed_perm((3, 4), 4).images == (1, 2, -3, -4)
-    assert we.word_to_signed_perm((1, 4, 2, 3), 4).images == (2, -4, -3, 1)
+    assert word_to_signed_perm((3, 4), 4).images == (1, 2, -3, -4)
+    assert word_to_signed_perm((1, 4, 2, 3), 4).images == (2, -4, -3, 1)
 
 
 def test_cycle_type_of_short_words():
-    perm = we.word_to_signed_perm((1, 3, 4), 4)
-    assert we.signed_cycle_type(perm) == (2, -1, -1)
+    perm = word_to_signed_perm((1, 3, 4), 4)
+    assert signed_cycle_type(perm) == (2, -1, -1)
 
 
 def test_signed_cycle_type_examples():
-    assert we.signed_cycle_type(SignedPermutation.identity(4)) == (1, 1, 1, 1)
-    assert we.signed_cycle_type(SignedPermutation((-1, -2, -3, -4))) \
+    assert signed_cycle_type(SignedPermutation.identity(4)) == (1, 1, 1, 1)
+    assert signed_cycle_type(SignedPermutation((-1, -2, -3, -4))) \
         == (-1, -1, -1, -1)
-    assert we.signed_cycle_type(SignedPermutation((1, 4, -3, -2))) == (-2, -1, 1)
-    assert we.signed_cycle_type(SignedPermutation((3, 1, 2, 4))) == (3, 1)
+    assert signed_cycle_type(SignedPermutation((1, 4, -3, -2))) == (-2, -1, 1)
+    assert signed_cycle_type(SignedPermutation((3, 1, 2, 4))) == (3, 1)
     # negative sorts before positive at equal length
-    assert we.signed_cycle_type(SignedPermutation((2, 1, -3, 4))) == (2, -1, 1)
+    assert signed_cycle_type(SignedPermutation((2, 1, -3, 4))) == (2, -1, 1)
 
 
 def test_render_cycle_type():
@@ -86,7 +104,7 @@ def test_render_cycle_type():
 
 def test_whole_group_cycle_type_census(d4_levels):
     census = Counter(
-        we.signed_cycle_type(we.word_to_signed_perm(level.words[j], 4))
+        signed_cycle_type(word_to_signed_perm(level.words[j], 4))
         for level in d4_levels for j in range(level.size))
     assert census == {
         (1, 1, 1, 1): 1, (2, 1, 1): 12, (3, 1): 32, (2, 2): 12,
@@ -101,6 +119,23 @@ def test_class_cycle_types_match_published_rows(d4_classes, d4_index):
     assert types == D4_CYCLE_TYPES
 
 
+@pytest.mark.parametrize("name, classes, distinct", [("D5", 18, 18), ("D6", 37, 34)])
+def test_class_cycle_types_beyond_d4(name, classes, distinct, request):
+    index = request.getfixturevalue(f"{name.lower()}_index")
+    n = index.start.size
+    types = Counter(we.class_cycle_type(c, index) for c in we.conjugacy_classes(index))
+    assert (sum(types.values()), len(types)) == (classes, distinct)
+    for ctype in types:
+        assert sum(abs(c) for c in ctype) == n
+        assert sum(c < 0 for c in ctype) % 2 == 0
+    # a class of D_n splits in two exactly when its cycles are all positive
+    # and of even length
+    assert {t for t, k in types.items() if k > 1} \
+        == {t for t in types if all(c > 0 and c % 2 == 0 for c in t)}
+    if name == "D6":
+        assert {t for t, k in types.items() if k > 1} == {(6,), (4, 2), (2, 2, 2)}
+
+
 def test_class_cycle_type_replays_each_class_once(d4_classes, d4_index, monkeypatch):
     calls = []
     real = we.cycletype._signed_images
@@ -113,7 +148,11 @@ def test_class_cycle_type_replays_each_class_once(d4_classes, d4_index, monkeypa
 
 def test_class_cycle_type_detects_disagreement(d4_index):
     fake = SimpleNamespace(representative=(1, 0), members=((1, 0), (2, 0)))
-    with pytest.raises(IntegrityError, match="differs"):
+    rep = signed_cycle_type(word_to_signed_perm(d4_index.levels[1].word(0), 4))
+    got = signed_cycle_type(word_to_signed_perm(d4_index.levels[2].word(0), 4))
+    with pytest.raises(IntegrityError, match=rf"cycle type \({', '.join(map(str, got))}\) "
+                                             rf"of member \(2, 0\) differs from the "
+                                             rf"representative's \({', '.join(map(str, rep))}\)"):
         we.class_cycle_type(fake, d4_index)
 
 
@@ -122,7 +161,7 @@ def test_signed_perm_order_matches_matrix_order(d4_classes, d4_levels):
     # every class the same element order
     for cls in d4_classes:
         lvl, j = cls.representative
-        perm = we.word_to_signed_perm(d4_levels[lvl].words[j], 4)
+        perm = word_to_signed_perm(d4_levels[lvl].words[j], 4)
         power = perm
         order = 1
         while power != SignedPermutation.identity(4):
@@ -135,20 +174,20 @@ def test_signed_perm_order_matches_matrix_order(d4_classes, d4_levels):
 @given(st.lists(st.integers(1, 4), max_size=12))
 def test_even_sign_changes(word):
     # family D preserves an even number of sign flips
-    assert we.word_to_signed_perm(word, 4).negative_count() % 2 == 0
+    assert word_to_signed_perm(word, 4).negative_count() % 2 == 0
 
 
 @settings(max_examples=80)
 @given(st.lists(st.integers(1, 4), max_size=12))
 def test_word_times_reverse_is_identity(word):
     full = tuple(word) + tuple(reversed(word))
-    assert we.word_to_signed_perm(full, 4) == SignedPermutation.identity(4)
+    assert word_to_signed_perm(full, 4) == SignedPermutation.identity(4)
 
 
 @settings(max_examples=60)
 @given(st.lists(st.integers(1, 5), max_size=10))
 def test_cycle_type_is_canonical(word):
-    ctype = we.signed_cycle_type(we.word_to_signed_perm(word, 5))
+    ctype = signed_cycle_type(word_to_signed_perm(word, 5))
     assert sum(abs(c) for c in ctype) == 5
     assert list(ctype) == sorted(ctype, key=lambda c: (-abs(c), c > 0))
 
@@ -156,25 +195,23 @@ def test_cycle_type_is_canonical(word):
 @st.composite
 def word_batch(draw):
     """A rank n and several D_n words."""
-    n = draw(st.integers(3, 6))
+    n = draw(st.integers(3, 7))
     return n, draw(st.lists(st.lists(st.integers(1, n), max_size=10), min_size=1, max_size=8))
 
 
 @settings(max_examples=80)
 @given(word_batch())
 def test_batched_replay_matches_word_by_word(batch):
-    # the array replay behind class_cycle_type against the one-word path
+    # the array replay behind class_cycle_type against the one-word oracle
     n, words = batch
     width = max(map(len, words))
     images = _signed_images(np.array([w + [0] * (width - len(w)) for w in words]).reshape(
         len(words), width), n)
     labels = _cycle_labels(images)
     for word, row, label in zip(words, images, labels):
-        perm = we.word_to_signed_perm(word, n)
+        perm = word_to_signed_perm(word, n)
         assert tuple(row.tolist()) == perm.images
-        # label c marks each of the |c| positions of a cycle c
-        cycles = Counter({c: k // abs(c) for c, k in Counter(label.tolist()).items()})
-        assert cycles == Counter(we.signed_cycle_type(perm))
+        assert _cycle_type(label) == signed_cycle_type(perm)
 
 
 def test_class_cycle_type_rejects_generator_out_of_range(d4_index):
@@ -184,10 +221,3 @@ def test_class_cycle_type_rejects_generator_out_of_range(d4_index):
     fake = SimpleNamespace(representative=(1, 0), members=((1, 0), (1, 1)))
     with pytest.raises(WeylError, match="out of range 1..4"):
         we.class_cycle_type(fake, dataclasses.replace(d4_index, levels=tuple(levels)))
-
-
-def test_action_bounds():
-    with pytest.raises(WeylError):
-        _action(4, 0)
-    with pytest.raises(WeylError):
-        _action(4, 5)

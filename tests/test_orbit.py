@@ -346,8 +346,9 @@ def test_word_invariants(d4_levels):
             for g in reversed(word):
                 v = v @ r[g - 1]
             assert v.tolist() == level.weights[j].tolist()
-            assert np.array_equal(level.matrices[j] @ level.inv_matrices[j], eye)
-            assert (start @ level.inv_matrices[j]).tolist() == level.weights[j].tolist()
+            inverse = level.matrices[level.inv_ordinal[j]]
+            assert np.array_equal(level.matrices[j] @ inverse, eye)
+            assert (start @ inverse).tolist() == level.weights[j].tolist()
 
 
 def test_inverse_pointers_reciprocal(d4_levels):

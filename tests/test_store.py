@@ -107,7 +107,7 @@ def test_read_level_recovers_inverse_matrices(tmp_path, d4_levels):
     loaded = store.read_level(written.path)
     eye = np.eye(4, dtype=np.int64)
     for j in range(loaded.size):
-        assert np.array_equal(loaded.matrices[j] @ loaded.inv_matrices[j], eye)
+        assert np.array_equal(loaded.matrices[j] @ loaded.matrices[loaded.inv_ordinal[j]], eye)
 
 
 def test_identity_word_on_disk(tmp_path, d4_levels):
