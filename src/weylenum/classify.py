@@ -139,21 +139,30 @@ def class_label_d4(cls: ConjugacyClass, ctype: tuple[int, ...]) -> str | None:
     return "ambiguous: " + " / ".join(f"{label} (line {row})" for row, label in hits)
 
 
+def report_cycle_types(classes: Sequence[ConjugacyClass], index: ElementIndex,
+                       family: str | None) -> list[tuple[int, ...]] | None:
+    """Each class's signed cycle type, for family D of rank 3 or more; else None."""
+    if family != "D" or index.start.size < 3:
+        return None
+    return [cycletype.class_cycle_type(cls, index) for cls in classes]
+
+
 def format_class_report(classes: Sequence[ConjugacyClass], index: ElementIndex,
-                        family: str | None) -> str:
-    """Human-readable class report, one block per class."""
-    with_types = family == "D" and index.start.size >= 3
-    with_labels = family == "D" and index.start.size == 4
+                        ctypes: Sequence[tuple[int, ...]] | None) -> str:
+    """Human-readable class report, one block per class.
+
+    `ctypes` are the classes' `report_cycle_types`.  When given, each block
+    shows its class's cycle type and, in rank 4, its published D4 label."""
+    with_labels = ctypes is not None and index.start.size == 4
     lines = []
     for i, cls in enumerate(classes):
         word = format_word(cls.representative_word).strip() or "e"
         head = (f"class {i}: size={cls.size}, order={cls.element_order}, "
                 f"representative={cls.representative}, word={word}")
-        if with_types:
-            ctype = cycletype.class_cycle_type(cls, index)
-            head += f", cycle_type={cycletype.render_cycle_type(ctype)}"
+        if ctypes is not None:
+            head += f", cycle_type={cycletype.render_cycle_type(ctypes[i])}"
         if with_labels:
-            label = class_label_d4(cls, ctype)
+            label = class_label_d4(cls, ctypes[i])
             if label is not None:
                 head += f", label={label}"
         lines.append(head)

@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import classify, cycletype, reference, store
+from . import classify, reference, store
 from .errors import WeylError
 from .orbit import generate_group
 from .rootsystems import (RootSystem, load_cartan_file, parse_id, root_system,
@@ -139,7 +139,8 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
         family, _ = parse_id(name)
     except WeylError:
         family = None
-    report = classify.format_class_report(classes, index, family)
+    ctypes = classify.report_cycle_types(classes, index, family)
+    report = classify.format_class_report(classes, index, ctypes)
     report_path = Path(out_dir) / f"{name}_classes.txt"
     store._write_atomically(report_path, report.encode())
     partition = classify.order_partition(index)
@@ -171,8 +172,7 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
                 f"{sorted(reference.D4_CLASS_SIZES)}")
         if partition != reference.D4_ORDER_PARTITION:
             problems.append(f"order partition {partition} != {reference.D4_ORDER_PARTITION}")
-        types = tuple(cycletype.class_cycle_type(c, index) for c in classes)
-        if types != reference.D4_CYCLE_TYPES:
+        if tuple(ctypes or ()) != reference.D4_CYCLE_TYPES:
             problems.append("cycle-type sequence deviates from the published rows")
         for line in problems:
             print(line)

@@ -22,9 +22,11 @@ weights within a level distinct.  A `Level` is built once, already paired,
 and is immutable.  The pairing alone determines the inverse matrices, so
 none is stored: the inverse of element j has matrix ``matrices[inv_ordinal[j]]``.
 
-Only the level under construction and its predecessor are needed in memory;
-`generate_group` yields levels one at a time so callers can stream them to
-disk and drop them.
+`generate_group` and the weights-only `generate_orbit` share one walk: one
+start check (integral, dominant, strictly so for the group, and below
+`ENTRY_LIMIT`), one level loop, and one bound on the level count; a negative
+`levels_up_to` is refused.  Only a level and its predecessor are held, and
+levels are yielded one at a time so callers can stream them to disk.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ from . import kernels
 from .errors import IntegrityError, WeylError
 from .rootsystems import RootSystem
 
-# Any matrix or weight entry at or beyond this magnitude aborts the run,
-# and a start holding one is refused before level 0 is yielded; far below
-# the int64 overflow threshold of the level step.
+# A start with an entry of this magnitude or more is refused, and a level with
+# one aborts the run; far below the int64 overflow threshold of the level step.
 ENTRY_LIMIT = 1 << 40
 
 Weight = Sequence[int]
@@ -228,33 +229,36 @@ def pair_level_weights(index: int, weights: np.ndarray, matrices: np.ndarray,
     return inv
 
 
+def _start_vector(start: Weight, rank: int, strict: bool) -> np.ndarray:
+    """`start` as a new int64 vector, checked in this order: each magnitude below
+    ENTRY_LIMIT, on Python numbers before any int64 conversion; integral
+    coordinates; `rank` of them, at least one; dominance, strict if `strict`."""
+    entries = np.ravel(start).tolist()
+    if any(abs(x) >= ENTRY_LIMIT for x in entries):
+        raise WeylError(f"start weight {entries} has an entry of magnitude at least the "
+                        f"checked arithmetic bound {ENTRY_LIMIT}")
+    if not all(float(x).is_integer() for x in entries):
+        raise WeylError(f"start weight coordinates must be integers, got {entries}")
+    arr = np.array(start, dtype=np.int64)
+    if arr.shape != (rank,) or rank == 0:
+        raise WeylError(
+            f"start weight needs {rank} coordinates (at least one), got shape {arr.shape}")
+    if (arr < int(strict)).any():
+        raise WeylError(f"start weight must be {'strictly ' if strict else ''}dominant "
+                        f"(all coordinates >= {int(strict)}), got {arr.tolist()}")
+    return arr
+
+
 def build_level_zero(start: Weight) -> Level:
     """Level 0: the identity alone, carrying the start weight."""
-    arr = np.asarray(start, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise WeylError(f"start weight must be a nonempty vector, got shape {arr.shape}")
-    if (arr < 0).any():
-        raise WeylError(f"start weight must be dominant (all coordinates >= 0), got {arr.tolist()}")
-    rank = arr.size
+    arr = _start_vector(start, np.size(start), strict=False)
     return Level(
         index=0,
-        weights=arr[None, :].copy(),
-        matrices=np.eye(rank, dtype=np.int64)[None],
-        words=np.zeros((1, 0), dtype=np.min_scalar_type(rank)),
+        weights=arr[None, :],
+        matrices=np.eye(len(arr), dtype=np.int64)[None],
+        words=np.zeros((1, 0), dtype=np.min_scalar_type(len(arr))),
         inv_ordinal=np.zeros(1, dtype=np.int64),
     )
-
-
-def _start_vector(start: Weight, rank: int, what: str) -> np.ndarray:
-    """`start` as an int64 vector of `rank` coordinates, each below ENTRY_LIMIT in magnitude."""
-    entries = np.ravel(start).tolist()  # Python ints, so no entry overflows here
-    if any(abs(x) >= ENTRY_LIMIT for x in entries):
-        raise WeylError(f"{what} {entries} has an entry of magnitude at least the "
-                        f"checked arithmetic bound {ENTRY_LIMIT}")
-    arr = np.asarray(start, dtype=np.int64)
-    if arr.shape != (rank,):
-        raise WeylError(f"{what} must have {rank} coordinates")
-    return arr
 
 
 def _check_entry_limit(index: int, *arrays: np.ndarray) -> None:
@@ -290,12 +294,24 @@ def build_next_level(current: Level, rs: RootSystem) -> Level:
     )
 
 
-def _max_levels(rs: RootSystem) -> int:
-    if rs.n_positive_roots is not None:
-        return rs.n_positive_roots + 1
-    # Finite-type bound: no finite system of rank l has more than 2*l*l
-    # positive roots (E8 peaks at 120 against 128).
-    return 2 * rs.rank * rs.rank + 1
+def _walk(rs: RootSystem, first, step, levels_up_to: int | None) -> Iterator:
+    """Yield `first`, then each level `step` makes from the one before, until one is
+    empty or level `levels_up_to` is out.  A level longer than the longest element
+    of `rs` (of any finite system of its rank, if custom) is an IntegrityError."""
+    if levels_up_to is not None and levels_up_to < 0:
+        raise WeylError(f"levels_up_to must be at least 0, got {levels_up_to}")
+    # No finite system of rank l has over 2*l*l positive roots (E8: 120 < 128).
+    limit = (2 * rs.rank ** 2 if rs.n_positive_roots is None else rs.n_positive_roots) + 1
+    level = first
+    yield level
+    while levels_up_to is None or level.index < levels_up_to:
+        level = step(level)
+        if level.size == 0:
+            return
+        if level.index >= limit:
+            raise IntegrityError(f"exceeded {limit} levels; the Cartan matrix is not of "
+                                 "finite type or the enumeration is corrupted")
+        yield level
 
 
 def generate_group(rs: RootSystem, start: Weight | None = None,
@@ -307,36 +323,18 @@ def generate_group(rs: RootSystem, start: Weight | None = None,
     against the closed-form level count, group order, and the singleton top
     level; `levels_up_to` truncates the run and skips those checks.
     """
-    if start is None:
-        start = np.ones(rs.rank, dtype=np.int64)
-    else:
-        start = _start_vector(start, rs.rank, "start weight")
-    if (start <= 0).any():
-        raise WeylError(
-            f"group enumeration needs a strictly dominant start weight, got {start.tolist()}")
-    limit = _max_levels(rs)
-    level = build_level_zero(start)
-    total = 1
-    yield level
-    while levels_up_to is None or level.index < levels_up_to:
-        nxt = build_next_level(level, rs)
-        if nxt.size == 0:
-            break
-        if (nxt.weights == 0).any():
-            raise IntegrityError(
-                f"level {nxt.index}: zero weight coordinate on a regular orbit")
-        if nxt.index >= limit:
-            raise IntegrityError(
-                f"exceeded {limit} levels; the Cartan matrix is not of finite type "
-                "or the enumeration is corrupted")
-        total += nxt.size
-        level = nxt
+    start = _start_vector([1] * rs.rank if start is None else start, rs.rank, strict=True)
+    total = 0
+    for level in _walk(rs, build_level_zero(start),
+                       lambda level: build_next_level(level, rs), levels_up_to):
+        if (level.weights == 0).any():
+            raise IntegrityError(f"level {level.index}: zero weight coordinate on a regular orbit")
+        total += level.size
         yield level
     if levels_up_to is not None:
         return
     if rs.n_positive_roots is not None and level.index != rs.n_positive_roots:
-        raise IntegrityError(
-            f"run ended at level {level.index}, expected {rs.n_positive_roots}")
+        raise IntegrityError(f"run ended at level {level.index}, expected {rs.n_positive_roots}")
     if rs.order is not None and total != rs.order:
         raise IntegrityError(f"enumerated {total} elements, expected {rs.order}")
     if level.size != 1:
@@ -353,21 +351,10 @@ def generate_orbit(rs: RootSystem, mu: Weight,
     wall, distinct group elements share weights, so weight rows identify
     orbit points rather than elements.
     """
-    arr = _start_vector(mu, rs.rank, "weight")
-    if (arr < 0).any():
-        raise WeylError(f"weight must be dominant, got {arr.tolist()}")
-    limit = _max_levels(rs)
-    weights = arr[None, :].copy()
-    index = 0
-    yield OrbitLevel(index=0, weights=weights)
-    while levels_up_to is None or index < levels_up_to:
-        weights, _, _ = kernels.step_orbit(weights, rs.cartan)
-        if len(weights) == 0:
-            break
-        index += 1
-        if index >= limit:
-            raise IntegrityError(
-                f"exceeded {limit} levels; the Cartan matrix is not of finite type "
-                "or the enumeration is corrupted")
-        _check_entry_limit(index, weights)
-        yield OrbitLevel(index=index, weights=weights)
+    def step(level: OrbitLevel) -> OrbitLevel:
+        weights, _, _ = kernels.step_orbit(level.weights, rs.cartan)
+        _check_entry_limit(level.index + 1, weights)
+        return OrbitLevel(index=level.index + 1, weights=weights)
+
+    first = OrbitLevel(index=0, weights=_start_vector(mu, rs.rank, strict=False)[None, :])
+    yield from _walk(rs, first, step, levels_up_to)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from weylenum import store
+from weylenum import cycletype, store
 from weylenum.cli import EXIT_FAILURE, EXIT_MISMATCH, EXIT_OK, main
 
 
@@ -121,6 +121,20 @@ def test_classes_d4(d4_run, capsys):
     assert "label=D_4(a_1)" in report
 
 
+def test_classes_d4_replays_each_cycle_type_once(d4_run, monkeypatch, capsys):
+    # the report and the published-rows check share one replay per class
+    real, calls = cycletype.class_cycle_type, []
+
+    def counted(cls, index):
+        calls.append(cls)
+        return real(cls, index)
+
+    monkeypatch.setattr(cycletype, "class_cycle_type", counted)
+    assert main(["classes", "D4", "--out", str(d4_run)]) == EXIT_OK
+    assert "D4: classes match the published tables" in capsys.readouterr().out
+    assert len(calls) == 13
+
+
 def test_classes_json(d4_run, capsys):
     assert main(["classes", "D4", "--out", str(d4_run), "--json"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -196,6 +210,14 @@ def test_generate_bad_start(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: start weight [{start.replace(',', ', ')}] has an entry of magnitude "
             "at least the checked arithmetic bound 1099511627776\n")
+    assert not out.exists()
+
+
+def test_generate_negative_levels_up_to(tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert main(["generate", "D4", "--out", str(out), "--levels-up-to", "-3"]) \
+        == EXIT_FAILURE
+    assert capsys.readouterr() == ("", "error: levels_up_to must be at least 0, got -3\n")
     assert not out.exists()
 
 

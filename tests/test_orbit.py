@@ -11,6 +11,7 @@ import weylenum as we
 from weylenum import IntegrityError, WeylError
 from weylenum.orbit import (ENTRY_LIMIT, RowKeys, _check_entry_limit, build_level_zero,
                             build_next_level, pair_level_weights)
+from weylenum.rootsystems import RootSystem
 
 
 def _generators(rs):
@@ -310,6 +311,45 @@ def test_generate_group_rejects_bad_start(d4):
     for big in (99999999999999999999, ENTRY_LIMIT):
         with pytest.raises(WeylError, match=f"the checked arithmetic bound {ENTRY_LIMIT}$"):
             next(we.generate_group(d4, start=[big, 1, 1, 1]))
+
+
+def test_non_integral_start_is_refused():
+    # int64 conversion would truncate these to (1, 2), the wall weight (0, 1) and (2, 1)
+    a2 = we.root_system("A2")
+    with pytest.raises(WeylError, match=(
+            r"^start weight coordinates must be integers, got \[1\.7, 2\.2\]$")):
+        next(we.generate_group(a2, start=[1.7, 2.2]))
+    with pytest.raises(WeylError, match=r"must be integers, got \[0\.5, 1\.9\]$"):
+        next(we.generate_orbit(a2, [0.5, 1.9]))
+    with pytest.raises(WeylError, match=r"must be integers, got \[2\.9, 1\.0\]$"):
+        build_level_zero([2.9, 1.0])
+    with pytest.raises(WeylError, match="must be integers"):
+        build_level_zero([float("nan"), 1])
+    assert build_level_zero([2.0, 1.0]).weights.tolist() == [[2, 1]]
+
+
+def test_negative_levels_up_to_is_refused(d4):
+    with pytest.raises(WeylError, match="^levels_up_to must be at least 0, got -1$"):
+        next(we.generate_group(d4, levels_up_to=-1))
+    with pytest.raises(WeylError, match="^levels_up_to must be at least 0, got -3$"):
+        next(we.generate_orbit(d4, [1, 0, 0, 0], levels_up_to=-3))
+    assert [l.size for l in we.generate_group(d4, levels_up_to=0)] == [1]
+
+
+def test_walk_stops_at_the_level_bound():
+    # Affine A1 is infinite.  Built by hand, the system skips validate_cartan's
+    # finite-type check, so only the bound of 2 * rank**2 + 1 levels stops it.
+    cartan = np.array([[2, -2], [-2, 2]], dtype=np.int64)
+    cartan.setflags(write=False)
+    rs = RootSystem("A1~", None, 2, cartan, None, None)
+    message = (r"^exceeded 9 levels; the Cartan matrix is not of finite type "
+               "or the enumeration is corrupted$")
+    for walk in (we.generate_group(rs), we.generate_orbit(rs, [1, 1])):
+        sizes = []
+        with pytest.raises(IntegrityError, match=message):
+            for level in walk:
+                sizes.append(level.size)
+        assert sizes == [1] + [2] * 8
 
 
 def test_generate_group_truncation(d4):
