@@ -1,7 +1,8 @@
 """The level step, in numpy: one kernel for group and orbit enumeration.
 
-Both steps take the current level as int64 arrays and return the accepted
-successors in a fixed order: source elements ascending, and for each source
+Both steps take the current level as arrays of one signed integer dtype,
+the Cartan matrix included, and return the accepted successors in that dtype
+and in a fixed order: source elements ascending, and for each source
 the applied generators ascending.  A candidate successor of weight ``nu``
 under generator ``i`` (0-based here) is accepted when ``nu[i] > 0`` and
 every coordinate of the image past position ``i`` is nonnegative; that rule
@@ -12,6 +13,14 @@ tested one generator at a time on the columns of the weights, and only the
 accepted images are built.  The generator matrix ``R_i`` differs from the
 identity in row ``i`` alone, ``delta_ik - cartan[i, k]``, so ``R_i @ M`` is
 ``M`` with row ``i`` replaced.
+
+The dtype may be as narrow as int8.  numpy's integer array arithmetic wraps
+modulo 2**bits, so a result is exact whenever its true value fits the dtype,
+even if an intermediate product overflows.  Every value a step keeps or
+compares is such a result: acceptance's ``col[k] - cartan[i, k] * col[i]``
+is coordinate k of ``s_i nu``, an image is an orbit weight, and the row
+update gives an entry of a group matrix.  A walk picks a dtype that holds
+all of those (see :func:`.orbit._start_vector`).
 """
 
 from __future__ import annotations

@@ -23,14 +23,20 @@ and is immutable.  The pairing alone determines the inverse matrices, so
 none is stored: the inverse of element j has matrix ``matrices[inv_ordinal[j]]``.
 
 `generate_group` and the weights-only `generate_orbit` share one walk: one
-start check (integral, dominant, strictly so for the group, and below
-`ENTRY_LIMIT`), one level loop, and one bound on the level count; a negative
-`levels_up_to` is refused.  Only a level and its predecessor are held, and
-levels are yielded one at a time so callers can stream them to disk.
+start check (integral, dominant, strictly so for the group, and a coroot
+bound below `ENTRY_LIMIT`), one level loop, and one bound on the level count;
+a negative `levels_up_to` is refused.  Only a level and its predecessor are
+held, and levels are yielded one at a time so callers can stream them to disk.
+
+A walk's arrays are held in the run's dtype, the narrowest signed integer
+type that holds the start's coroot bound, which caps every weight coordinate
+and matrix entry of the run: int8 for the default start of every built-in
+system.  The walk's copy of the Cartan matrix is cast to it too.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -38,11 +44,15 @@ import numpy as np
 
 from . import kernels
 from .errors import IntegrityError, WeylError
-from .rootsystems import RootSystem
+from .rootsystems import RootSystem, max_positive_roots, positive_coroots
 
-# A start with an entry of this magnitude or more is refused, and a level with
-# one aborts the run; far below the int64 overflow threshold of the level step.
+# A start with an entry or a coroot bound of this magnitude or more is refused.
+# The bound caps every entry of a run, so no level holds one this large, far
+# below the int64 overflow threshold of the level step.
 ENTRY_LIMIT = 1 << 40
+
+# The run's dtype is the first of these that holds the start's coroot bound.
+_RUN_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 Weight = Sequence[int]
 
@@ -52,8 +62,8 @@ class Level:
     """All elements of one word length, in discovery order, each with its inverse."""
 
     index: int
-    weights: np.ndarray          # (n, rank) int64
-    matrices: np.ndarray         # (n, rank, rank) int64
+    weights: np.ndarray          # (n, rank) in the run's dtype; int64 when read from disk
+    matrices: np.ndarray         # (n, rank, rank) in the same dtype
     words: np.ndarray            # (n, index) of np.min_scalar_type(rank)
     inv_ordinal: np.ndarray      # (n,) int64; ordinal of each element's inverse
 
@@ -98,7 +108,7 @@ class OrbitLevel:
     """One level of a plain weight orbit: weights only, no group data."""
 
     index: int
-    weights: np.ndarray
+    weights: np.ndarray          # (n, rank) in the run's dtype
 
     @property
     def size(self) -> int:
@@ -111,7 +121,7 @@ _INT64 = np.iinfo(np.int64)
 
 
 class RowKeys:
-    """Distinct int64 rows packed into integer keys and sorted, for lookups.
+    """Distinct integer rows packed into int64 keys and sorted, for lookups.
 
     Each column is offset by its least value, so it takes values in
     0..span-1, and consecutive columns share an int64 word as digits of a
@@ -229,15 +239,27 @@ def pair_level_weights(index: int, weights: np.ndarray, matrices: np.ndarray,
     return inv
 
 
-def _start_vector(start: Weight, rank: int, strict: bool) -> np.ndarray:
-    """`start` as a new int64 vector, checked in this order: each magnitude below
-    ENTRY_LIMIT, on Python numbers before any int64 conversion; integral
-    coordinates; `rank` of them, at least one; dominance, strict if `strict`."""
+def _start_vector(start: Weight, rank: int, strict: bool,
+                  cartan: np.ndarray | None = None) -> np.ndarray:
+    """`start` as a new vector in the run's dtype, checked in this order: real
+    coordinates, each of magnitude below ENTRY_LIMIT, on Python numbers before
+    any int64 conversion; integral coordinates; `rank` of them, at least one;
+    dominance, strict if `strict`; a coroot bound below ENTRY_LIMIT.
+
+    The coroot bound is B = max <start, beta^vee> over the positive coroots of
+    `cartan`.  For a dominant start, coordinate i of w(start) is
+    <start, w^-1 alpha_i^vee>, and w^-1 alpha_i^vee is a coroot, so every
+    weight of the orbit lies in [-B, B].  A group matrix entry is a coroot
+    coefficient, at most B when the start is strictly dominant.  The run's
+    dtype is the narrowest signed integer type that holds B; it is int64
+    without `cartan`, or when its coroots are unknown (not of finite type).
+    """
     entries = np.ravel(start).tolist()
-    if any(abs(x) >= ENTRY_LIMIT for x in entries):
+    real = all(isinstance(x, numbers.Real) for x in entries)
+    if real and any(abs(x) >= ENTRY_LIMIT for x in entries):
         raise WeylError(f"start weight {entries} has an entry of magnitude at least the "
                         f"checked arithmetic bound {ENTRY_LIMIT}")
-    if not all(float(x).is_integer() for x in entries):
+    if not (real and all(float(x).is_integer() for x in entries)):
         raise WeylError(f"start weight coordinates must be integers, got {entries}")
     arr = np.array(start, dtype=np.int64)
     if arr.shape != (rank,) or rank == 0:
@@ -246,31 +268,34 @@ def _start_vector(start: Weight, rank: int, strict: bool) -> np.ndarray:
     if (arr < int(strict)).any():
         raise WeylError(f"start weight must be {'strictly ' if strict else ''}dominant "
                         f"(all coordinates >= {int(strict)}), got {arr.tolist()}")
-    return arr
+    coroots = None if cartan is None else positive_coroots(cartan)
+    if coroots is None:
+        return arr
+    # Exact below rank 2**20: entries are below 2**40, coroot coefficients at most 6.
+    bound = int((coroots @ arr).max())
+    if bound >= ENTRY_LIMIT:
+        raise WeylError(f"start weight {arr.tolist()} has coroot bound {bound}, at least "
+                        f"the checked arithmetic bound {ENTRY_LIMIT}")
+    return arr.astype(next(t for t in _RUN_DTYPES if bound <= np.iinfo(t).max))
 
 
-def build_level_zero(start: Weight) -> Level:
-    """Level 0: the identity alone, carrying the start weight."""
-    arr = _start_vector(start, np.size(start), strict=False)
+def _level_zero(arr: np.ndarray) -> Level:
+    """Level 0 of a checked start vector, in its dtype."""
     return Level(
         index=0,
         weights=arr[None, :],
-        matrices=np.eye(len(arr), dtype=np.int64)[None],
+        matrices=np.eye(len(arr), dtype=arr.dtype)[None],
         words=np.zeros((1, 0), dtype=np.min_scalar_type(len(arr))),
         inv_ordinal=np.zeros(1, dtype=np.int64),
     )
 
 
-def _check_entry_limit(index: int, *arrays: np.ndarray) -> None:
-    """Refuse level `index` if any of `arrays` holds an entry of magnitude ENTRY_LIMIT or more.
+def build_level_zero(start: Weight) -> Level:
+    """Level 0: the identity alone, carrying the start weight.
 
-    Scans with min and max, whose Python-int magnitudes are exact; np.abs
-    would copy each array and leaves -2**63 negative."""
-    worst = max(max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in arrays)
-    if worst >= ENTRY_LIMIT:
-        raise IntegrityError(
-            f"level {index}: entry magnitude {worst} exceeds the checked "
-            f"arithmetic bound {ENTRY_LIMIT}")
+    With no Cartan matrix the start's coroot bound is unknown, so the level is
+    int64, and so is every level `build_next_level` makes from it."""
+    return _level_zero(_start_vector(start, np.size(start), strict=False))
 
 
 def build_next_level(current: Level, rs: RootSystem) -> Level:
@@ -278,11 +303,12 @@ def build_next_level(current: Level, rs: RootSystem) -> Level:
 
     Sources are scanned in stored order and generators in ascending order;
     survivors of the acceptance rule are appended in discovery order with
-    word = generator prepended to the source's word.
+    word = generator prepended to the source's word.  The new level keeps the
+    dtype of `current`, and the Cartan matrix is cast to it.
     """
     index = current.index + 1
-    new_w, new_m, src, gen0 = kernels.step_level(current.weights, current.matrices, rs.cartan)
-    _check_entry_limit(index, new_w, new_m)
+    cartan = rs.cartan.astype(current.weights.dtype)
+    new_w, new_m, src, gen0 = kernels.step_level(current.weights, current.matrices, cartan)
     start = current.weights[0] @ current.matrices[0]
     return Level(
         index=index,
@@ -300,8 +326,8 @@ def _walk(rs: RootSystem, first, step, levels_up_to: int | None) -> Iterator:
     of `rs` (of any finite system of its rank, if custom) is an IntegrityError."""
     if levels_up_to is not None and levels_up_to < 0:
         raise WeylError(f"levels_up_to must be at least 0, got {levels_up_to}")
-    # No finite system of rank l has over 2*l*l positive roots (E8: 120 < 128).
-    limit = (2 * rs.rank ** 2 if rs.n_positive_roots is None else rs.n_positive_roots) + 1
+    roots = max_positive_roots(rs.rank) if rs.n_positive_roots is None else rs.n_positive_roots
+    limit = roots + 1
     level = first
     yield level
     while levels_up_to is None or level.index < levels_up_to:
@@ -323,9 +349,10 @@ def generate_group(rs: RootSystem, start: Weight | None = None,
     against the closed-form level count, group order, and the singleton top
     level; `levels_up_to` truncates the run and skips those checks.
     """
-    start = _start_vector([1] * rs.rank if start is None else start, rs.rank, strict=True)
+    start = _start_vector([1] * rs.rank if start is None else start, rs.rank,
+                          strict=True, cartan=rs.cartan)
     total = 0
-    for level in _walk(rs, build_level_zero(start),
+    for level in _walk(rs, _level_zero(start),
                        lambda level: build_next_level(level, rs), levels_up_to):
         if (level.weights == 0).any():
             raise IntegrityError(f"level {level.index}: zero weight coordinate on a regular orbit")
@@ -351,10 +378,11 @@ def generate_orbit(rs: RootSystem, mu: Weight,
     wall, distinct group elements share weights, so weight rows identify
     orbit points rather than elements.
     """
+    start = _start_vector(mu, rs.rank, strict=False, cartan=rs.cartan)
+    cartan = rs.cartan.astype(start.dtype)
+
     def step(level: OrbitLevel) -> OrbitLevel:
-        weights, _, _ = kernels.step_orbit(level.weights, rs.cartan)
-        _check_entry_limit(level.index + 1, weights)
+        weights, _, _ = kernels.step_orbit(level.weights, cartan)
         return OrbitLevel(index=level.index + 1, weights=weights)
 
-    first = OrbitLevel(index=0, weights=_start_vector(mu, rs.rank, strict=False)[None, :])
-    yield from _walk(rs, first, step, levels_up_to)
+    yield from _walk(rs, OrbitLevel(index=0, weights=start[None, :]), step, levels_up_to)

@@ -4,7 +4,9 @@ Weights are integer row vectors of coordinates in the fundamental-weight
 basis.  Generator i (1-based) sends coordinate k of w to
 ``w[k] - w[i] * c[i][k]`` where c is the Cartan matrix; :mod:`.kernels`
 applies it, and no generator matrix is stored here.  Cartan matrices are
-int64 and frozen after construction.
+int64 and frozen after construction; a walk casts its copy to the run's
+dtype.  `positive_coroots` gives the coroots whose pairings with a start
+weight bound every entry of a walk, from which the walk picks that dtype.
 
 Families follow the Bourbaki numbering: A/B/C are chains 1..n with the short
 root last for B and the long root last for C; in D the fork node n attaches
@@ -119,6 +121,42 @@ def _leading_minors_positive(matrix: np.ndarray) -> bool:
             f = a[r][k] / a[k][k]
             a[r] = [x - f * y for x, y in zip(a[r], a[k])]
     return True
+
+
+def max_positive_roots(rank: int) -> int:
+    """No finite system of rank l has over 2*l*l positive roots (E8: 120 < 128)."""
+    return 2 * rank * rank
+
+
+def positive_coroots(cartan: np.ndarray) -> np.ndarray | None:
+    """The positive coroots of a Cartan matrix, one int64 row of coefficients on the
+    simple coroots each, or None when there are more than `max_positive_roots`
+    of them, as for a matrix not of finite type.
+
+    Pairing with alpha_i, coroot b goes to ``(cartan @ b)[i]``, so generator i
+    sends it to ``b - (cartan @ b)[i] * e_i``.  A positive coroot that is not
+    simple is such a reflection of a positive coroot of lesser height, so the
+    closure of the simple coroots under the steps that raise the height reaches
+    them all.  These are the positive roots of the dual system.
+    """
+    rank = len(cartan)
+    c = cartan.tolist()
+    seen = {tuple(int(i == k) for k in range(rank)) for i in range(rank)}
+    frontier = list(seen)
+    while frontier:
+        raised = []
+        for b in frontier:
+            for i in range(rank):
+                pairing = sum(x * y for x, y in zip(c[i], b))
+                if pairing < 0:
+                    up = b[:i] + (b[i] - pairing,) + b[i + 1:]
+                    if up not in seen:
+                        seen.add(up)
+                        raised.append(up)
+        if len(seen) > max_positive_roots(rank):
+            return None
+        frontier = raised
+    return np.array(sorted(seen), dtype=np.int64)
 
 
 def validate_cartan(matrix) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import weylenum as we
 from weylenum import IntegrityError, WeylError
-from weylenum.orbit import (ENTRY_LIMIT, RowKeys, _check_entry_limit, build_level_zero,
-                            build_next_level, pair_level_weights)
+from weylenum.orbit import (ENTRY_LIMIT, RowKeys, build_level_zero, build_next_level,
+                            pair_level_weights)
 from weylenum.rootsystems import RootSystem
 
 
@@ -44,28 +45,42 @@ def test_apply_reflection_interior_point():
 
 
 def test_apply_reflection_overflow_guard():
-    # every entry of the start is below ENTRY_LIMIT, but s1 doubles one
-    # past it, and the per-level scan stops the run at level 1
+    # every entry of the start is below ENTRY_LIMIT, but s1 doubles one past
+    # it: the start's coroot bound is 2 * big, and the start check refuses it
+    # before level 0, so no level ever holds the entry
     big = 1 << 39
     assert 2 * big == ENTRY_LIMIT
     levels = we.generate_group(we.root_system("A2"), start=[big, big])
-    assert next(levels).weights.tolist() == [[big, big]]
-    with pytest.raises(IntegrityError, match=f"^level 1: entry magnitude {ENTRY_LIMIT} exceeds"):
+    with pytest.raises(WeylError, match=f"has coroot bound {ENTRY_LIMIT}, at least "
+                                        f"the checked arithmetic bound {ENTRY_LIMIT}$"):
         next(levels)
 
 
 @pytest.mark.parametrize("entry", [-(1 << 63), -ENTRY_LIMIT, ENTRY_LIMIT])
 @pytest.mark.parametrize("where", ["weights", "matrices"])
 def test_check_entry_limit_refuses_large_entries(entry, where):
-    # -2**63 is its own absolute value in int64, so an np.abs scan passes it
-    arrays = {"weights": np.ones((3, 2), dtype=np.int64),
-              "matrices": np.ones((3, 2, 2), dtype=np.int64)}
-    arrays[where][1, 0] = entry
-    with pytest.raises(IntegrityError, match=f"^level 4: entry magnitude {abs(entry)} exceeds"):
-        _check_entry_limit(4, arrays["weights"], arrays["matrices"])
-    arrays[where][1, 0] = -(ENTRY_LIMIT - 1)
-    _check_entry_limit(4, arrays["weights"], arrays["matrices"])
-    _check_entry_limit(4, arrays["weights"][:0], arrays["matrices"][:0])
+    # No level is scanned for entry size: the start check refuses every walk,
+    # weights only or with matrices, whose levels could hold an entry of
+    # magnitude ENTRY_LIMIT or more.  On A2 the orbit of (a, b) holds a + b
+    # and -(a + b), the coroot bound.  The per-level scan that this replaced
+    # took min and max, since -2**63 is its own absolute value in int64 and an
+    # np.abs scan passes it; the start check takes the magnitude of Python
+    # ints, so -2**63 as a start entry is refused too.
+    a2 = we.root_system("A2")
+    walk = ((lambda start: we.generate_orbit(a2, start)) if where == "weights"
+            else (lambda start: we.generate_group(a2, start=start)))
+    if entry == -(1 << 63):
+        start = [entry, 1]
+    else:
+        start = [ENTRY_LIMIT // 2] * 2
+        assert entry in {x for w in oracles.brute_force_orbit(a2.cartan.tolist(), start)
+                         for x in w}
+    with pytest.raises(WeylError, match=f"the checked arithmetic bound {ENTRY_LIMIT}$"):
+        next(walk(start))
+    # one below the bound the walk runs, in int64, and reaches it
+    levels = list(walk([ENTRY_LIMIT // 2 - 1, ENTRY_LIMIT // 2]))
+    assert levels[0].weights.dtype == np.int64
+    assert -min(int(l.weights.min()) for l in levels) == ENTRY_LIMIT - 1
 
 
 def test_level_delta_signs():
@@ -326,6 +341,21 @@ def test_non_integral_start_is_refused():
     with pytest.raises(WeylError, match="must be integers"):
         build_level_zero([float("nan"), 1])
     assert build_level_zero([2.0, 1.0]).weights.tolist() == [[2, 1]]
+
+
+@pytest.mark.parametrize("start, shown", [
+    (["1", "2"], "['1', '2']"), ([1, "2"], "['1', '2']"), ([1 + 0j, 2], "[(1+0j), (2+0j)]"),
+    ([None, 1], "[None, 1]"), ([2, None], "[2, None]"),
+], ids=["strings", "int-and-string", "complex", "none-first", "none-last"])
+def test_non_numeric_start_is_refused(start, shown):
+    # refused as non-integral, not with the TypeError of abs() or float()
+    a2 = we.root_system("A2")
+    message = "^start weight coordinates must be integers, got " + re.escape(shown) + "$"
+    for walk in (lambda: next(we.generate_group(a2, start=start)),
+                 lambda: next(we.generate_orbit(a2, start)),
+                 lambda: build_level_zero(start)):
+        with pytest.raises(WeylError, match=message):
+            walk()
 
 
 def test_negative_levels_up_to_is_refused(d4):
