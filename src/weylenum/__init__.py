@@ -12,10 +12,10 @@ from .classify import (ConjugacyClass, class_label_d4, conjugacy_classes,
                        element_order, order_partition)
 from .cycletype import class_cycle_type, render_cycle_type
 from .errors import IntegrityError, ParseError, UnsupportedRootSystem, WeylError
-from .orbit import (Level, OrbitLevel, build_level_zero, build_next_level,
-                    generate_group, generate_orbit, match_rows)
-from .rootsystems import (RootSystem, cartan_matrix, load_cartan_file, positive_root_count,
-                          root_system, root_system_from_cartan, weyl_order)
+from .orbit import (Level, OrbitLevel, build_next_level, generate_group, generate_orbit,
+                    match_rows)
+from .rootsystems import (RootSystem, cartan_matrix, load_cartan_file, root_system,
+                          root_system_from_cartan)
 from .store import (ElementIndex, LevelFile, build_index, read_level, read_summary,
                     write_level, write_summary)
 
@@ -25,10 +25,10 @@ __all__ = [
     "ConjugacyClass", "ElementIndex", "IntegrityError", "Level",
     "LevelFile", "OrbitLevel", "ParseError", "RootSystem",
     "UnsupportedRootSystem", "WeylError",
-    "build_index", "build_level_zero", "build_next_level", "cartan_matrix",
+    "build_index", "build_next_level", "cartan_matrix",
     "class_cycle_type", "class_label_d4", "conjugacy_classes", "element_order",
     "generate_group", "generate_orbit", "load_cartan_file", "match_rows",
-    "order_partition", "positive_root_count", "read_level", "read_summary",
+    "order_partition", "read_level", "read_summary",
     "render_cycle_type", "root_system", "root_system_from_cartan",
-    "weyl_order", "write_level", "write_summary",
+    "write_level", "write_summary",
 ]

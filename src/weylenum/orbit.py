@@ -24,14 +24,17 @@ none is stored: the inverse of element j has matrix ``matrices[inv_ordinal[j]]``
 
 `generate_group` and the weights-only `generate_orbit` share one walk: one
 start check (integral, dominant, strictly so for the group, and a coroot
-bound below `ENTRY_LIMIT`), one level loop, and one bound on the level count;
-a negative `levels_up_to` is refused.  Only a level and its predecessor are
+bound below `ENTRY_LIMIT`), one level loop, and one bound on the level count,
+the system's positive-root count; a negative `levels_up_to` is refused.  A
+full group run must end at that level with the system's order in total, for
+built-in and custom systems alike.  Only a level and its predecessor are
 held, and levels are yielded one at a time so callers can stream them to disk.
 
 A walk's arrays are held in the run's dtype, the narrowest signed integer
-type that holds the start's coroot bound, which caps every weight coordinate
-and matrix entry of the run: int8 for the default start of every built-in
-system.  The walk's copy of the Cartan matrix is cast to it too.
+type that holds the start's coroot bound over `RootSystem.coroots`, which
+caps every weight coordinate and matrix entry of the run: int8 for the
+default start of every built-in system.  The walk's copy of the Cartan
+matrix is cast to it too.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import kernels
 from .errors import IntegrityError, WeylError
-from .rootsystems import RootSystem, max_positive_roots, positive_coroots
+from .rootsystems import RootSystem
 
 # A start with an entry or a coroot bound of this magnitude or more is refused.
 # The bound caps every entry of a run, so no level holds one this large, far
@@ -239,20 +242,18 @@ def pair_level_weights(index: int, weights: np.ndarray, matrices: np.ndarray,
     return inv
 
 
-def _start_vector(start: Weight, rank: int, strict: bool,
-                  cartan: np.ndarray | None = None) -> np.ndarray:
+def _start_vector(start: Weight, rs: RootSystem, strict: bool) -> np.ndarray:
     """`start` as a new vector in the run's dtype, checked in this order: real
     coordinates, each of magnitude below ENTRY_LIMIT, on Python numbers before
-    any int64 conversion; integral coordinates; `rank` of them, at least one;
+    any int64 conversion; integral coordinates; `rs.rank` of them, at least one;
     dominance, strict if `strict`; a coroot bound below ENTRY_LIMIT.
 
-    The coroot bound is B = max <start, beta^vee> over the positive coroots of
-    `cartan`.  For a dominant start, coordinate i of w(start) is
-    <start, w^-1 alpha_i^vee>, and w^-1 alpha_i^vee is a coroot, so every
-    weight of the orbit lies in [-B, B].  A group matrix entry is a coroot
-    coefficient, at most B when the start is strictly dominant.  The run's
-    dtype is the narrowest signed integer type that holds B; it is int64
-    without `cartan`, or when its coroots are unknown (not of finite type).
+    The coroot bound is B = max <start, beta^vee> over `rs.coroots`.  For a
+    dominant start, coordinate i of w(start) is <start, w^-1 alpha_i^vee>, and
+    w^-1 alpha_i^vee is a coroot, so every weight of the orbit lies in [-B, B].
+    A group matrix entry is a coroot coefficient, at most B when the start is
+    strictly dominant.  The run's dtype is the narrowest signed integer type
+    that holds B.
     """
     entries = np.ravel(start).tolist()
     real = all(isinstance(x, numbers.Real) for x in entries)
@@ -262,17 +263,14 @@ def _start_vector(start: Weight, rank: int, strict: bool,
     if not (real and all(float(x).is_integer() for x in entries)):
         raise WeylError(f"start weight coordinates must be integers, got {entries}")
     arr = np.array(start, dtype=np.int64)
-    if arr.shape != (rank,) or rank == 0:
+    if arr.shape != (rs.rank,):
         raise WeylError(
-            f"start weight needs {rank} coordinates (at least one), got shape {arr.shape}")
+            f"start weight needs {rs.rank} coordinates (at least one), got shape {arr.shape}")
     if (arr < int(strict)).any():
         raise WeylError(f"start weight must be {'strictly ' if strict else ''}dominant "
                         f"(all coordinates >= {int(strict)}), got {arr.tolist()}")
-    coroots = None if cartan is None else positive_coroots(cartan)
-    if coroots is None:
-        return arr
     # Exact below rank 2**20: entries are below 2**40, coroot coefficients at most 6.
-    bound = int((coroots @ arr).max())
+    bound = int((rs.coroots @ arr).max())
     if bound >= ENTRY_LIMIT:
         raise WeylError(f"start weight {arr.tolist()} has coroot bound {bound}, at least "
                         f"the checked arithmetic bound {ENTRY_LIMIT}")
@@ -288,14 +286,6 @@ def _level_zero(arr: np.ndarray) -> Level:
         words=np.zeros((1, 0), dtype=np.min_scalar_type(len(arr))),
         inv_ordinal=np.zeros(1, dtype=np.int64),
     )
-
-
-def build_level_zero(start: Weight) -> Level:
-    """Level 0: the identity alone, carrying the start weight.
-
-    With no Cartan matrix the start's coroot bound is unknown, so the level is
-    int64, and so is every level `build_next_level` makes from it."""
-    return _level_zero(_start_vector(start, np.size(start), strict=False))
 
 
 def build_next_level(current: Level, rs: RootSystem) -> Level:
@@ -323,11 +313,10 @@ def build_next_level(current: Level, rs: RootSystem) -> Level:
 def _walk(rs: RootSystem, first, step, levels_up_to: int | None) -> Iterator:
     """Yield `first`, then each level `step` makes from the one before, until one is
     empty or level `levels_up_to` is out.  A level longer than the longest element
-    of `rs` (of any finite system of its rank, if custom) is an IntegrityError."""
+    of `rs` is an IntegrityError."""
     if levels_up_to is not None and levels_up_to < 0:
         raise WeylError(f"levels_up_to must be at least 0, got {levels_up_to}")
-    roots = max_positive_roots(rs.rank) if rs.n_positive_roots is None else rs.n_positive_roots
-    limit = roots + 1
+    limit = rs.n_positive_roots + 1
     level = first
     yield level
     while levels_up_to is None or level.index < levels_up_to:
@@ -335,8 +324,8 @@ def _walk(rs: RootSystem, first, step, levels_up_to: int | None) -> Iterator:
         if level.size == 0:
             return
         if level.index >= limit:
-            raise IntegrityError(f"exceeded {limit} levels; the Cartan matrix is not of "
-                                 "finite type or the enumeration is corrupted")
+            raise IntegrityError(f"exceeded {limit} levels, more than the longest element "
+                                 "has; the enumeration is corrupted")
         yield level
 
 
@@ -346,11 +335,10 @@ def generate_group(rs: RootSystem, start: Weight | None = None,
 
     The start weight defaults to all-ones and must be strictly dominant so
     that weights stay in bijection with elements.  A full run is checked
-    against the closed-form level count, group order, and the singleton top
+    against the system's root count and group order, and for the singleton top
     level; `levels_up_to` truncates the run and skips those checks.
     """
-    start = _start_vector([1] * rs.rank if start is None else start, rs.rank,
-                          strict=True, cartan=rs.cartan)
+    start = _start_vector([1] * rs.rank if start is None else start, rs, strict=True)
     total = 0
     for level in _walk(rs, _level_zero(start),
                        lambda level: build_next_level(level, rs), levels_up_to):
@@ -360,9 +348,9 @@ def generate_group(rs: RootSystem, start: Weight | None = None,
         yield level
     if levels_up_to is not None:
         return
-    if rs.n_positive_roots is not None and level.index != rs.n_positive_roots:
+    if level.index != rs.n_positive_roots:
         raise IntegrityError(f"run ended at level {level.index}, expected {rs.n_positive_roots}")
-    if rs.order is not None and total != rs.order:
+    if total != rs.order:
         raise IntegrityError(f"enumerated {total} elements, expected {rs.order}")
     if level.size != 1:
         raise IntegrityError(
@@ -378,7 +366,7 @@ def generate_orbit(rs: RootSystem, mu: Weight,
     wall, distinct group elements share weights, so weight rows identify
     orbit points rather than elements.
     """
-    start = _start_vector(mu, rs.rank, strict=False, cartan=rs.cartan)
+    start = _start_vector(mu, rs, strict=False)
     cartan = rs.cartan.astype(start.dtype)
 
     def step(level: OrbitLevel) -> OrbitLevel:

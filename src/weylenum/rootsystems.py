@@ -1,12 +1,14 @@
-"""Root-system constants: Cartan matrices and Weyl invariants.
+"""Root systems: a Cartan matrix and what follows from it.
 
 Weights are integer row vectors of coordinates in the fundamental-weight
 basis.  Generator i (1-based) sends coordinate k of w to
 ``w[k] - w[i] * c[i][k]`` where c is the Cartan matrix; :mod:`.kernels`
-applies it, and no generator matrix is stored here.  Cartan matrices are
-int64 and frozen after construction; a walk casts its copy to the run's
-dtype.  `positive_coroots` gives the coroots whose pairings with a start
-weight bound every entry of a walk, from which the walk picks that dtype.
+applies it, and no generator matrix is stored here.  A `RootSystem` is its
+Cartan matrix: the constructor validates it, freezes an int64 copy and
+computes its positive coroots once, by closure.  The rank, the number of
+positive roots and the group order are read from those, for built-in and
+custom systems alike; a walk takes the start's coroot bound from them too,
+and casts its copy of the Cartan matrix to the run's dtype.
 
 Families follow the Bourbaki numbering: A/B/C are chains 1..n with the short
 root last for B and the long root last for C; in D the fork node n attaches
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,8 +30,6 @@ from .errors import UnsupportedRootSystem
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _FIXED_RANK = {"F": 4, "G": 2}
-_EXCEPTIONAL_POSITIVE = {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}
-_EXCEPTIONAL_ORDER = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}
 _NAME_RE = re.compile(r"^([A-G])([0-9]+)$")
 
 
@@ -89,27 +89,6 @@ def cartan_matrix(name: str) -> np.ndarray:
     return c
 
 
-def positive_root_count(name: str) -> int:
-    """Number of positive roots; the full group has this many levels plus one."""
-    family, n = parse_id(name)
-    closed = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}
-    if family in closed:
-        return closed[family]
-    return _EXCEPTIONAL_POSITIVE[f"{family}{n}"]
-
-
-def weyl_order(name: str) -> int:
-    """Order of the Weyl group."""
-    family, n = parse_id(name)
-    if family == "A":
-        return math.factorial(n + 1)
-    if family in "BC":
-        return 2**n * math.factorial(n)
-    if family == "D":
-        return 2 ** (n - 1) * math.factorial(n)
-    return _EXCEPTIONAL_ORDER[f"{family}{n}"]
-
-
 def _leading_minors_positive(matrix: np.ndarray) -> bool:
     """Elimination without row swaps makes pivot k equal to D_k / D_(k-1), so
     every leading principal minor D_k is positive exactly when every pivot is."""
@@ -123,15 +102,10 @@ def _leading_minors_positive(matrix: np.ndarray) -> bool:
     return True
 
 
-def max_positive_roots(rank: int) -> int:
-    """No finite system of rank l has over 2*l*l positive roots (E8: 120 < 128)."""
-    return 2 * rank * rank
-
-
-def positive_coroots(cartan: np.ndarray) -> np.ndarray | None:
-    """The positive coroots of a Cartan matrix, one int64 row of coefficients on the
-    simple coroots each, or None when there are more than `max_positive_roots`
-    of them, as for a matrix not of finite type.
+def positive_coroots(cartan: np.ndarray) -> np.ndarray:
+    """The positive coroots of a Cartan matrix, one int64 row of coefficients on
+    the simple coroots each.  Raises UnsupportedRootSystem past 2*rank*rank of
+    them, more than any finite system has (E8: 120 < 128).
 
     Pairing with alpha_i, coroot b goes to ``(cartan @ b)[i]``, so generator i
     sends it to ``b - (cartan @ b)[i] * e_i``.  A positive coroot that is not
@@ -140,6 +114,7 @@ def positive_coroots(cartan: np.ndarray) -> np.ndarray | None:
     them all.  These are the positive roots of the dual system.
     """
     rank = len(cartan)
+    cap = 2 * rank * rank
     c = cartan.tolist()
     seen = {tuple(int(i == k) for k in range(rank)) for i in range(rank)}
     frontier = list(seen)
@@ -153,8 +128,9 @@ def positive_coroots(cartan: np.ndarray) -> np.ndarray | None:
                     if up not in seen:
                         seen.add(up)
                         raised.append(up)
-        if len(seen) > max_positive_roots(rank):
-            return None
+        if len(seen) > cap:
+            raise UnsupportedRootSystem(
+                f"more than {cap} positive coroots; the matrix is not of finite type")
         frontier = raised
     return np.array(sorted(seen), dtype=np.int64)
 
@@ -212,14 +188,47 @@ def load_cartan_file(path) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Immutable bundle of per-system constants used by the enumeration."""
+    """A finite root system, given by its Cartan matrix; everything else is derived.
+
+    The constructor validates `cartan`, keeps a frozen int64 copy and computes
+    its positive coroots once; a matrix not of finite type is refused with
+    UnsupportedRootSystem.
+    """
 
     name: str
-    family: str | None
-    rank: int
-    cartan: np.ndarray        # (rank, rank)
-    n_positive_roots: int | None
-    order: int | None
+    family: str | None        # None for a custom matrix
+    cartan: np.ndarray        # (rank, rank) int64, read-only
+    coroots: np.ndarray = field(init=False)  # (n_positive_roots, rank) int64, read-only
+
+    def __post_init__(self) -> None:
+        cartan = validate_cartan(self.cartan)
+        cartan.setflags(write=False)
+        coroots = positive_coroots(cartan)
+        coroots.setflags(write=False)
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "coroots", coroots)
+
+    @property
+    def rank(self) -> int:
+        return len(self.cartan)
+
+    @property
+    def n_positive_roots(self) -> int:
+        """The number of positive roots; the full group has this many levels plus one."""
+        return len(self.coroots)
+
+    @property
+    def order(self) -> int:
+        """The group order, prod(m + 1) over the exponents m.
+
+        The numbers of positive coroots of heights 1, 2, ... form the
+        partition dual to the exponents (Kostant; Humphreys, *Reflection
+        Groups and Coxeter Groups*, ch. 3), so height h less height h + 1
+        counts the exponents equal to h.
+        """
+        counts = np.bincount(self.coroots.sum(axis=1)).tolist()[1:] + [0]
+        return math.prod((h + 1) ** (counts[h - 1] - counts[h])
+                         for h in range(1, len(counts)))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name!r}, rank={self.rank})"
@@ -228,29 +237,9 @@ class RootSystem:
 def root_system(name: str) -> RootSystem:
     """Construct the named root system, e.g. root_system("D4")."""
     family, rank = parse_id(name)
-    return RootSystem(
-        name=f"{family}{rank}",
-        family=family,
-        rank=rank,
-        cartan=cartan_matrix(name),  # a fresh, frozen array
-        n_positive_roots=positive_root_count(name),
-        order=weyl_order(name),
-    )
+    return RootSystem(f"{family}{rank}", family, cartan_matrix(name))
 
 
 def root_system_from_cartan(matrix, name: str = "custom") -> RootSystem:
-    """Construct a system from an explicit finite-type Cartan matrix.
-
-    The positive-root count and group order are unknown up front; the
-    enumeration discovers them and guards against non-terminating input.
-    """
-    cartan = validate_cartan(matrix)
-    cartan.setflags(write=False)
-    return RootSystem(
-        name=name,
-        family=None,
-        rank=len(cartan),
-        cartan=cartan,
-        n_positive_roots=None,
-        order=None,
-    )
+    """Construct a system from an explicit finite-type Cartan matrix."""
+    return RootSystem(name, None, matrix)

@@ -27,6 +27,7 @@ its level's inverse ordinals.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import re
@@ -305,7 +306,7 @@ def _first_fault(path: Path, data: bytes, index: int, size: int) -> NoReturn:
 def level_files(dir: Path | str, prefix: str) -> dict[int, Path]:
     """The level files present for a prefix, keyed by level index."""
     found = {}
-    for path in Path(dir).glob(f"{prefix}_WeightMatrByLevel_*.txt"):
+    for path in Path(dir).glob(f"{glob.escape(prefix)}_WeightMatrByLevel_*.txt"):
         m = _FILE_RE.match(path.name)
         if m and m.group("prefix") == prefix:
             found[int(m.group("k"))] = path
@@ -329,20 +330,19 @@ def find_level_files(dir: Path | str, prefix: str) -> list[Path]:
 class ElementIndex:
     """A complete run with every element numbered in (level, ordinal) order.
 
-    Element ``offsets[k] + j`` is ordinal j of level k.  Its weight row is
-    ``weights[id]`` and names it uniquely, so weight rows serve as keys:
-    ``keys.find(rows)`` gives the id of the element of each weight row.
+    Element ``offsets[k] + j`` is ordinal j of level k.  Its weight row
+    names it uniquely, so weight rows serve as keys: ``keys.find(rows)``
+    gives the id of the element of each weight row.
     """
 
     levels: tuple[Level, ...]
-    weights: np.ndarray      # (N, rank) every element's weight, stacked
     inv: np.ndarray          # (N,) id of each element's inverse
     offsets: np.ndarray      # (len(levels) + 1,) id of each level's first element
-    keys: RowKeys            # the weights packed and sorted, derived from `weights`
+    keys: RowKeys            # every element's weight, packed and sorted
 
     @property
     def total(self) -> int:
-        return len(self.weights)
+        return int(self.offsets[-1])
 
     @property
     def start(self) -> np.ndarray:  # (rank,) the identity's weight
@@ -377,10 +377,10 @@ def build_index(levels: Iterable[Level]) -> ElementIndex:
                 f"level {level.index}, record {bad[0]}: start @ M = {q[bad[0]].tolist()} "
                 f"disagrees with the weight of its inverse, record {level.inv_ordinal[bad[0]]}")
     offsets = np.cumsum([0] + [level.size for level in levels])
-    weights = np.concatenate([level.weights for level in levels])
-    keys = RowKeys(weights)  # raises on two elements sharing a weight
+    # raises on two elements sharing a weight
+    keys = RowKeys(np.concatenate([level.weights for level in levels]))
     inv = np.concatenate([offsets[k] + level.inv_ordinal for k, level in enumerate(levels)])
-    return ElementIndex(levels=levels, weights=weights, inv=inv, offsets=offsets, keys=keys)
+    return ElementIndex(levels=levels, inv=inv, offsets=offsets, keys=keys)
 
 
 def summary_path(dir: Path | str, prefix: str) -> Path:

@@ -233,6 +233,26 @@ def test_generate_cartan_file(tmp_path, capsys):
     assert len(store.find_level_files(out, "twisted")) == 7
 
 
+def test_bracketed_name_is_not_a_glob(tmp_path, capsys):
+    # "X[1]" as a glob pattern matches "X1", not itself: the stale-run check
+    # and the readers must still find the files of a run named "X[1]"
+    matrix = tmp_path / "g2.txt"
+    matrix.write_text("2\n2 -1\n-3 2\n", encoding="utf-8")
+    out = tmp_path / "custom"
+    assert main(["generate", "X[1]", "--out", str(out), "--cartan-file", str(matrix)]) == EXIT_OK
+    assert len(store.find_level_files(out, "X[1]")) == 7
+    capsys.readouterr()
+    assert main(["generate", "X[1]", "--out", str(out), "--cartan-file", str(matrix)]) \
+        == EXIT_FAILURE
+    assert "X[1]_WeightMatrByLevel_0_elems=1.txt is left from an earlier run" \
+        in capsys.readouterr().err
+    assert main(["orders", "X[1]", "--out", str(out), "--json"]) == EXIT_OK
+    partition = json.loads(capsys.readouterr().out)["order_partition"]
+    assert partition == {"1": 1, "2": 7, "3": 2, "6": 2}
+    assert main(["classes", "X[1]", "--out", str(out)]) == EXIT_OK
+    assert "X[1]: 6 classes" in capsys.readouterr().out
+
+
 def test_unknown_system(tmp_path, capsys):
     assert main(["generate", "Z9", "--out", str(tmp_path)]) == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err

@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import weylenum as we
 from weylenum import IntegrityError, WeylError
-from weylenum.orbit import (ENTRY_LIMIT, RowKeys, build_level_zero, build_next_level,
+from weylenum.orbit import (ENTRY_LIMIT, RowKeys, _level_zero, build_next_level,
                             pair_level_weights)
-from weylenum.rootsystems import RootSystem
 
 
 def _generators(rs):
@@ -106,8 +105,8 @@ def test_snow_accepts_shared_image():
     assert _step_accepts([2, 1, -2, 2], 2, [3, -1, -1, 3]) is False
 
 
-def test_build_level_zero():
-    lvl = build_level_zero([1, 2, 1])
+def test_level_zero():
+    lvl = next(we.generate_group(we.root_system("A3"), start=[1, 2, 1]))
     assert lvl.index == 0
     assert lvl.size == 1
     assert lvl.weights.tolist() == [[1, 2, 1]]
@@ -117,13 +116,13 @@ def test_build_level_zero():
     assert np.array_equal(lvl.matrices, np.eye(3, dtype=np.int64)[None])
 
 
-def test_build_level_zero_rejects():
-    with pytest.raises(WeylError):
-        build_level_zero([1, -1, 1])
-    with pytest.raises(WeylError):
-        build_level_zero([[1, 1], [1, 1]])
-    with pytest.raises(WeylError):
-        build_level_zero([])
+def test_level_zero_rejects():
+    a3 = we.root_system("A3")
+    for start, message in (([1, -1, 1], "dominant"), ([[1, 1], [1, 1]], "coordinates"),
+                           ([], "coordinates")):
+        for walk in (we.generate_group(a3, start=start), we.generate_orbit(a3, start)):
+            with pytest.raises(WeylError, match=message):
+                next(walk)
 
 
 def test_levels_are_built_paired_and_stay_so(d4, d4_levels):
@@ -294,7 +293,7 @@ def test_pair_level_weights_rejects_non_reciprocal():
 def test_pair_level_weights_rejects_wall_level(d4):
     # from a wall start the inverse's weight can sit in a different level,
     # so weight pairing must refuse rather than mispair
-    zero = build_level_zero([1, 0, 0, 0])
+    zero = _level_zero(np.array([1, 0, 0, 0]))
     weights, matrices = zero.weights, zero.matrices
     for _ in range(2):
         weights, matrices, _, _ = we.kernels.step_level(weights, matrices, d4.cartan)
@@ -336,11 +335,13 @@ def test_non_integral_start_is_refused():
         next(we.generate_group(a2, start=[1.7, 2.2]))
     with pytest.raises(WeylError, match=r"must be integers, got \[0\.5, 1\.9\]$"):
         next(we.generate_orbit(a2, [0.5, 1.9]))
-    with pytest.raises(WeylError, match=r"must be integers, got \[2\.9, 1\.0\]$"):
-        build_level_zero([2.9, 1.0])
-    with pytest.raises(WeylError, match="must be integers"):
-        build_level_zero([float("nan"), 1])
-    assert build_level_zero([2.0, 1.0]).weights.tolist() == [[2, 1]]
+    for walk in (lambda start: we.generate_group(a2, start=start),
+                 lambda start: we.generate_orbit(a2, start)):
+        with pytest.raises(WeylError, match=r"must be integers, got \[2\.9, 1\.0\]$"):
+            next(walk([2.9, 1.0]))
+        with pytest.raises(WeylError, match="must be integers"):
+            next(walk([float("nan"), 1]))
+        assert next(walk([2.0, 1.0])).weights.tolist() == [[2, 1]]
 
 
 @pytest.mark.parametrize("start, shown", [
@@ -352,8 +353,7 @@ def test_non_numeric_start_is_refused(start, shown):
     a2 = we.root_system("A2")
     message = "^start weight coordinates must be integers, got " + re.escape(shown) + "$"
     for walk in (lambda: next(we.generate_group(a2, start=start)),
-                 lambda: next(we.generate_orbit(a2, start)),
-                 lambda: build_level_zero(start)):
+                 lambda: next(we.generate_orbit(a2, start))):
         with pytest.raises(WeylError, match=message):
             walk()
 
@@ -367,19 +367,20 @@ def test_negative_levels_up_to_is_refused(d4):
 
 
 def test_walk_stops_at_the_level_bound():
-    # Affine A1 is infinite.  Built by hand, the system skips validate_cartan's
-    # finite-type check, so only the bound of 2 * rank**2 + 1 levels stops it.
-    cartan = np.array([[2, -2], [-2, 2]], dtype=np.int64)
-    cartan.setflags(write=False)
-    rs = RootSystem("A1~", None, 2, cartan, None, None)
-    message = (r"^exceeded 9 levels; the Cartan matrix is not of finite type "
-               "or the enumeration is corrupted$")
-    for walk in (we.generate_group(rs), we.generate_orbit(rs, [1, 1])):
+    # A system is refused at construction unless it is of finite type, so the
+    # bound of n_positive_roots + 1 levels is safety code.  A forged A3 with
+    # three of its six coroots claims levels 0..3 only; both walks must stop.
+    rs = we.root_system("A3")
+    object.__setattr__(rs, "coroots", rs.coroots[:3])
+    assert rs.n_positive_roots == 3
+    message = (r"^exceeded 4 levels, more than the longest element has; "
+               "the enumeration is corrupted$")
+    for walk in (we.generate_group(rs), we.generate_orbit(rs, [1, 1, 1])):
         sizes = []
         with pytest.raises(IntegrityError, match=message):
             for level in walk:
                 sizes.append(level.size)
-        assert sizes == [1] + [2] * 8
+        assert sizes == [1, 3, 5, 6]
 
 
 def test_generate_group_truncation(d4):
@@ -445,6 +446,24 @@ def test_custom_cartan_enumeration():
     levels = list(we.generate_group(rs))
     assert [l.size for l in levels] == [1, 2, 2, 2, 2, 2, 1]
     assert sum(l.size for l in levels) == oracles.matrix_closure_order(rs.cartan)
+    assert (rs.n_positive_roots, rs.order) == (6, 12)
+
+
+def test_custom_full_run_is_checked_against_its_invariants():
+    # a custom system's run must end at level n_positive_roots with rs.order
+    # elements, as a built-in one's; forged coroots make each check fire
+    def forged(rows):
+        rs = we.root_system_from_cartan([[2, -1], [-3, 2]])
+        object.__setattr__(rs, "coroots", np.array(rows))
+        return rs
+    seven = forged([[1, 0], [0, 1], [1, 1], [2, 1], [3, 1], [3, 2], [4, 2]])
+    with pytest.raises(IntegrityError, match="^run ended at level 6, expected 7$"):
+        list(we.generate_group(seven))
+    # heights 1, 1, 2, 2, 3, 4 give exponents 2 and 4, so order 15
+    heights = forged([[1, 0], [0, 1], [1, 1], [2, 0], [2, 1], [3, 1]])
+    assert (heights.n_positive_roots, heights.order) == (6, 15)
+    with pytest.raises(IntegrityError, match="^enumerated 12 elements, expected 15$"):
+        list(we.generate_group(heights))
 
 
 def test_generate_orbit_regular_matches_group(d4, d4_levels):

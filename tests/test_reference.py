@@ -5,8 +5,7 @@ from math import lcm
 import pytest
 
 import oracles
-from weylenum import positive_root_count, weyl_order
-from weylenum import reference, store
+from weylenum import reference, root_system, store
 from weylenum.rootsystems import parse_id
 
 
@@ -21,9 +20,10 @@ def test_level_sizes_match_generating_function(name):
 def test_level_sizes_shape(name):
     sizes = reference.LEVEL_SIZES[name]
     assert list(sizes) == list(sizes)[::-1]
-    assert len(sizes) == positive_root_count(name) + 1
+    rs = root_system(name)
+    assert len(sizes) == rs.n_positive_roots + 1
     assert sizes[0] == 1 and sizes[-1] == 1
-    assert sum(sizes) == reference.TOTALS[name] == weyl_order(name)
+    assert sum(sizes) == reference.TOTALS[name] == rs.order
 
 
 def test_spot_checks_agree_with_tables():

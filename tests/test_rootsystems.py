@@ -6,13 +6,17 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from weylenum import (UnsupportedRootSystem, cartan_matrix, generate_group, kernels,
-                      load_cartan_file, positive_root_count, root_system,
-                      root_system_from_cartan, weyl_order)
-from weylenum.rootsystems import parse_id, validate_cartan
+from test_kernels import finite_cartan
+from weylenum import (RootSystem, UnsupportedRootSystem, cartan_matrix, generate_group,
+                      generate_orbit, kernels, load_cartan_file, root_system,
+                      root_system_from_cartan)
+from weylenum.rootsystems import parse_id, positive_coroots, validate_cartan
 
 SAMPLE_NAMES = ["A1", "A2", "A5", "B2", "B3", "B7", "C3", "C4", "D3", "D4",
                 "D8", "E6", "E7", "E8", "F4", "G2"]
+BUILT_IN_TO_RANK_8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                      + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+                      + ["E6", "E7", "E8", "F4", "G2"])
 
 
 def test_parse_id_accepts_valid_names():
@@ -132,38 +136,48 @@ def test_reflection_action_matches_euclidean_model(name):
 
 
 def test_positive_root_counts():
-    assert positive_root_count("A3") == 6
-    assert positive_root_count("B7") == 49
-    assert positive_root_count("C4") == 16
-    assert positive_root_count("D4") == 12
-    assert positive_root_count("D8") == 56
-    assert positive_root_count("E7") == 63
-    assert positive_root_count("E8") == 120
-    assert positive_root_count("F4") == 24
-    assert positive_root_count("G2") == 6
+    counts = {"A3": 6, "B7": 49, "C4": 16, "D4": 12, "D8": 56, "E7": 63, "E8": 120,
+              "F4": 24, "G2": 6}
+    assert {name: root_system(name).n_positive_roots for name in counts} == counts
 
 
 def test_weyl_orders():
-    assert weyl_order("A3") == 24
-    assert weyl_order("B7") == 645120
-    assert weyl_order("C4") == 384
-    assert weyl_order("D4") == 192
-    assert weyl_order("D8") == 5160960
-    assert weyl_order("E7") == 2903040
-    assert weyl_order("E8") == 696729600
-    assert weyl_order("F4") == 1152
-    assert weyl_order("G2") == 12
+    orders = {"A3": 24, "B7": 645120, "C4": 384, "D4": 192, "D8": 5160960, "E7": 2903040,
+              "E8": 696729600, "F4": 1152, "G2": 12}
+    assert {name: root_system(name).order for name in orders} == orders
 
 
-@pytest.mark.parametrize("name", SAMPLE_NAMES)
+@pytest.mark.parametrize("name", BUILT_IN_TO_RANK_8)
 def test_order_and_root_count_match_degrees(name):
     family, rank = parse_id(name)
     degs = oracles.degrees(family, rank)
     product = 1
     for d in degs:
         product *= d
-    assert product == weyl_order(name)
-    assert sum(d - 1 for d in degs) == positive_root_count(name)
+    rs = root_system(name)
+    assert (rs.rank, rs.order, rs.n_positive_roots) == (rank, product, sum(d - 1 for d in degs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_cartan())
+def test_derived_invariants_match_a_full_walk(cartan):
+    # on block sums and relabellings of the irreducible types, the derived
+    # root count and order are the last level index and the total of the
+    # regular orbit, which has one weight per group element
+    rs = root_system_from_cartan(cartan)
+    levels = list(generate_orbit(rs, [1] * rs.rank))
+    assert (rs.n_positive_roots, rs.order) == (levels[-1].index, sum(l.size for l in levels))
+
+
+def test_affine_matrix_is_refused_at_construction():
+    affine = [[2, -2], [-2, 2]]
+    with pytest.raises(UnsupportedRootSystem, match="not of finite type"):
+        RootSystem("A1~", None, affine)
+    with pytest.raises(UnsupportedRootSystem, match="not of finite type"):
+        root_system_from_cartan(affine)
+    # the coroot closure refuses it on its own, past 2 * rank**2 coroots
+    with pytest.raises(UnsupportedRootSystem, match="^more than 8 positive coroots"):
+        positive_coroots(np.array(affine))
 
 
 def test_validate_cartan_accepts():
@@ -244,6 +258,7 @@ def test_root_system_fields():
     assert rs.rank == 4
     assert rs.order == 192
     assert rs.n_positive_roots == 12
+    assert rs.coroots.shape == (12, 4)
     assert not hasattr(rs, "reflections")
 
 
@@ -251,6 +266,8 @@ def test_root_system_arrays_frozen():
     rs = root_system("B3")
     with pytest.raises(ValueError):
         rs.cartan[0, 0] = 5
+    with pytest.raises(ValueError):
+        rs.coroots[0, 0] = 5
 
 
 def test_root_system_from_cartan():
@@ -258,7 +275,7 @@ def test_root_system_from_cartan():
     assert rs.name == "mystery"
     assert rs.family is None
     assert rs.rank == 2
-    assert rs.order is None
-    assert rs.n_positive_roots is None
+    assert rs.order == 12
+    assert rs.n_positive_roots == 6
     assert np.array_equal(rs.cartan, cartan_matrix("G2"))
     assert not rs.cartan.flags.writeable

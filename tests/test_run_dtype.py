@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 import weylenum as we
 from test_kernels import finite_cartan
 from weylenum import WeylError, kernels
-from weylenum.orbit import ENTRY_LIMIT, build_level_zero, build_next_level
-from weylenum.rootsystems import RootSystem, positive_coroots
+from weylenum.orbit import ENTRY_LIMIT, _level_zero, build_next_level
+from weylenum.rootsystems import positive_coroots
 from weylenum.store import format_level
 
 BUILT_IN = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
@@ -107,18 +107,6 @@ def test_start_with_small_entries_and_a_large_bound_is_refused():
             next(walk)
 
 
-def test_unknown_coroots_run_in_int64():
-    # without a Cartan matrix, or with one not of finite type, the bound is unknown
-    assert build_level_zero([1, 1]).weights.dtype == np.int64
-    assert build_level_zero([1, 1]).matrices.dtype == np.int64
-    cartan = np.array([[2, -2], [-2, 2]], dtype=np.int64)
-    cartan.setflags(write=False)
-    assert positive_coroots(cartan) is None
-    rs = RootSystem("A1~", None, 2, cartan, None, None)
-    for level in _first_levels(rs, [1, 1]):
-        assert level.weights.dtype == np.int64
-
-
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
 def test_steps_keep_the_run_dtype(dtype):
     # numpy 1.24 and numpy 2 promote scalars differently; a step must widen on
@@ -156,7 +144,7 @@ def narrow_start(draw):
 
 
 def _int64_group_walk(rs, start):
-    level = build_level_zero(start)  # no Cartan matrix: int64 throughout
+    level = _level_zero(np.array(start, dtype=np.int64))  # build_next_level keeps int64
     while level.size:
         yield level
         level = build_next_level(level, rs)
