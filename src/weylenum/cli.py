@@ -141,7 +141,7 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
         family = None
     ctypes = classify.report_cycle_types(classes, index, family)
     report = classify.format_class_report(classes, index, ctypes)
-    report_path = Path(out_dir) / f"{name}_classes.txt"
+    report_path = Path(out_dir) / f"{store._file_prefix(name)}_classes.txt"
     store._write_atomically(report_path, report.encode())
     partition = classify.order_partition(index)
     if as_json:

@@ -54,8 +54,6 @@ LEVEL_SIZES: dict[str, tuple[int, ...]] = {
     "B8": _mirror_odd(_B8_HALF),
 }
 
-TOTALS: dict[str, int] = {name: sum(sizes) for name, sizes in LEVEL_SIZES.items()}
-
 # The published level-2 file for D4, verbatim.
 GOLDEN_D4_LEVEL2 = """\
 n=0, name=s2.s1, w=1,-2,3,3, n_inv=3

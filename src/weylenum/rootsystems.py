@@ -4,11 +4,12 @@ Weights are integer row vectors of coordinates in the fundamental-weight
 basis.  Generator i (1-based) sends coordinate k of w to
 ``w[k] - w[i] * c[i][k]`` where c is the Cartan matrix; :mod:`.kernels`
 applies it, and no generator matrix is stored here.  A `RootSystem` is its
-Cartan matrix: the constructor validates it, freezes an int64 copy and
-computes its positive coroots once, by closure.  The rank, the number of
-positive roots and the group order are read from those, for built-in and
-custom systems alike; a walk takes the start's coroot bound from them too,
-and casts its copy of the Cartan matrix to the run's dtype.
+Cartan matrix and the one place a matrix is checked: the constructor runs
+`validate_cartan`'s structural checks, freezes an int64 copy and computes
+its positive coroots once, by closure, which is the finite-type test.  The
+rank, the number of positive roots and the group order are read from those,
+for built-in and custom systems alike; a walk takes the start's coroot bound
+from them too, and casts its copy of the Cartan matrix to the run's dtype.
 
 Families follow the Bourbaki numbering: A/B/C are chains 1..n with the short
 root last for B and the long root last for C; in D the fork node n attaches
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -85,33 +85,22 @@ def cartan_matrix(name: str) -> np.ndarray:
         join(3, 4)
     elif family == "G":
         join(1, 2, -1, -3)
-    c.setflags(write=False)
     return c
-
-
-def _leading_minors_positive(matrix: np.ndarray) -> bool:
-    """Elimination without row swaps makes pivot k equal to D_k / D_(k-1), so
-    every leading principal minor D_k is positive exactly when every pivot is."""
-    a = [[Fraction(int(x)) for x in row] for row in matrix]
-    for k in range(len(a)):
-        if a[k][k] <= 0:
-            return False
-        for r in range(k + 1, len(a)):
-            f = a[r][k] / a[k][k]
-            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return True
 
 
 def positive_coroots(cartan: np.ndarray) -> np.ndarray:
     """The positive coroots of a Cartan matrix, one int64 row of coefficients on
     the simple coroots each.  Raises UnsupportedRootSystem past 2*rank*rank of
-    them, more than any finite system has (E8: 120 < 128).
+    them, more than any finite system has (B_n and C_n: n*n; E8: 120 < 128).
 
     Pairing with alpha_i, coroot b goes to ``(cartan @ b)[i]``, so generator i
     sends it to ``b - (cartan @ b)[i] * e_i``.  A positive coroot that is not
     simple is such a reflection of a positive coroot of lesser height, so the
     closure of the simple coroots under the steps that raise the height reaches
-    them all.  These are the positive roots of the dual system.
+    them all.  These are the positive roots of the dual system.  A generalized
+    Cartan matrix not of finite type has infinitely many (Kac,
+    *Infinite-dimensional Lie algebras*, ch. 4-5), so the cap is passed
+    exactly when the matrix is not of finite type.
     """
     rank = len(cartan)
     cap = 2 * rank * rank
@@ -136,7 +125,8 @@ def positive_coroots(cartan: np.ndarray) -> np.ndarray:
 
 
 def validate_cartan(matrix) -> np.ndarray:
-    """Check generalized-Cartan invariants plus finite type; return an int64 copy."""
+    """Check the structure of a generalized Cartan matrix; return an int64 copy.
+    Finite type is left to the coroot closure."""
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise UnsupportedRootSystem(f"Cartan matrix must be square and nonempty, got shape {arr.shape}")
@@ -152,15 +142,14 @@ def validate_cartan(matrix) -> np.ndarray:
         raise UnsupportedRootSystem("off-diagonal Cartan entries must lie in {0, -1, -2, -3}")
     if ((c == 0) != (c.T == 0)).any():
         raise UnsupportedRootSystem("c[i][j] = 0 must imply c[j][i] = 0")
-    if not _leading_minors_positive(c):
-        raise UnsupportedRootSystem("matrix is not of finite type (a leading principal minor is <= 0)")
     return c
 
 
 def load_cartan_file(path) -> np.ndarray:
     """Read a Cartan matrix from a text file: the rank, then one row per line.
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored.  The matrix is
+    returned as parsed; `RootSystem` checks it.
     """
     path = Path(path)
     rows = []
@@ -183,7 +172,7 @@ def load_cartan_file(path) -> np.ndarray:
     for row, lineno in rest:
         if len(row) != rank:
             raise UnsupportedRootSystem(f"{path}:{lineno}: expected {rank} entries per row")
-    return validate_cartan([row for row, _ in rest])
+    return np.array([row for row, _ in rest], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)

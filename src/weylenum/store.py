@@ -67,8 +67,17 @@ class LevelFile:
     size: int
 
 
+def _file_prefix(prefix: str) -> str:
+    """The prefix, once it is known to start a file name in its directory and
+    not a path out of it: every name a run writes or reads is built on this."""
+    if prefix in ("", ".", "..") or any(c and c in prefix for c in (os.sep, os.altsep, "\0")):
+        raise WeylError(f"{prefix!r} cannot prefix a file name: a system name must not be "
+                        "empty, '.' or '..', nor hold a path separator or NUL")
+    return prefix
+
+
 def level_file_name(prefix: str, index: int, size: int) -> str:
-    return f"{prefix}_WeightMatrByLevel_{index}_elems={size}.txt"
+    return f"{_file_prefix(prefix)}_WeightMatrByLevel_{index}_elems={size}.txt"
 
 
 def parse_level_file_name(path: Path | str) -> tuple[str, int, int]:
@@ -306,7 +315,7 @@ def _first_fault(path: Path, data: bytes, index: int, size: int) -> NoReturn:
 def level_files(dir: Path | str, prefix: str) -> dict[int, Path]:
     """The level files present for a prefix, keyed by level index."""
     found = {}
-    for path in Path(dir).glob(f"{glob.escape(prefix)}_WeightMatrByLevel_*.txt"):
+    for path in Path(dir).glob(f"{glob.escape(_file_prefix(prefix))}_WeightMatrByLevel_*.txt"):
         m = _FILE_RE.match(path.name)
         if m and m.group("prefix") == prefix:
             found[int(m.group("k"))] = path
@@ -384,7 +393,7 @@ def build_index(levels: Iterable[Level]) -> ElementIndex:
 
 
 def summary_path(dir: Path | str, prefix: str) -> Path:
-    return Path(dir) / f"{prefix}_summary.json"
+    return Path(dir) / f"{_file_prefix(prefix)}_summary.json"
 
 
 def write_summary(dir: Path | str, prefix: str, level_sizes: Sequence[int],

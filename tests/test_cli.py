@@ -253,6 +253,22 @@ def test_bracketed_name_is_not_a_glob(tmp_path, capsys):
     assert "X[1]: 6 classes" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["../x", "a/b", "..", ".", ""])
+def test_name_that_is_not_a_file_prefix_is_refused(tmp_path, capsys, name):
+    # a name joined to --out as a path could write outside it, or fail late
+    # on a missing directory; it is refused before anything is made
+    matrix = tmp_path / "g2.txt"
+    matrix.write_text("2\n2 -1\n-3 2\n", encoding="utf-8")
+    out = tmp_path / "d" / "e"
+    assert main(["generate", name, "--out", str(out), "--cartan-file", str(matrix)]) \
+        == EXIT_FAILURE
+    assert f"error: {name!r} cannot prefix a file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["g2.txt"]
+    for command in ("orders", "classes"):
+        assert main([command, name, "--out", str(tmp_path)]) == EXIT_FAILURE
+        assert "cannot prefix a file name" in capsys.readouterr().err
+
+
 def test_unknown_system(tmp_path, capsys):
     assert main(["generate", "Z9", "--out", str(tmp_path)]) == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err

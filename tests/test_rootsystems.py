@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy
@@ -188,6 +190,8 @@ def test_validate_cartan_accepts():
     assert out.tolist() == [[2, -1], [-1, 2]]
     for name in SAMPLE_NAMES:
         validate_cartan(cartan_matrix(name))
+    # finite type is left to the coroot closure
+    assert validate_cartan([[2, -2], [-2, 2]]).tolist() == [[2, -2], [-2, 2]]
 
 
 @pytest.mark.parametrize("bad", [
@@ -196,8 +200,8 @@ def test_validate_cartan_accepts():
     [[2, 1], [-1, 2]],                      # positive off-diagonal
     [[2, -4], [-1, 2]],                     # off-diagonal below -3
     [[2, 0], [-1, 2]],                      # zero not symmetric
-    [[2, -2], [-2, 2]],                     # affine: determinant 0
-    [[2, -3], [-3, 2]],                     # indefinite
+    [],                                     # empty
+    [[[2]]],                                # three axes
     [[2.5, -1], [-1, 2]],                   # non-integer entry
 ])
 def test_validate_cartan_rejects(bad):
@@ -205,10 +209,64 @@ def test_validate_cartan_rejects(bad):
         validate_cartan(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    [[2, -3], [-3, 2]],                     # indefinite
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2~: leading minors 2, 3, 0
+    [[2, -1, 0], [-3, 2, -1], [0, -1, 2]],  # affine G2~: leading minors 2, 1, 0
+], ids=["indefinite", "affine-A2", "affine-G2"])
+def test_infinite_type_is_refused_by_root_system(bad):
+    # affine A1~ is test_affine_matrix_is_refused_at_construction's case
+    with pytest.raises(UnsupportedRootSystem, match="not of finite type"):
+        RootSystem("x", None, bad)
+    with pytest.raises(UnsupportedRootSystem, match="not of finite type"):
+        root_system_from_cartan(bad)
+
+
+def _all_principal_minors_positive(c) -> bool:
+    m = sympy.Matrix(c.tolist())
+    n = len(c)
+    return all(m.extract(rows, rows).det() > 0
+               for k in range(1, n + 1) for rows in itertools.combinations(range(n), k))
+
+
+def _accepted(c) -> bool:
+    try:
+        root_system_from_cartan(c)
+    except UnsupportedRootSystem as exc:
+        assert "not of finite type" in str(exc)
+        return False
+    return True
+
+
+def _generalized_cartan_rank_2_and_3():
+    """Every generalized Cartan matrix of rank 2 or 3: each off-diagonal pair
+    is (0, 0) or in {-1, -2, -3}^2."""
+    pairs = [(0, 0)] + list(itertools.product((-1, -2, -3), repeat=2))
+    for n in (2, 3):
+        slots = list(itertools.combinations(range(n), 2))
+        for choice in itertools.product(pairs, repeat=len(slots)):
+            c = 2 * np.eye(n, dtype=np.int64)
+            for (i, j), (cij, cji) in zip(slots, choice):
+                c[i, j], c[j, i] = cij, cji
+            yield c
+
+
+def test_root_system_accepts_exactly_positive_principal_minors():
+    # a generalized Cartan matrix is of finite type exactly when all its
+    # principal minors are positive (Kac, ch. 4); the coroot closure alone
+    # must draw the same line
+    matrices = list(_generalized_cartan_rank_2_and_3())
+    assert len(matrices) == 1010
+    verdicts = [(_accepted(c), _all_principal_minors_positive(c)) for c in matrices]
+    assert all(ours == oracle for ours, oracle in verdicts)
+    # rank 2: A1xA1, A2, B2 and G2 both ways round; rank 3: A1^3, A1 beside a
+    # rank-2 type on one of 3 pairs, A3 on 3 paths, B3 and C3 4 ways per path
+    assert sum(ours for ours, _ in verdicts) == (1 + 1 + 2 + 2) + (1 + 3 * 5 + 3 + 3 * 4)
+
+
 @st.composite
-def generalized_cartan(draw):
-    """A 2x2 to 4x4 matrix with the structure of a generalized Cartan matrix."""
-    n = draw(st.integers(2, 4))
+def generalized_cartan(draw, n):
+    """An n x n matrix with the structure of a generalized Cartan matrix."""
     c = 2 * np.eye(n, dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
@@ -217,17 +275,10 @@ def generalized_cartan(draw):
     return c
 
 
-@settings(max_examples=200)
-@given(generalized_cartan())
-def test_validate_cartan_accepts_exactly_positive_leading_minors(c):
-    m = sympy.Matrix(c.tolist())
-    finite = all(m[:k, :k].det() > 0 for k in range(1, len(c) + 1))
-    try:
-        validate_cartan(c)
-        accepted = True
-    except UnsupportedRootSystem:
-        accepted = False
-    assert accepted == finite
+@settings(max_examples=200, deadline=None)
+@given(generalized_cartan(4))
+def test_root_system_accepts_exactly_positive_principal_minors_at_rank_4(c):
+    assert _accepted(c) == _all_principal_minors_positive(c)
 
 
 def test_load_cartan_file(tmp_path):
@@ -235,6 +286,15 @@ def test_load_cartan_file(tmp_path):
     path.write_text("# rank first, then the rows\n\n2\n2 -1\n-3 2  # long root row\n",
                     encoding="utf-8")
     assert load_cartan_file(path).tolist() == [[2, -1], [-3, 2]]
+
+
+def test_affine_cartan_file_is_refused_by_root_system(tmp_path):
+    path = tmp_path / "affine.txt"
+    path.write_text("2\n2 -2\n-2 2\n", encoding="utf-8")
+    matrix = load_cartan_file(path)
+    assert matrix.tolist() == [[2, -2], [-2, 2]]
+    with pytest.raises(UnsupportedRootSystem, match="not of finite type"):
+        root_system_from_cartan(matrix)
 
 
 @pytest.mark.parametrize("body, hint", [
