@@ -127,13 +127,16 @@ def positive_coroots(cartan: np.ndarray) -> np.ndarray:
 def validate_cartan(matrix) -> np.ndarray:
     """Check the structure of a generalized Cartan matrix; return an int64 copy.
     Finite type is left to the coroot closure."""
-    arr = np.asarray(matrix)
+    try:
+        arr = np.asarray(matrix)
+        c = arr.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):  # ragged rows, or an entry no int64 holds
+        raise UnsupportedRootSystem("Cartan matrix must be an array of integers that fit "
+                                    "int64") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise UnsupportedRootSystem(f"Cartan matrix must be square and nonempty, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.array_equal(arr, arr.astype(np.int64)):
-            raise UnsupportedRootSystem("Cartan matrix entries must be integers")
-    c = arr.astype(np.int64)
+    if not np.issubdtype(arr.dtype, np.integer) and not np.array_equal(arr, c):
+        raise UnsupportedRootSystem("Cartan matrix entries must be integers")
     n = len(c)
     if (np.diag(c) != 2).any():
         raise UnsupportedRootSystem("every Cartan diagonal entry must equal 2")
@@ -158,9 +161,12 @@ def load_cartan_file(path) -> np.ndarray:
         if not line:
             continue
         try:
-            rows.append(([int(t) for t in line.split()], lineno))
+            rows.append((np.array([int(t) for t in line.split()], dtype=np.int64), lineno))
         except ValueError:
             raise UnsupportedRootSystem(f"{path}:{lineno}: expected integers, got {raw!r}") from None
+        except OverflowError:
+            raise UnsupportedRootSystem(f"{path}:{lineno}: an entry does not fit int64, "
+                                        f"got {raw!r}") from None
     if not rows:
         raise UnsupportedRootSystem(f"{path}: no data lines")
     (first, first_line), rest = rows[0], rows[1:]

@@ -14,7 +14,10 @@ what is canonical: UTF-8 with LF line endings, canonical integers (no
 leading zeros, no "-0", at most 18 digits so each fits int64) and canonical
 words.  `read_level` parses every integer of a file in one numpy pass and
 accepts the file only when the level they make writes back byte for byte,
-so a loaded level is exactly what its file says.  Each loaded word has as
+so a loaded level is exactly what its file says.  A level or file of more
+than `_BLOCK` records is formatted or parsed in two halves, the first on
+the calling thread and the second on the codec's one worker thread, made
+on first use; a level of one block stays on the calling thread.  Each loaded word has as
 many generators as the level index, each in 1..rank.  A rejected file is
 classified line by line, and the error names its first line out of slot.
 `write_level`, `write_summary` and the class report of ``weylenum classes``
@@ -31,6 +34,7 @@ import glob
 import json
 import os
 import re
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,8 +58,23 @@ _CAP = 10**18
 # 10^1..10^19, the least magnitudes of 2..20 digits; no int64 has 20.
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 # format_level works this many records at a time, which bounds its scratch
-# arrays whatever the level size.
+# arrays whatever the level size.  The codec works a level or a file of
+# more records in two halves, one of them on `_worker`.
 _BLOCK = 2048
+# The codec's one worker thread, made on first use by `_in_two` under the
+# lock, so that importing the package does not import concurrent.futures.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """In a forked child, whose copy of the worker has no thread to run it."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 @dataclass(frozen=True)
@@ -116,6 +135,37 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
     return np.abs(values).view(np.uint64)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_two(work, first: tuple, second: tuple) -> tuple:
+    """(work(*first), work(*second)), the first half on the calling thread and
+    the second on the codec's worker thread; on one CPU both on the caller.
+
+    The caller does half of the work itself, so that only one more thread
+    (and one more malloc arena) is ever made, and it waits for the worker's
+    half even when its own half raises.  `work` is never a traced entry
+    point: the benchmark's tracer keeps one call stack for the process.
+    """
+    global _worker
+    if _cpus() < 2:
+        return work(*first), work(*second)
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="weylenum-codec")
+        future = _worker.submit(work, *second)
+    try:
+        head = work(*first)
+    finally:
+        future.exception()  # waits for the worker's half without raising its error
+    return head, future.result()
+
+
 def _word_tokens(rank: int) -> np.ndarray:
     """Row g: generator g's word token, padded with 0, then a dot in the last byte."""
     tokens = [format_word((g,)).encode() for g in range(1, rank + 1)]
@@ -135,7 +185,9 @@ def format_level(level: Level) -> bytes:
     the word slot holds one token per letter, less the last dot.  Records
     are laid out a block at a time in rows of that layout, with 0 in every
     byte a record leaves unused, and one boolean compaction per block drops
-    those bytes; no literal, digit or token byte is 0.
+    those bytes; no literal, digit or token byte is 0.  A level of more than
+    one block is cut at its middle record: the calling thread formats the
+    first half and the codec's worker thread the second (`_in_two`).
     """
     n, rank = level.weights.shape
     header, row = _record_lines(rank)
@@ -159,33 +211,42 @@ def format_level(level: Level) -> bytes:
     starts = np.cumsum(widths) - widths
     signs = np.delete(starts[1::2], word_slot)
     word = slice(starts[2 * word_slot + 1], starts[2 * word_slot + 1] + word_width)
-    rows = np.empty((min(n, _BLOCK), widths.sum()), dtype=np.uint8)
+    literals = np.frombuffer(b"".join(pieces), np.uint8)
     pieces_at = np.repeat(np.arange(widths.size) % 2 == 0, widths)  # even segments
-    rows[:, pieces_at] = np.frombuffer(b"".join(pieces), np.uint8)
-    if not length:
-        rows[:, word] = identity
     # Digits come from repeated division by 10, the longest columns first, so
     # that the columns still holding digits at each place are a prefix.
     order = np.argsort(-digits, kind="stable")
     units = signs[order] + digits[order]  # where each column's last digit goes
     places = [units[:np.count_nonzero(digits > k)] - k for k in range(digits.max())]
-    blocks = []
-    for lo in range(0, n, _BLOCK):
-        block = rows[:min(n - lo, _BLOCK)]
-        values = np.concatenate([c[lo:lo + len(block)] for c in columns], axis=1)
-        block[:, signs] = (values < 0) * np.uint8(ord("-"))
-        quotient = _magnitudes(values)[:, order]
-        for k, place in enumerate(places):
-            quotient = quotient[:, :len(place)]
-            shifted = quotient // 10
-            digit = (quotient - shifted * 10).astype(np.uint8) + np.uint8(ord("0"))
-            block[:, place] = digit * (quotient > 0) if k else digit  # no leading zeros
-            quotient = shifted
-        if length:
-            letters = np.take(tokens, level.words[lo:lo + len(block)], axis=0)
-            block[:, word] = letters.reshape(len(block), -1)[:, :word_width]
-        blocks.append(block[block != 0])
-    return b"".join(blocks)
+
+    def blocks(lo: int, hi: int) -> list[np.ndarray]:
+        """Records lo..hi-1, compacted a block at a time in one scratch of rows."""
+        rows = np.empty((min(hi - lo, _BLOCK), widths.sum()), dtype=np.uint8)
+        rows[:, pieces_at] = literals
+        if not length:
+            rows[:, word] = identity
+        compacted = []
+        for start in range(lo, hi, _BLOCK):
+            block = rows[:min(hi - start, _BLOCK)]
+            values = np.concatenate([c[start:start + len(block)] for c in columns], axis=1)
+            block[:, signs] = (values < 0) * np.uint8(ord("-"))
+            quotient = _magnitudes(values)[:, order]
+            for k, place in enumerate(places):
+                quotient = quotient[:, :len(place)]
+                shifted = quotient // 10
+                digit = (quotient - shifted * 10).astype(np.uint8) + np.uint8(ord("0"))
+                block[:, place] = digit * (quotient > 0) if k else digit  # no leading zeros
+                quotient = shifted
+            if length:
+                letters = np.take(tokens, level.words[start:start + len(block)], axis=0)
+                block[:, word] = letters.reshape(len(block), -1)[:, :word_width]
+            compacted.append(block[block != 0])
+        return compacted
+
+    if n <= _BLOCK:  # one block stays on the calling thread
+        return b"".join(blocks(0, n))
+    head, tail = _in_two(blocks, (0, n // 2), (n // 2, n))
+    return b"".join(head + tail)
 
 
 def _write_atomically(path: Path, body: bytes) -> None:
@@ -215,10 +276,11 @@ def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
 def read_level(path: Path | str) -> Level:
     """Load a level file, accepting exactly the bytes write_level writes.
 
-    Every integer of the file is read in one pass: per record its ordinal,
-    word letters, weight, n_inv and matrix, a fixed count per level.  The
-    file is accepted when those numbers make a level that `format_level`
-    writes back byte for byte, so the writer alone says what is canonical.
+    Every integer of the file is read in one pass, in two halves for a file
+    of more than a block: per record its ordinal, word letters, weight,
+    n_inv and matrix, a fixed count per level.  The file is accepted when
+    those numbers make a level that `format_level` writes back byte for
+    byte, so the writer alone says what is canonical.
     Any other file is classified by `_first_fault`, which names the first
     line out of its slot.  The inverse ordinals must obey the inverse rule,
     since the level derives each inverse matrix from them.
@@ -243,10 +305,18 @@ def _parse_level(data: bytes, index: int, size: int) -> Level | None:
     format_level's padding byte), a negative n_inv, or 19 or more digits.
     """
     rank = max(data.count(b",", 0, data.find(b"\n")) - 2, 1)  # a header holds rank + 2 commas
+    # A file of more than a block is cut after the LF that ends the first record
+    # past its middle; the cut falls between two integers, so the halves hold
+    # the file's integers between them, in order.
+    cut = data.find(b"\nn=", len(data) // 2) + 1 if size > _BLOCK else 0
     try:
+        # The filter is process-wide, so it is held until both halves are parsed.
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # older numpy warns, rather than raises, on a bad token
-            numbers = np.fromstring(data.translate(_NUMBER_BYTES), dtype=np.int64, sep=" ")
+            if cut:
+                numbers = np.concatenate(_in_two(_integers, (data[:cut],), (data[cut:],)))
+            else:
+                numbers = _integers(data)
     except (ValueError, DeprecationWarning):
         return None
     if numbers.size != size * (2 + index + rank + rank * rank):
@@ -265,6 +335,12 @@ def _parse_level(data: bytes, index: int, size: int) -> Level | None:
         words=words.astype(np.min_scalar_type(rank)),
         inv_ordinal=inv.copy(),
     )
+
+
+def _integers(data: bytes) -> np.ndarray:
+    """Every integer of `data` in order; a bad token raises ValueError, or on
+    older numpy warns."""
+    return np.fromstring(data.translate(_NUMBER_BYTES), dtype=np.int64, sep=" ")
 
 
 def _first_fault(path: Path, data: bytes, index: int, size: int) -> NoReturn:

@@ -233,6 +233,17 @@ def test_generate_cartan_file(tmp_path, capsys):
     assert len(store.find_level_files(out, "twisted")) == 7
 
 
+def test_cartan_entry_beyond_int64_is_refused(tmp_path, capsys):
+    matrix = tmp_path / "big.txt"
+    matrix.write_text("2\n2 -99999999999999999999\n-1 2\n", encoding="utf-8")
+    out = tmp_path / "big"
+    assert main(["generate", "X", "--out", str(out), "--cartan-file", str(matrix)]) \
+        == EXIT_FAILURE
+    assert capsys.readouterr() == (
+        "", f"error: {matrix}:2: an entry does not fit int64, got '2 -99999999999999999999'\n")
+    assert not out.exists()
+
+
 def test_bracketed_name_is_not_a_glob(tmp_path, capsys):
     # "X[1]" as a glob pattern matches "X1", not itself: the stale-run check
     # and the readers must still find the files of a run named "X[1]"

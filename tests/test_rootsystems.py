@@ -303,12 +303,26 @@ def test_affine_cartan_file_is_refused_by_root_system(tmp_path):
     ("2\n2 -1\n-1 2 0\n", "entries per row"),
     ("2\n2 x\n-1 2\n", "expected integers"),
     ("# nothing here\n", "no data lines"),
+    ("2\n2 -99999999999999999999\n-1 2\n", r"bad\.txt:2: an entry does not fit int64"),
 ])
 def test_load_cartan_file_errors(tmp_path, body, hint):
     path = tmp_path / "bad.txt"
     path.write_text(body, encoding="utf-8")
     with pytest.raises(UnsupportedRootSystem, match=hint):
         load_cartan_file(path)
+
+
+@pytest.mark.parametrize("bad", [
+    [[2, -99999999999999999999], [-1, 2]],
+    [[2], [-1, 2]],
+    [[2, "x"], [-1, 2]],
+    [[2, None], [-1, 2]],
+], ids=["beyond-int64", "ragged", "string-entry", "none-entry"])
+def test_root_system_refuses_entries_no_int64_holds(bad):
+    # these reach numpy's int64 conversion, which raises OverflowError,
+    # ValueError or TypeError; the constructor refuses them as a WeylError
+    with pytest.raises(UnsupportedRootSystem, match="array of integers that fit int64"):
+        RootSystem("custom", None, bad)
 
 
 def test_root_system_fields():

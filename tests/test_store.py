@@ -2,9 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import multiprocessing
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 import warnings
+from concurrent import futures
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,6 +96,171 @@ def _random_levels(draw):
 @given(_random_levels())
 def test_format_level_matches_template_reference(level):
     assert store.format_level(level) == oracles.format_level_reference(level)
+
+
+def _involution(size, rng):
+    """Reciprocal inverse ordinals: random pairs of records, and one left alone
+    when the size is odd."""
+    inv = np.arange(size)
+    perm = rng.permutation(size)
+    a, b = perm[0:size - 1:2], perm[1::2]
+    inv[a], inv[b] = b, a
+    return inv
+
+
+def _cpus(count):
+    """The codec as on a host of `count` CPUs: one thread for both halves, or two."""
+    return mock.patch.object(store, "_cpus", lambda: count)
+
+
+@settings(max_examples=40)
+@given(_random_levels())
+def test_one_cpu_and_two_give_the_same_bytes_and_levels(level):
+    level = dataclasses.replace(
+        level, inv_ordinal=_involution(level.size, np.random.default_rng(level.size)))
+    with _cpus(1):
+        one = store.format_level(level)
+    with _cpus(2):
+        two = store.format_level(level)
+    assert one == two == oracles.format_level_reference(level)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / store.level_file_name("X", level.index, level.size)
+        path.write_bytes(two)
+        for count in (1, 2):
+            with _cpus(count):
+                assert store.read_level(path) == level
+
+
+def multi_block_level(size=2 * store._BLOCK + 7):
+    """A level of rank 4 and word length 3, that read_level accepts."""
+    rank = 4
+    rng = np.random.default_rng(7)
+    return we.Level(index=3, weights=rng.integers(-12, 12, size=(size, rank), endpoint=True),
+                    matrices=rng.integers(-12, 12, size=(size, rank, rank), endpoint=True),
+                    words=rng.integers(1, rank, size=(size, 3), endpoint=True).astype(np.uint8),
+                    inv_ordinal=_involution(size, rng))
+
+
+@pytest.mark.parametrize("size, cuts", [(store._BLOCK, 0), (store._BLOCK + 1, 3)])
+def test_only_a_level_of_more_than_one_block_is_cut_in_two(tmp_path, size, cuts):
+    level = multi_block_level(size)
+    with _cpus(2), mock.patch.object(store, "_in_two", wraps=store._in_two) as in_two:
+        path = store.write_level(level, "X", tmp_path).path
+        assert store.read_level(path) == level
+    assert in_two.call_count == cuts  # the write's format, then the read's parse and format
+
+
+def test_callers_on_many_threads_share_the_one_worker(tmp_path, monkeypatch):
+    # more callers than CPUs, switching often, from before the worker is made
+    level = multi_block_level(store._BLOCK + 1)
+    path = store.write_level(level, "X", tmp_path).path
+    body = path.read_bytes()
+    made = []
+
+    class Counted(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.002)  # widens the window between the check and the store
+            super().__init__(*args, **kwargs)
+
+    callers = futures.ThreadPoolExecutor(4)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(store, "_worker", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _cpus(2), callers:
+            for _ in range(10):
+                store._worker = None
+                start = threading.Barrier(4, timeout=60)
+
+                def together(call, *args):
+                    start.wait()
+                    return call(*args)
+
+                calls = [callers.submit(together, store.format_level, level) for _ in range(2)]
+                calls += [callers.submit(together, store.read_level, path) for _ in range(2)]
+                assert [call.result(timeout=60) for call in calls] == [body] * 2 + [level] * 2
+    finally:
+        sys.setswitchinterval(interval)
+        for worker in made:
+            worker.shutdown()
+    assert len(made) == 10
+
+
+def test_importing_the_package_makes_no_worker():
+    # concurrent.futures costs milliseconds to import; only a split level needs it
+    code = "import sys, weylenum; sys.exit('concurrent.futures' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+
+
+def test_a_forked_child_makes_its_own_worker():
+    level = multi_block_level()
+    with _cpus(2):
+        body = store.format_level(level)  # the parent's worker is made
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: sys.exit(store.format_level(level) != body))
+        child.start()
+        child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0
+
+
+# Faults past the cut, where read_level parses the second half of the file on
+# the worker thread: (the line of record j edited, the edit).
+_SECOND_HALF_FAULTS = {
+    "ordinal-out-of-sequence": (0, lambda line, j: line.replace(f"n={j}, ", f"n={j + 1}, ")),
+    "letter-token": (1, lambda line, j: "[x" + line[line.index(","):]),
+    "bare-minus": (1, lambda line, j: "[-" + line[line.index(","):]),
+    "minus-zero": (1, lambda line, j: "[-0" + line[line.index(","):]),
+    "crlf": (0, lambda line, j: line + "\r"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_SECOND_HALF_FAULTS))
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_read_level_reports_a_fault_in_the_second_half(tmp_path, fault, cpus):
+    level = multi_block_level()
+    path = store.write_level(level, "X", tmp_path).path
+    lines = path.read_text(encoding="utf-8").split("\n")
+    slot, edit = _SECOND_HALF_FAULTS[fault]
+    j = level.size - 3
+    i = j * 5 + slot
+    lines[i] = edit(lines[i], j)
+    data = "\n".join(lines).encode()
+    assert 0 < data.find(b"\nn=", len(data) // 2) + 1 < len("\n".join(lines[:i]))
+    path.write_bytes(data)
+    with pytest.raises(WeylError) as expected:
+        oracles.read_level_reference(path)
+    assert f"elems={level.size}.txt:{i + 1}: " in str(expected.value)
+    with _cpus(cpus), pytest.raises(type(expected.value)) as got:
+        store.read_level(path)
+    assert str(got.value) == str(expected.value)
+
+
+def test_read_level_older_numpy_warning_in_the_second_half(tmp_path, monkeypatch):
+    # numpy before 2.x warns on a bad token; the warning filter that makes it
+    # a refusal is process-wide, and must hold while the worker parses
+    level = multi_block_level()
+    path = store.write_level(level, "X", tmp_path).path
+    fromstring, halves = np.fromstring, []
+
+    def warn_off_the_calling_thread(text, dtype, sep):
+        halves.append(threading.current_thread() is threading.main_thread())
+        if not halves[-1]:
+            warnings.warn("string or file could not be read to its end due to unmatched "
+                          "data; this will raise a ValueError in the future.",
+                          DeprecationWarning)
+        return fromstring(text, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(store.np, "fromstring", warn_off_the_calling_thread)
+    with _cpus(2), warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match="does not write back identically"):
+            store.read_level(path)
+    assert escaped == []
+    assert sorted(halves) == [False, True]
 
 
 def test_format_level_any_int64():

@@ -2,23 +2,72 @@
 
 `perfbench/tracing.py` wraps each `(module, attr)` of its ENTRY_POINTS at run
 time; a deleted or renamed entry point would otherwise fail only traced runs.
+Its `Tracer` keeps one call stack, so no traced entry point may run on the
+level codec's worker thread.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
+import threading
 from pathlib import Path
+
+from test_store import _cpus, multi_block_level
+from weylenum import store
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_traced_entry_points_resolve():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_entry_points_resolve():
+    tracing = _tracing()
     assert tracing.ENTRY_POINTS
     missing = [f"weylenum.{module}.{attr}" for module, attr, _ in tracing.ENTRY_POINTS
                if not callable(getattr(importlib.import_module(f"weylenum.{module}"),
                                        attr, None))]
     assert missing == []
+
+
+def test_codec_spans_come_from_the_calling_thread(tmp_path, monkeypatch):
+    # The tracer keeps one call stack, so the codec's worker thread must run
+    # no traced entry point: one format span per call site, all on this thread.
+    tracing = _tracing()
+    originals = {getattr(importlib.import_module(f"weylenum.{module}"), attr)
+                 for module, attr, _ in tracing.ENTRY_POINTS}
+    for name, module in list(sys.modules.items()):
+        if name == "weylenum" or name.startswith("weylenum."):
+            for key, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, key, value)  # undone after the test
+
+    class ThreadTracer(tracing.Tracer):
+        def __init__(self):
+            super().__init__()
+            self.threads = set()
+
+        def open(self, name):
+            self.threads.add(threading.get_ident())
+            return super().open(name)
+
+    tracer = ThreadTracer()
+    tracing.install(tracer)
+    level = multi_block_level()
+    with _cpus(2):
+        path = store.write_level(level, "X", tmp_path).path
+        assert store.read_level(path) == level
+    assert store._worker is not None
+    assert tracer.threads == {threading.get_ident()}
+    spans = [(name, tracer.names[parent]) for name, parent in zip(tracer.names, tracer.parents)
+             if parent >= 0]
+    assert sorted(spans) == [("store.format_level", "store.read_level"),
+                             ("store.format_level", "store.write_level")]
+    assert [tracer.names[i] for i, parent in enumerate(tracer.parents) if parent < 0] \
+        == ["store.write_level", "store.read_level"]
