@@ -14,8 +14,7 @@ from .cycletype import class_cycle_type, render_cycle_type
 from .errors import IntegrityError, ParseError, UnsupportedRootSystem, WeylError
 from .orbit import (Level, OrbitLevel, build_next_level, generate_group, generate_orbit,
                     match_rows)
-from .rootsystems import (RootSystem, cartan_matrix, load_cartan_file, root_system,
-                          root_system_from_cartan)
+from .rootsystems import RootSystem, cartan_matrix, load_cartan_file, root_system
 from .store import (ElementIndex, LevelFile, build_index, read_level, read_summary,
                     write_level, write_summary)
 
@@ -29,6 +28,6 @@ __all__ = [
     "class_cycle_type", "class_label_d4", "conjugacy_classes", "element_order",
     "generate_group", "generate_orbit", "load_cartan_file", "match_rows",
     "order_partition", "read_level", "read_summary",
-    "render_cycle_type", "root_system", "root_system_from_cartan",
+    "render_cycle_type", "root_system",
     "write_level", "write_summary",
 ]

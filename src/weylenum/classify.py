@@ -21,6 +21,7 @@ import numpy as np
 from . import cycletype
 from .errors import IntegrityError, WeylError
 from .reference import D4_CLASS_ROWS
+from .rootsystems import cartan_matrix
 from .store import ElementIndex, format_word
 
 # Conjugacy needs the whole group in memory; refuse beyond this many elements
@@ -139,10 +140,12 @@ def class_label_d4(cls: ConjugacyClass, ctype: tuple[int, ...]) -> str | None:
     return "ambiguous: " + " / ".join(f"{label} (line {row})" for row, label in hits)
 
 
-def report_cycle_types(classes: Sequence[ConjugacyClass], index: ElementIndex,
-                       family: str | None) -> list[tuple[int, ...]] | None:
-    """Each class's signed cycle type, for family D of rank 3 or more; else None."""
-    if family != "D" or index.start.size < 3:
+def report_cycle_types(classes: Sequence[ConjugacyClass],
+                       index: ElementIndex) -> list[tuple[int, ...]] | None:
+    """Each class's signed cycle type when the run's Cartan matrix is that of
+    D_n, n >= 3, in Bourbaki numbering; else None.  The run's name plays no part."""
+    rank = index.start.size
+    if rank < 3 or not np.array_equal(index.cartan, cartan_matrix(f"D{rank}")):
         return None
     return [cycletype.class_cycle_type(cls, index) for cls in classes]
 

@@ -15,8 +15,7 @@ from pathlib import Path
 from . import classify, reference, store
 from .errors import WeylError
 from .orbit import generate_group
-from .rootsystems import (RootSystem, load_cartan_file, parse_id, root_system,
-                          root_system_from_cartan)
+from .rootsystems import RootSystem, load_cartan_file, root_system
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -30,15 +29,9 @@ def _parse_weight(text: str) -> tuple[int, ...]:
         raise WeylError(f"bad weight {text!r}: expected comma-separated integers") from None
 
 
-def _make_system(name: str, cartan_file: str | None) -> RootSystem:
-    if cartan_file:
-        return root_system_from_cartan(load_cartan_file(cartan_file), name=name)
-    return root_system(name)
-
-
 def cmd_generate(name: str, out_dir: str, start_weight: str | None = None,
                  levels_up_to: int | None = None, cartan_file: str | None = None) -> int:
-    rs = _make_system(name, cartan_file)
+    rs = RootSystem(name, load_cartan_file(cartan_file)) if cartan_file else root_system(name)
     start = _parse_weight(start_weight) if start_weight else None
     # Files of an earlier run would be read back as part of this one.
     stale = store.level_files(out_dir, rs.name)
@@ -135,11 +128,7 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
                 as_json: bool = False) -> int:
     index = _load_index(name, out_dir, ceiling)
     classes = classify.conjugacy_classes(index, ceiling=ceiling)
-    try:
-        family, _ = parse_id(name)
-    except WeylError:
-        family = None
-    ctypes = classify.report_cycle_types(classes, index, family)
+    ctypes = classify.report_cycle_types(classes, index)
     report = classify.format_class_report(classes, index, ctypes)
     report_path = Path(out_dir) / f"{store._file_prefix(name)}_classes.txt"
     store._write_atomically(report_path, report.encode())

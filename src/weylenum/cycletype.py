@@ -11,8 +11,9 @@ A signed cycle-type lists the cycle lengths of the underlying permutation,
 negated when the signs along the cycle multiply to -1, longer cycles first
 and negative before positive at equal length; length-1 cycles included.
 
-Only family D has a signed-permutation model here; the functions take its
-rank n and do not check the family.
+Only D_n in Bourbaki numbering has a signed-permutation model here; the
+functions take its rank n and do not check the run's Cartan matrix, which
+`classify.report_cycle_types` does.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def class_cycle_type(cls, index) -> tuple[int, ...]:
     n = index.start.size
     lvl_of, ord_of = np.array(cls.members, dtype=np.int64).reshape(-1, 2).T
     padded = np.zeros((len(lvl_of), lvl_of.max(initial=0)), dtype=np.int64)
-    for lvl in np.unique(lvl_of).tolist():  # a level's words all have length lvl
+    for lvl in np.flatnonzero(np.bincount(lvl_of)).tolist():  # words of length lvl
         rows = np.flatnonzero(lvl_of == lvl)
         padded[rows, :lvl] = levels[lvl].words[ord_of[rows]]
     labels = _cycle_labels(_signed_images(padded, n))

@@ -64,11 +64,14 @@ Weight = Sequence[int]
 class Level:
     """All elements of one word length, in discovery order, each with its inverse."""
 
-    index: int
     weights: np.ndarray          # (n, rank) in the run's dtype; int64 when read from disk
     matrices: np.ndarray         # (n, rank, rank) in the same dtype
     words: np.ndarray            # (n, index) of np.min_scalar_type(rank)
     inv_ordinal: np.ndarray      # (n,) int64; ordinal of each element's inverse
+
+    @property
+    def index(self) -> int:  # the word length, read off the words
+        return self.words.shape[1]
 
     @property
     def size(self) -> int:
@@ -85,8 +88,7 @@ class Level:
         """Structural equality over the stored fields."""
         if not isinstance(other, Level):
             return NotImplemented
-        return (self.index == other.index
-                and np.array_equal(self.words, other.words)
+        return (np.array_equal(self.words, other.words)
                 and np.array_equal(self.weights, other.weights)
                 and np.array_equal(self.matrices, other.matrices)
                 and np.array_equal(self.inv_ordinal, other.inv_ordinal))
@@ -280,7 +282,6 @@ def _start_vector(start: Weight, rs: RootSystem, strict: bool) -> np.ndarray:
 def _level_zero(arr: np.ndarray) -> Level:
     """Level 0 of a checked start vector, in its dtype."""
     return Level(
-        index=0,
         weights=arr[None, :],
         matrices=np.eye(len(arr), dtype=arr.dtype)[None],
         words=np.zeros((1, 0), dtype=np.min_scalar_type(len(arr))),
@@ -301,7 +302,6 @@ def build_next_level(current: Level, rs: RootSystem) -> Level:
     new_w, new_m, src, gen0 = kernels.step_level(current.weights, current.matrices, cartan)
     start = current.weights[0] @ current.matrices[0]
     return Level(
-        index=index,
         weights=new_w,
         matrices=new_m,
         words=np.concatenate(

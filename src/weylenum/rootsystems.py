@@ -129,6 +129,9 @@ def validate_cartan(matrix) -> np.ndarray:
     Finite type is left to the coroot closure."""
     try:
         arr = np.asarray(matrix)
+        # complex, inf, nan and floats past int64, before the cast warns and wraps them
+        if arr.dtype.kind == "c" or (arr.dtype.kind == "f" and not (abs(arr) < 2.0**63).all()):
+            raise UnsupportedRootSystem("Cartan matrix entries must be integers")
         c = arr.astype(np.int64)
     except (OverflowError, TypeError, ValueError):  # ragged rows, or an entry no int64 holds
         raise UnsupportedRootSystem("Cartan matrix must be an array of integers that fit "
@@ -191,7 +194,6 @@ class RootSystem:
     """
 
     name: str
-    family: str | None        # None for a custom matrix
     cartan: np.ndarray        # (rank, rank) int64, read-only
     coroots: np.ndarray = field(init=False)  # (n_positive_roots, rank) int64, read-only
 
@@ -232,9 +234,4 @@ class RootSystem:
 def root_system(name: str) -> RootSystem:
     """Construct the named root system, e.g. root_system("D4")."""
     family, rank = parse_id(name)
-    return RootSystem(f"{family}{rank}", family, cartan_matrix(name))
-
-
-def root_system_from_cartan(matrix, name: str = "custom") -> RootSystem:
-    """Construct a system from an explicit finite-type Cartan matrix."""
-    return RootSystem(name, None, matrix)
+    return RootSystem(f"{family}{rank}", cartan_matrix(name))

@@ -329,7 +329,6 @@ def _parse_level(data: bytes, index: int, size: int) -> Level | None:
         return None
     # Copies, so that the level does not keep the whole parse buffer alive.
     return Level(
-        index=index,
         weights=records[:, 1 + index:1 + index + rank].copy(),
         matrices=records[:, 2 + index + rank:].reshape(size, rank, rank).copy(),
         words=words.astype(np.min_scalar_type(rank)),
@@ -432,6 +431,13 @@ class ElementIndex:
     @property
     def start(self) -> np.ndarray:  # (rank,) the identity's weight
         return self.levels[0].weights[0]
+
+    @property
+    def cartan(self) -> np.ndarray:
+        """The run's int64 Cartan matrix: level 1 holds the simple reflections
+        in ascending order, and row i of R_i is ``e_i - cartan[i]``."""
+        i = np.arange(self.start.size)
+        return np.eye(i.size, dtype=np.int64) - self.levels[1].matrices[i, i]
 
 
 def build_index(levels: Iterable[Level]) -> ElementIndex:

@@ -471,7 +471,6 @@ def read_level_reference(path):
             f"n_inv={inv[inv[j]]}; inverse ordinals must be reciprocal")
     matrix = [[int(x) for x in row_re.fullmatch(row).groups()] for row in rows]
     return Level(
-        index=index,
         weights=numbers[:, :-1],
         matrices=np.array(matrix, dtype=np.int64).reshape(size, rank, rank),
         words=np.array(words, dtype=np.min_scalar_type(rank)).reshape(size, index),

@@ -16,6 +16,7 @@ import oracles
 import weylenum as we
 from weylenum import store
 from weylenum.reference import GOLDEN_D4_LEVEL2
+from weylenum.rootsystems import parse_id
 
 
 def _verdict(label: str, failures: list[str]) -> None:
@@ -171,7 +172,7 @@ def test_criterion_7_wall_orbit_matches_brute_force(d4_levels):
 def test_criterion_8_reflection_action_against_euclidean_oracle(name):
     failures = []
     rs = we.root_system(name)
-    model = oracles.EuclideanModel(rs.family, rs.rank)
+    model = oracles.EuclideanModel(parse_id(rs.name)[0], rs.rank)
     rng = np.random.default_rng(20260822)
     weights = rng.integers(-50, 51, size=(1000, rs.rank))
     generators = list(we.generate_group(rs, levels_up_to=1))[1].matrices

@@ -164,7 +164,7 @@ def test_d4_label_unknown_combination():
 
 def test_format_class_report_d4(d4_classes, d4_index):
     report = format_class_report(
-        d4_classes, d4_index, report_cycle_types(d4_classes, d4_index, "D"))
+        d4_classes, d4_index, report_cycle_types(d4_classes, d4_index))
     assert "class 0: size=1, order=1" in report
     assert "word=e" in report
     assert "cycle_type=[1111]" in report
@@ -176,7 +176,7 @@ def test_format_class_report_d4(d4_classes, d4_index):
 def test_format_class_report_d6_is_pinned(d6_classes, d6_index):
     # the bytes of D6_classes.txt as `weylenum classes D6` writes it
     report = format_class_report(
-        d6_classes, d6_index, report_cycle_types(d6_classes, d6_index, "D")).encode("utf-8")
+        d6_classes, d6_index, report_cycle_types(d6_classes, d6_index)).encode("utf-8")
     assert hashlib.sha256(report).hexdigest() \
         == "8841cbde7b2590d1a37190d822ae8ed699b1cb628bc015ae9c3fc9a736aa3bb2"
 
@@ -184,6 +184,6 @@ def test_format_class_report_d6_is_pinned(d6_classes, d6_index):
 def test_format_class_report_family_a(a3_levels):
     index = we.build_index(a3_levels)
     classes = we.conjugacy_classes(index)
-    report = format_class_report(classes, index, report_cycle_types(classes, index, "A"))
+    report = format_class_report(classes, index, report_cycle_types(classes, index))
     assert "cycle_type" not in report
     assert "label" not in report

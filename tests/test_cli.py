@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from weylenum import cycletype, store
@@ -231,6 +232,64 @@ def test_generate_cartan_file(tmp_path, capsys):
     assert summary["total"] == 12
     assert summary["levels"] == [1, 2, 2, 2, 2, 2, 1]
     assert len(store.find_level_files(out, "twisted")) == 7
+
+
+A3 = "3\n2 -1 0\n-1 2 -1\n0 -1 2\n"
+A4 = "4\n2 -1 0 0\n-1 2 -1 0\n0 -1 2 -1\n0 0 -1 2\n"
+D4 = "4\n2 -1 0 0\n-1 2 -1 -1\n0 -1 2 0\n0 -1 0 2\n"
+
+
+def _custom_run(tmp_path, name, matrix):
+    path = tmp_path / "cartan.txt"
+    path.write_text(matrix, encoding="utf-8")
+    out = tmp_path / "custom"
+    assert main(["generate", name, "--out", str(out), "--cartan-file", str(path)]) == EXIT_OK
+    return out
+
+
+def test_classes_of_a3_named_d3_has_no_cycle_types(tmp_path, capsys):
+    # cycle types follow the run's level-1 matrices, not its name: A3's chain
+    # is not D3's numbering, so no D_3 model applies
+    out = _custom_run(tmp_path, "D3", A3)
+    capsys.readouterr()
+    assert main(["classes", "D3", "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "D3: 5 classes" in captured.out
+    assert "cycle_type=" not in (out / "D3_classes.txt").read_text(encoding="utf-8")
+
+
+def test_classes_of_d4_named_mine_matches_built_in_d4(tmp_path, d4_run, capsys):
+    out = _custom_run(tmp_path, "mine", D4)
+    assert main(["classes", "mine", "--out", str(out)]) == EXIT_OK
+    assert main(["classes", "D4", "--out", str(d4_run)]) == EXIT_OK
+    report = (out / "mine_classes.txt").read_text(encoding="utf-8")
+    assert report == (d4_run / "D4_classes.txt").read_text(encoding="utf-8")
+    assert report.count("cycle_type=") == 13
+    assert "label=D_4(a_1)" in report
+
+
+def test_classes_of_a4_named_d4_fails_the_published_tables(tmp_path, capsys):
+    # the published-table checks still check what the name claims
+    out = _custom_run(tmp_path, "D4", A4)
+    capsys.readouterr()
+    assert main(["classes", "D4", "--out", str(out)]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert "cycle_type=" not in captured.out
+    assert captured.out.endswith("D4: FAIL\n")
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy 1.x imports numpy.ma with numpy itself")
+def test_classes_leaves_numpy_ma_unimported(d4_run):
+    code = ("import contextlib, io, sys\n"
+            "from weylenum.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['classes', 'D4', '--out', sys.argv[1]]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(d4_run)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_cartan_entry_beyond_int64_is_refused(tmp_path, capsys):

@@ -441,8 +441,24 @@ def test_self_inverse_count_matches_involutions(d4_levels):
         assert paired_self == involutions
 
 
+def test_level_index_is_its_word_length(d4_levels):
+    assert "index" not in {f.name for f in dataclasses.fields(we.Level)}
+    assert [level.index for level in d4_levels] == list(range(13))
+    assert all(level.index == level.words.shape[1] for level in d4_levels)
+    empty = we.Level(weights=np.empty((0, 4), dtype=np.int64),
+                     matrices=np.empty((0, 4, 4), dtype=np.int64),
+                     words=np.empty((0, 3), dtype=np.uint8),
+                     inv_ordinal=np.empty(0, dtype=np.int64))
+    assert empty.index == 3
+    with pytest.raises(TypeError):
+        we.Level(index=3, weights=empty.weights, matrices=empty.matrices,
+                 words=empty.words, inv_ordinal=empty.inv_ordinal)
+    # empty levels of two word lengths differ
+    assert empty != dataclasses.replace(empty, words=np.empty((0, 2), dtype=np.uint8))
+
+
 def test_custom_cartan_enumeration():
-    rs = we.root_system_from_cartan([[2, -1], [-3, 2]], name="twisted")
+    rs = we.RootSystem("twisted", [[2, -1], [-3, 2]])
     levels = list(we.generate_group(rs))
     assert [l.size for l in levels] == [1, 2, 2, 2, 2, 2, 1]
     assert sum(l.size for l in levels) == oracles.matrix_closure_order(rs.cartan)
@@ -453,7 +469,7 @@ def test_custom_full_run_is_checked_against_its_invariants():
     # a custom system's run must end at level n_positive_roots with rs.order
     # elements, as a built-in one's; forged coroots make each check fire
     def forged(rows):
-        rs = we.root_system_from_cartan([[2, -1], [-3, 2]])
+        rs = we.RootSystem("custom", [[2, -1], [-3, 2]])
         object.__setattr__(rs, "coroots", np.array(rows))
         return rs
     seven = forged([[1, 0], [0, 1], [1, 1], [2, 1], [3, 1], [3, 2], [4, 2]])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from test_kernels import finite_cartan
-from weylenum import (RootSystem, UnsupportedRootSystem, cartan_matrix, generate_group,
-                      generate_orbit, kernels, load_cartan_file, root_system,
-                      root_system_from_cartan)
+from weylenum import (ElementIndex, RootSystem, UnsupportedRootSystem, build_index,
+                      cartan_matrix, generate_group, generate_orbit, kernels, load_cartan_file,
+                      root_system)
 from weylenum.rootsystems import parse_id, positive_coroots, validate_cartan
 
 SAMPLE_NAMES = ["A1", "A2", "A5", "B2", "B3", "B7", "C3", "C4", "D3", "D4",
@@ -166,7 +167,7 @@ def test_derived_invariants_match_a_full_walk(cartan):
     # on block sums and relabellings of the irreducible types, the derived
     # root count and order are the last level index and the total of the
     # regular orbit, which has one weight per group element
-    rs = root_system_from_cartan(cartan)
+    rs = RootSystem("custom", cartan)
     levels = list(generate_orbit(rs, [1] * rs.rank))
     assert (rs.n_positive_roots, rs.order) == (levels[-1].index, sum(l.size for l in levels))
 
@@ -174,9 +175,7 @@ def test_derived_invariants_match_a_full_walk(cartan):
 def test_affine_matrix_is_refused_at_construction():
     affine = [[2, -2], [-2, 2]]
     with pytest.raises(UnsupportedRootSystem, match="not of finite type"):
-        RootSystem("A1~", None, affine)
-    with pytest.raises(UnsupportedRootSystem, match="not of finite type"):
-        root_system_from_cartan(affine)
+        RootSystem("A1~", affine)
     # the coroot closure refuses it on its own, past 2 * rank**2 coroots
     with pytest.raises(UnsupportedRootSystem, match="^more than 8 positive coroots"):
         positive_coroots(np.array(affine))
@@ -210,6 +209,22 @@ def test_validate_cartan_rejects(bad):
 
 
 @pytest.mark.parametrize("bad", [
+    [[2, -1], [-1, 2**63]],                 # mixed with 2**63, numpy makes it float64
+    [[2.0, -1.0], [-1.0, float("inf")]],
+    [[2.0, -1.0], [-1.0, float("nan")]],
+    [[2, -1], [-1, 2 + 0j]],                # the cast would drop the imaginary part
+], ids=["two-to-the-63", "inf", "nan", "complex"])
+def test_entries_the_int64_cast_warns_on_are_refused_without_a_warning(bad):
+    # refused before the int64 cast, which would warn and wrap or drop them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedRootSystem, match="^Cartan matrix entries must be integers$"):
+            validate_cartan(bad)
+        with pytest.raises(UnsupportedRootSystem, match="^Cartan matrix entries must be integers$"):
+            RootSystem("x", bad)
+
+
+@pytest.mark.parametrize("bad", [
     [[2, -3], [-3, 2]],                     # indefinite
     [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2~: leading minors 2, 3, 0
     [[2, -1, 0], [-3, 2, -1], [0, -1, 2]],  # affine G2~: leading minors 2, 1, 0
@@ -217,9 +232,7 @@ def test_validate_cartan_rejects(bad):
 def test_infinite_type_is_refused_by_root_system(bad):
     # affine A1~ is test_affine_matrix_is_refused_at_construction's case
     with pytest.raises(UnsupportedRootSystem, match="not of finite type"):
-        RootSystem("x", None, bad)
-    with pytest.raises(UnsupportedRootSystem, match="not of finite type"):
-        root_system_from_cartan(bad)
+        RootSystem("x", bad)
 
 
 def _all_principal_minors_positive(c) -> bool:
@@ -231,7 +244,7 @@ def _all_principal_minors_positive(c) -> bool:
 
 def _accepted(c) -> bool:
     try:
-        root_system_from_cartan(c)
+        RootSystem("custom", c)
     except UnsupportedRootSystem as exc:
         assert "not of finite type" in str(exc)
         return False
@@ -281,6 +294,28 @@ def test_root_system_accepts_exactly_positive_principal_minors_at_rank_4(c):
     assert _accepted(c) == _all_principal_minors_positive(c)
 
 
+def _level_one_cartan(rs):
+    # ElementIndex.cartan reads level 1 alone, so a run cut after it will do
+    levels = tuple(generate_group(rs, levels_up_to=1))
+    return ElementIndex(levels=levels, inv=None, offsets=None, keys=None).cartan
+
+
+@pytest.mark.parametrize("name", BUILT_IN_TO_RANK_8)
+def test_level_one_gives_the_cartan_matrix(name):
+    rs = root_system(name)
+    cartan = _level_one_cartan(rs)
+    assert cartan.dtype == np.int64
+    assert np.array_equal(cartan, rs.cartan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(generalized_cartan).filter(_accepted))
+def test_a_full_run_gives_its_cartan_matrix(c):
+    # any finite-type matrix, whatever its numbering, from a complete run
+    rs = RootSystem("custom", c)
+    assert np.array_equal(build_index(generate_group(rs)).cartan, rs.cartan)
+
+
 def test_load_cartan_file(tmp_path):
     path = tmp_path / "g2.txt"
     path.write_text("# rank first, then the rows\n\n2\n2 -1\n-3 2  # long root row\n",
@@ -294,7 +329,7 @@ def test_affine_cartan_file_is_refused_by_root_system(tmp_path):
     matrix = load_cartan_file(path)
     assert matrix.tolist() == [[2, -2], [-2, 2]]
     with pytest.raises(UnsupportedRootSystem, match="not of finite type"):
-        root_system_from_cartan(matrix)
+        RootSystem("affine", matrix)
 
 
 @pytest.mark.parametrize("body, hint", [
@@ -322,13 +357,13 @@ def test_root_system_refuses_entries_no_int64_holds(bad):
     # these reach numpy's int64 conversion, which raises OverflowError,
     # ValueError or TypeError; the constructor refuses them as a WeylError
     with pytest.raises(UnsupportedRootSystem, match="array of integers that fit int64"):
-        RootSystem("custom", None, bad)
+        RootSystem("custom", bad)
 
 
 def test_root_system_fields():
     rs = root_system("D4")
     assert rs.name == "D4"
-    assert rs.family == "D"
+    assert not hasattr(rs, "family")
     assert rs.rank == 4
     assert rs.order == 192
     assert rs.n_positive_roots == 12
@@ -344,10 +379,9 @@ def test_root_system_arrays_frozen():
         rs.coroots[0, 0] = 5
 
 
-def test_root_system_from_cartan():
-    rs = root_system_from_cartan([[2, -1], [-3, 2]], name="mystery")
+def test_root_system_of_a_custom_matrix():
+    rs = RootSystem("mystery", [[2, -1], [-3, 2]])
     assert rs.name == "mystery"
-    assert rs.family is None
     assert rs.rank == 2
     assert rs.order == 12
     assert rs.n_positive_roots == 6

@@ -154,7 +154,7 @@ def _int64_group_walk(rs, start):
 @given(narrow_start())
 def test_narrow_walks_equal_int64_walks(case):
     cartan, dtype, start = case
-    rs = we.root_system_from_cartan(cartan)
+    rs = we.RootSystem("custom", cartan)
     bound = _bound(rs.cartan, start)
     assert np.iinfo(dtype).max // 2 < bound <= np.iinfo(dtype).max
     narrow = list(we.generate_group(rs, start=start))

@@ -86,7 +86,7 @@ def _random_levels(draw):
         return x
 
     return we.Level(
-        index=length, weights=entries(size, rank), matrices=entries(size, rank, rank),
+        weights=entries(size, rank), matrices=entries(size, rank, rank),
         words=rng.integers(1, rank, size=(size, length), endpoint=True).astype(
             np.min_scalar_type(rank)),
         inv_ordinal=rng.integers(0, draw(st.sampled_from([1, 10, 10**6])), size=size))
@@ -135,7 +135,7 @@ def multi_block_level(size=2 * store._BLOCK + 7):
     """A level of rank 4 and word length 3, that read_level accepts."""
     rank = 4
     rng = np.random.default_rng(7)
-    return we.Level(index=3, weights=rng.integers(-12, 12, size=(size, rank), endpoint=True),
+    return we.Level(weights=rng.integers(-12, 12, size=(size, rank), endpoint=True),
                     matrices=rng.integers(-12, 12, size=(size, rank, rank), endpoint=True),
                     words=rng.integers(1, rank, size=(size, 3), endpoint=True).astype(np.uint8),
                     inv_ordinal=_involution(size, rng))
@@ -265,7 +265,7 @@ def test_read_level_older_numpy_warning_in_the_second_half(tmp_path, monkeypatch
 
 def test_format_level_any_int64():
     least, most = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    level = we.Level(index=1, weights=np.array([[least, most], [0, -1]]),
+    level = we.Level(weights=np.array([[least, most], [0, -1]]),
                      matrices=np.array([[[most, 0], [-most, least]], [[1, -10], [10, -9]]]),
                      words=np.array([[2], [1]], dtype=np.uint8), inv_ordinal=np.array([1, 0]))
     body = store.format_level(level)
@@ -295,7 +295,7 @@ def test_level_one_s3_record(tmp_path, d4_levels):
 
 
 def test_write_level_refusals(tmp_path, d4, d4_levels):
-    empty = we.Level(index=1, weights=np.empty((0, 4), dtype=np.int64),
+    empty = we.Level(weights=np.empty((0, 4), dtype=np.int64),
                      matrices=np.empty((0, 4, 4), dtype=np.int64),
                      words=np.empty((0, 1), dtype=np.uint8),
                      inv_ordinal=np.empty(0, dtype=np.int64))
