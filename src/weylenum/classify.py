@@ -48,25 +48,25 @@ class ConjugacyClass:
         return len(self.members)
 
 
-def _orders(matrices: np.ndarray, bound: int) -> np.ndarray:
+def _orders(matrices: np.ndarray) -> np.ndarray:
     """Order of each matrix in a stack: smallest p >= 1 with m^p the identity."""
     eye = np.eye(matrices.shape[-1], dtype=np.int64)
     orders = np.zeros(len(matrices), dtype=np.int64)
     pending = np.arange(len(matrices))
     power = matrices
-    for p in range(1, bound + 1):
+    for p in range(1, DEFAULT_ORDER_BOUND + 1):
         done = (power == eye).all(axis=(1, 2))
         orders[pending[done]] = p
         pending, power = pending[~done], power[~done]
         if not pending.size:
             return orders
         power = power @ matrices[pending]
-    raise IntegrityError(f"no power up to {bound} reached the identity")
+    raise IntegrityError(f"no power up to {DEFAULT_ORDER_BOUND} reached the identity")
 
 
-def element_order(m: np.ndarray, bound: int = DEFAULT_ORDER_BOUND) -> int:
+def element_order(m: np.ndarray) -> int:
     """Smallest p >= 1 with m^p equal to the identity."""
-    return int(_orders(np.asarray(m, dtype=np.int64)[None], bound)[0])
+    return int(_orders(np.asarray(m, dtype=np.int64)[None])[0])
 
 
 def order_partition(index: ElementIndex) -> dict[int, int]:
@@ -77,7 +77,7 @@ def order_partition(index: ElementIndex) -> dict[int, int]:
     """
     counts: Counter[int] = Counter()
     for level in index.levels:
-        counts.update(_orders(level.matrices, DEFAULT_ORDER_BOUND).tolist())
+        counts.update(_orders(level.matrices).tolist())
     return dict(sorted(counts.items()))
 
 
@@ -119,7 +119,7 @@ def conjugacy_classes(index: ElementIndex,
         classes.append(ConjugacyClass(
             representative_word=levels[lvl].word(j),
             members=members,
-            element_order=element_order(levels[lvl].matrices[j], bound=max(index.total, 2)),
+            element_order=element_order(levels[lvl].matrices[j]),
         ))
     return classes
 

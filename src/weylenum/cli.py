@@ -32,7 +32,7 @@ def _parse_weight(text: str) -> tuple[int, ...]:
 def cmd_generate(name: str, out_dir: str, start_weight: str | None = None,
                  levels_up_to: int | None = None, cartan_file: str | None = None) -> int:
     rs = RootSystem(name, load_cartan_file(cartan_file)) if cartan_file else root_system(name)
-    start = _parse_weight(start_weight) if start_weight else None
+    start = _parse_weight(start_weight) if start_weight is not None else None
     # Files of an earlier run would be read back as part of this one.
     stale = store.level_files(out_dir, rs.name)
     if stale:
@@ -256,13 +256,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_classes(args.type, args.out, args.ceiling, args.json)
         if args.command == "orders":
             return cmd_orders(args.type, args.out, args.json)
-        if args.command == "bench":
-            return cmd_bench(args.types)
-        raise WeylError(f"unknown command {args.command}")
-    except WeylError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
+        return cmd_bench(args.types)
+    except (WeylError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -35,7 +35,6 @@ import json
 import os
 import re
 import threading
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
@@ -303,6 +302,9 @@ def _parse_level(data: bytes, index: int, size: int) -> Level | None:
     None when the integers do not parse, do not fill `size` records, or hold
     a value no canonical file has: a word letter outside 1..rank (0 is
     format_level's padding byte), a negative n_inv, or 19 or more digits.
+    No warnings filter is set.  On a bad token numpy < 2 warns through the
+    caller's filters and returns the integers before it, too few or not
+    writing back; under a caller's "error" filter the warning gives None.
     """
     rank = max(data.count(b",", 0, data.find(b"\n")) - 2, 1)  # a header holds rank + 2 commas
     # A file of more than a block is cut after the LF that ends the first record
@@ -310,13 +312,10 @@ def _parse_level(data: bytes, index: int, size: int) -> Level | None:
     # the file's integers between them, in order.
     cut = data.find(b"\nn=", len(data) // 2) + 1 if size > _BLOCK else 0
     try:
-        # The filter is process-wide, so it is held until both halves are parsed.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # older numpy warns, rather than raises, on a bad token
-            if cut:
-                numbers = np.concatenate(_in_two(_integers, (data[:cut],), (data[cut:],)))
-            else:
-                numbers = _integers(data)
+        if cut:
+            numbers = np.concatenate(_in_two(_integers, (data[:cut],), (data[cut:],)))
+        else:
+            numbers = _integers(data)
     except (ValueError, DeprecationWarning):
         return None
     if numbers.size != size * (2 + index + rank + rank * rank):
@@ -337,8 +336,8 @@ def _parse_level(data: bytes, index: int, size: int) -> Level | None:
 
 
 def _integers(data: bytes) -> np.ndarray:
-    """Every integer of `data` in order; a bad token raises ValueError, or on
-    older numpy warns."""
+    """Every integer of `data` in order.  A bad token raises ValueError; numpy
+    < 2 warns instead and returns the integers before it."""
     return np.fromstring(data.translate(_NUMBER_BYTES), dtype=np.int64, sep=" ")
 
 

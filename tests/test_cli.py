@@ -204,6 +204,9 @@ def test_generate_bad_start(tmp_path, capsys):
     assert main(["generate", "D4", "--out", str(out),
                  "--start-weight", "1,x,1,1"]) == EXIT_FAILURE
     capsys.readouterr()
+    # an empty start is a bad weight, not the default all-ones start
+    assert main(["generate", "D4", "--out", str(out), "--start-weight", ""]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "error: bad weight '': expected comma-separated integers\n"
     # beyond int64, and at the entry limit: refused before any file is written
     for start in ("99999999999999999999,1", "1099511627776,1"):
         assert main(["generate", "A2", "--out", str(out), "--start-weight", start]) \

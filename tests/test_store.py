@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import multiprocessing
+import re
 import subprocess
 import sys
 import tempfile
@@ -239,28 +241,67 @@ def test_read_level_reports_a_fault_in_the_second_half(tmp_path, fault, cpus):
     assert str(got.value) == str(expected.value)
 
 
-def test_read_level_older_numpy_warning_in_the_second_half(tmp_path, monkeypatch):
-    # numpy before 2.x warns on a bad token; the warning filter that makes it
-    # a refusal is process-wide, and must hold while the worker parses
-    level = multi_block_level()
-    path = store.write_level(level, "X", tmp_path).path
-    fromstring, halves = np.fromstring, []
+def _numpy_before_2(monkeypatch):
+    """np.fromstring in store as numpy < 2 parses a bad token: it warns, then
+    returns the integers before that token.  Gives the threads that warned."""
+    warned = []
 
-    def warn_off_the_calling_thread(text, dtype, sep):
-        halves.append(threading.current_thread() is threading.main_thread())
-        if not halves[-1]:
+    def fromstring(text, dtype, sep):
+        tokens = text.split()
+        good = list(itertools.takewhile(re.compile(rb"-?[0-9]+").fullmatch, tokens))
+        if len(good) < len(tokens):
+            warned.append(threading.current_thread())
             warnings.warn("string or file could not be read to its end due to unmatched "
                           "data; this will raise a ValueError in the future.",
                           DeprecationWarning)
-        return fromstring(text, dtype=dtype, sep=sep)
+        return np.array([int(t) for t in good], dtype=dtype)
 
-    monkeypatch.setattr(store.np, "fromstring", warn_off_the_calling_thread)
-    with _cpus(2), warnings.catch_warnings(record=True) as escaped:
-        warnings.simplefilter("always")
-        with pytest.raises(ParseError, match="does not write back identically"):
+    monkeypatch.setattr(store.np, "fromstring", fromstring)
+    return warned
+
+
+def _read_with_bad_token(tmp_path, monkeypatch, j, action):
+    """Read a split file with a bad token in record j, as numpy < 2 parses it and
+    under the caller's filter `action`; the refusal is the one the reference
+    gives.  Gives the threads that warned and the categories the caller saw."""
+    level = multi_block_level()
+    path = store.write_level(level, "X", tmp_path).path
+    lines = path.read_text(encoding="utf-8").split("\n")
+    slot, edit = _SECOND_HALF_FAULTS["bare-minus"]
+    j %= level.size
+    i = j * 5 + slot
+    lines[i] = edit(lines[i], j)
+    path.write_text("\n".join(lines), encoding="utf-8", newline="\n")
+    with pytest.raises(ParseError) as expected:
+        oracles.read_level_reference(path)
+    assert f"elems={level.size}.txt:{i + 1}: malformed matrix row " in str(expected.value)
+    warned = _numpy_before_2(monkeypatch)
+    with _cpus(2), warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(ParseError) as got:
             store.read_level(path)
-    assert escaped == []
-    assert sorted(halves) == [False, True]
+    assert str(got.value) == str(expected.value)
+    return warned, [w.category for w in seen]
+
+
+def test_read_level_older_numpy_warning_in_the_first_half(tmp_path, monkeypatch):
+    warned, seen = _read_with_bad_token(tmp_path, monkeypatch, 3, "always")
+    assert warned == [threading.current_thread()]
+    assert seen == [DeprecationWarning]
+
+
+def test_read_level_older_numpy_warning_in_the_second_half(tmp_path, monkeypatch):
+    # the worker's warning goes through the caller's filters too
+    warned, seen = _read_with_bad_token(tmp_path, monkeypatch, -3, "always")
+    assert len(warned) == 1 and warned[0] is not threading.current_thread()
+    assert seen == [DeprecationWarning]
+
+
+def test_read_level_older_numpy_warning_as_an_error(tmp_path, monkeypatch):
+    # under the caller's "error" filter the worker raises the warning instead
+    warned, seen = _read_with_bad_token(tmp_path, monkeypatch, -3, "error")
+    assert len(warned) == 1 and warned[0] is not threading.current_thread()
+    assert seen == []
 
 
 def test_format_level_any_int64():
@@ -429,23 +470,77 @@ def test_read_level_rejects_non_canonical_bytes(tmp_path, d4_levels, old, new, l
 def test_read_level_older_numpy_parse_warning(tmp_path, d4_levels, monkeypatch):
     # numpy before 2.x warns, rather than raises, on a bad token, and returns
     # the integers read before it
-    calls = []
-
-    def fromstring(text, dtype, sep):
-        calls.append(text)
-        warnings.warn("string or file could not be read to its end due to unmatched "
-                      "data; this will raise a ValueError in the future.", DeprecationWarning)
-        return np.array([0, 2, 1], dtype=dtype)
-
     path = _write_then_mutate(tmp_path, d4_levels[2],
                               lambda t: t.replace("w=1,-2,3,3", "w=1,-,3,3"))
-    monkeypatch.setattr(store.np, "fromstring", fromstring)
-    with warnings.catch_warnings(record=True) as escaped:
+    warned = _numpy_before_2(monkeypatch)
+    with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         with pytest.raises(ParseError, match=r"elems=9\.txt:1: malformed header"):
             store.read_level(path)
-    assert escaped == []
-    assert len(calls) == 1
+    assert [w.category for w in seen] == [DeprecationWarning]
+    assert len(warned) == 1
+
+
+class _HeldRead(threading.Thread):
+    """read_level(path) on a thread of its own, held inside store._integers
+    (with the `held_reads` fixture) until `finish` releases it."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path, self.inside, self.release = path, threading.Event(), threading.Event()
+        self.result = None
+        self.start()
+        assert self.inside.wait(timeout=60)
+
+    def run(self):
+        try:
+            self.result = store.read_level(self.path)
+        except Exception as exc:
+            self.result = exc
+
+    def finish(self):
+        self.release.set()
+        self.join(timeout=60)
+        assert not self.is_alive()
+        return self.result
+
+
+@pytest.fixture
+def held_reads(monkeypatch):
+    integers = store._integers
+
+    def held(data):
+        reader = threading.current_thread()
+        reader.inside.set()
+        reader.release.wait(timeout=60)
+        return integers(data)
+
+    monkeypatch.setattr(store, "_integers", held)
+
+
+def test_a_read_leaves_other_threads_warnings_to_their_filters(tmp_path, d4_levels, held_reads):
+    path = store.write_level(d4_levels[2], "D4", tmp_path).path
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        reader = _HeldRead(path)
+        try:
+            warnings.warn("not the reader's", UserWarning)
+        finally:
+            level = reader.finish()
+    assert [str(w.message) for w in seen] == ["not the reader's"]
+    assert level == d4_levels[2]
+
+
+def test_overlapping_reads_leave_the_warnings_filters_as_they_were(tmp_path, d4_levels,
+                                                                  held_reads):
+    path = store.write_level(d4_levels[2], "D4", tmp_path).path
+    with warnings.catch_warnings():
+        before = list(warnings.filters)
+        # the later read finishing first (nested), then the earlier one first
+        for order in ((1, 0), (0, 1)):
+            readers = [_HeldRead(path), _HeldRead(path)]
+            assert [readers[i].finish() for i in order] == [d4_levels[2]] * 2
+            assert warnings.filters == before, order
 
 
 def test_read_level_requires_final_line_ending(tmp_path, d4_levels):
