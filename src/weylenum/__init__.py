@@ -15,13 +15,13 @@ from .errors import IntegrityError, ParseError, UnsupportedRootSystem, WeylError
 from .orbit import (Level, OrbitLevel, build_next_level, generate_group, generate_orbit,
                     match_rows)
 from .rootsystems import RootSystem, cartan_matrix, load_cartan_file, root_system
-from .store import (ElementIndex, LevelFile, build_index, read_level, read_summary,
-                    write_level, write_summary)
+from .store import (CheckedRun, ElementIndex, LevelFile, build_index, read_level,
+                    read_summary, write_level, write_summary)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConjugacyClass", "ElementIndex", "IntegrityError", "Level",
+    "CheckedRun", "ConjugacyClass", "ElementIndex", "IntegrityError", "Level",
     "LevelFile", "OrbitLevel", "ParseError", "RootSystem",
     "UnsupportedRootSystem", "WeylError",
     "build_index", "build_next_level", "cartan_matrix",

@@ -1,6 +1,10 @@
 """Element orders, the order partition, and conjugacy classes.
 
-Each takes a complete run as one `ElementIndex`, which holds its levels.
+Element orders come from one weight scan, `_orders`, which `element_order`
+and `order_partition` share.  `order_partition` takes a whole run's
+`ElementIndex`, or the levels a `store.CheckedRun` passes on, one at a time.
+
+The classes take a complete run as one `ElementIndex`, which holds its levels.
 Classes are closed under conjugation by the simple reflections alone, which
 suffices because they generate the group.  Each generator's conjugation is
 computed for every element at once: the conjugates' weights are looked up
@@ -12,17 +16,17 @@ the representative, so numbering and representatives are deterministic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import cycletype
 from .errors import IntegrityError, WeylError
+from .orbit import ENTRY_LIMIT, Level
 from .reference import D4_CLASS_ROWS
-from .rootsystems import cartan_matrix
-from .store import ElementIndex, format_word
+from .rootsystems import cartan_matrix, positive_coroots, validate_cartan
+from .store import ElementIndex, format_word, level_one_cartan
 
 # Conjugacy needs the whole group in memory; refuse beyond this many elements
 # unless the caller raises the ceiling explicitly.
@@ -48,37 +52,112 @@ class ConjugacyClass:
         return len(self.members)
 
 
-def _orders(matrices: np.ndarray) -> np.ndarray:
-    """Order of each matrix in a stack: smallest p >= 1 with m^p the identity."""
-    eye = np.eye(matrices.shape[-1], dtype=np.int64)
-    orders = np.zeros(len(matrices), dtype=np.int64)
-    pending = np.arange(len(matrices))
-    power = matrices
+def _orders(v: np.ndarray, matrices: np.ndarray, start: np.ndarray,
+            bound: int | None = None, where=lambda j: "") -> np.ndarray:
+    """Least p >= 1 with v_p == start for each row j, where v_1 = v[j] and
+    v_{p+1} = v_p @ matrices[j]: the order of matrices[j] when v[j] is
+    start @ matrices[j] and `start` is strictly dominant.
+
+    An iterate with an entry beyond `bound` raises IntegrityError, as does a
+    row with no such p up to DEFAULT_ORDER_BOUND; `where(j)` prefixes the
+    message with the name of row j.
+    """
+    v, matrices = v.astype(np.int64, copy=False), matrices.astype(np.int64, copy=False)
+    orders = np.zeros(len(v), dtype=np.int64)
+    pending = np.arange(len(v))
     for p in range(1, DEFAULT_ORDER_BOUND + 1):
-        done = (power == eye).all(axis=(1, 2))
+        if bound is not None:
+            out = np.flatnonzero((np.abs(v) > bound).any(axis=1))
+            if out.size:
+                raise IntegrityError(
+                    f"{where(pending[out[0]])}start @ M^{p} = {v[out[0]].tolist()} leaves the "
+                    f"orbit's weight range [-{bound}, {bound}]; M is not a group element")
+        done = (v == start).all(axis=1)
         orders[pending[done]] = p
-        pending, power = pending[~done], power[~done]
+        pending, v, matrices = pending[~done], v[~done], matrices[~done]
         if not pending.size:
             return orders
-        power = power @ matrices[pending]
-    raise IntegrityError(f"no power up to {DEFAULT_ORDER_BOUND} reached the identity")
+        v = np.matmul(v[:, None, :], matrices)[:, 0]
+    raise IntegrityError(
+        f"{where(pending[0])}no power up to {DEFAULT_ORDER_BOUND} reached the identity")
 
 
 def element_order(m: np.ndarray) -> int:
-    """Smallest p >= 1 with m^p equal to the identity."""
-    return int(_orders(np.asarray(m, dtype=np.int64)[None])[0])
+    """Smallest p >= 1 with m^p equal to the identity, for the matrix m of a
+    Weyl group element.  The all-ones weight rho is strictly dominant in every
+    system, so rho @ m^p == rho exactly when m^p is the identity."""
+    m = np.asarray(m, dtype=np.int64)
+    rho = np.ones(len(m), dtype=np.int64)
+    return int(_orders((rho @ m)[None], m[None], rho)[0])
 
 
-def order_partition(index: ElementIndex) -> dict[int, int]:
+def _bounds(start: np.ndarray, cartan: np.ndarray) -> tuple[int, int]:
+    """(B, c): every weight of the start's orbit lies in [-B, B], and every
+    entry of a group matrix, a coroot coefficient, in [-c, c].
+
+    B is the start's coroot bound, max |<start, beta^vee>| over the positive
+    coroots, in exact integers.  A run whose B is at least ENTRY_LIMIT is
+    refused, since no walk starts there; below it, an iterate in [-B, B]
+    times a matrix in [-c, c] is exact in int64.
+    """
+    coroots = positive_coroots(validate_cartan(cartan))
+    bound = max(abs(x) for x in coroots.astype(object) @ start.astype(object))
+    if bound >= ENTRY_LIMIT:
+        raise IntegrityError(f"level 0: start {start.tolist()} has coroot bound {bound}, at "
+                             f"least the checked arithmetic bound {ENTRY_LIMIT}")
+    return bound, int(coroots.max())
+
+
+def order_partition(run: ElementIndex | Iterable[Level]) -> dict[int, int]:
     """Count of elements per element order, over the whole group.
 
-    Powers every element's matrix, one level at a time; it does not use the
-    conjugacy classes, so it cross-checks their per-class sums.
+    `run` is an index, or the levels of a complete run in order as a
+    `store.CheckedRun` passes them on, scanned and dropped one at a time.
+    The start is strictly dominant, so it lies in the open chamber, on which
+    W acts simply transitively: w^p = e exactly when start @ M^p == start.
+    So each element carries one weight row, stepped v <- v @ M from p = 1,
+    whose weight start @ M is its inverse's, already on the level.  An
+    element and its inverse share an order, so only ordinals j with
+    j <= inv_ordinal[j] are scanned, each counted twice when it is not its
+    own inverse; the other element of the pair is stepped once, as its
+    weight @ M must be the start.  From level 1 on, a matrix entry beyond
+    the largest coroot coefficient, an iterate beyond the start's coroot
+    bound (`_bounds`) or a step that misses the start is an IntegrityError
+    naming the level and the ordinal.  The pairing is used and the classes
+    are not, so the partition cross-checks their per-class sums.
     """
-    counts: Counter[int] = Counter()
-    for level in index.levels:
-        counts.update(_orders(level.matrices).tolist())
-    return dict(sorted(counts.items()))
+    levels = run.levels if isinstance(run, ElementIndex) else run
+    counts = np.zeros(DEFAULT_ORDER_BOUND + 1, dtype=np.int64)
+    bound = None
+    for k, level in enumerate(levels):
+        if k == 0:
+            start = level.weights[0].astype(np.int64)
+        elif k == 1:
+            bound, entry = _bounds(start, level_one_cartan(level))
+        matrices, inv = level.matrices, level.inv_ordinal
+        scanned = np.flatnonzero(np.arange(level.size) <= inv)
+
+        def at(j: int) -> str:
+            return f"level {level.index}, record {j}: "
+
+        if k and max(int(matrices.max()), -int(matrices.min())) > entry:
+            beyond = np.flatnonzero(((matrices > entry) | (matrices < -entry)).any(axis=(1, 2)))
+            raise IntegrityError(f"{at(beyond[0])}a matrix entry lies beyond the largest "
+                                 f"coroot coefficient, {entry}; M is not a group element")
+        orders = _orders(level.weights[inv[scanned]], matrices[scanned], start, bound,
+                         lambda row: at(scanned[row]))
+        # Each scanned iterate v_1 was the weight of a partner, so it is in [-B, B].
+        partners = np.flatnonzero(np.arange(level.size) > inv)
+        back = np.matmul(level.weights[partners, None, :].astype(np.int64),
+                         matrices[partners].astype(np.int64))
+        missed = np.flatnonzero((back[:, 0] != start).any(axis=1))
+        if missed.size:
+            raise IntegrityError(f"{at(partners[missed[0]])}its weight @ M = "
+                                 f"{back[missed[0], 0].tolist()} is not the start; "
+                                 "M is not a group element")
+        counts += np.bincount(np.concatenate([orders, orders[inv[scanned] != scanned]]),
+                              minlength=counts.size)
+    return {p: int(n) for p, n in enumerate(counts.tolist()) if n}
 
 
 def conjugacy_classes(index: ElementIndex,

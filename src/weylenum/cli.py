@@ -114,11 +114,11 @@ def cmd_verify(name: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _load_index(name: str, out_dir: str, ceiling: int | None = None) -> store.ElementIndex:
+def _load_index(name: str, out_dir: str, ceiling: int) -> store.ElementIndex:
     """The run in `out_dir` as one index; above `ceiling` elements no file is read."""
     paths = store.find_level_files(out_dir, name)
     total = sum(store.parse_level_file_name(p)[2] for p in paths)
-    if ceiling is not None and total > ceiling:
+    if total > ceiling:
         raise WeylError(f"{name} has {total} elements, above the ceiling {ceiling}; "
                         "pass --ceiling to raise the limit if you have the memory")
     return store.build_index([store.read_level(p) for p in paths])
@@ -173,7 +173,9 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
 
 
 def cmd_orders(name: str, out_dir: str, as_json: bool = False) -> int:
-    partition = classify.order_partition(_load_index(name, out_dir))
+    # One level at a time: read, checked, scanned, dropped.
+    paths = store.find_level_files(out_dir, name)
+    partition = classify.order_partition(store.CheckedRun(store.read_level(p) for p in paths))
     if as_json:
         print(json.dumps({"root_system": name,
                           "order_partition": {str(k): v for k, v in partition.items()}},

@@ -122,7 +122,6 @@ class OrbitLevel:
 
 # Each word of a packed key is below this, so it is exact in int64.
 _WORD_LIMIT = 1 << 62
-_INT64 = np.iinfo(np.int64)
 
 
 class RowKeys:
@@ -138,9 +137,13 @@ class RowKeys:
     """
 
     def __init__(self, rows: np.ndarray):
-        rows = np.asarray(rows, dtype=np.int64)
-        self.low = rows.min(axis=0, initial=_INT64.max)
-        high = rows.max(axis=0, initial=_INT64.min)
+        rows = np.asarray(rows)
+        if rows.dtype.kind != "i":
+            rows = rows.astype(np.int64)
+        # Rows keep their signed dtype, so that only their offsets are int64.
+        limits = np.iinfo(rows.dtype)
+        self.low = rows.min(axis=0, initial=limits.max).astype(np.int64)
+        high = rows.max(axis=0, initial=limits.min).astype(np.int64)
         # Python ints, so that no span or product of spans overflows.
         spans = [max(int(h) - int(l) + 1, 1) for l, h in zip(self.low, high)]
         word_of, place = [], []

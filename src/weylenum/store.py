@@ -23,9 +23,12 @@ classified line by line, and the error names its first line out of slot.
 `write_level`, `write_summary` and the class report of ``weylenum classes``
 rename a finished temporary file into place (`_write_atomically`), so no
 partial file is ever seen.
-`build_index` keys the elements of a complete run by weight row, packed and
-sorted once as `ElementIndex.keys`, and numbers each element's inverse from
-its level's inverse ordinals.
+`CheckedRun` passes on the levels of a complete run one at a time, each once
+it is checked, and checks the run as a whole after the last; a consumer can
+read, use and drop a level at a time.  `build_index` holds what it passes
+on: it keys the elements by weight row, packed and sorted once as
+`ElementIndex.keys`, and numbers each element's inverse from its level's
+inverse ordinals.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import IntegrityError, ParseError, WeylError
-from .orbit import Level, RowKeys, check_inverse_ordinals
+from .orbit import _RUN_DTYPES, Level, RowKeys, check_inverse_ordinals
 
 _FILE_RE = re.compile(r"^(?P<prefix>.+)_WeightMatrByLevel_(?P<k>\d+)_elems=(?P<n>\d+)\.txt$")
 # Canonical fields of the record grammar: %u never carries a sign, and a
@@ -409,6 +412,13 @@ def find_level_files(dir: Path | str, prefix: str) -> list[Path]:
     return [found[k] for k in range(top + 1)]
 
 
+def level_one_cartan(level: Level) -> np.ndarray:
+    """A run's int64 Cartan matrix from its level 1, which holds the simple
+    reflections in ascending order: row i of R_i is ``e_i - cartan[i]``."""
+    i = np.arange(level.weights.shape[1])
+    return np.eye(i.size, dtype=np.int64) - level.matrices[i, i]
+
+
 @dataclass(frozen=True, eq=False)
 class ElementIndex:
     """A complete run with every element numbered in (level, ordinal) order.
@@ -432,45 +442,73 @@ class ElementIndex:
         return self.levels[0].weights[0]
 
     @property
-    def cartan(self) -> np.ndarray:
-        """The run's int64 Cartan matrix: level 1 holds the simple reflections
-        in ascending order, and row i of R_i is ``e_i - cartan[i]``."""
-        i = np.arange(self.start.size)
-        return np.eye(i.size, dtype=np.int64) - self.levels[1].matrices[i, i]
+    def cartan(self) -> np.ndarray:  # the run's int64 Cartan matrix
+        return level_one_cartan(self.levels[1])
+
+
+def _narrowest(weights: np.ndarray) -> np.ndarray:
+    """`weights` in the first of the run dtypes that holds them."""
+    low, high = int(weights.min(initial=0)), int(weights.max(initial=0))
+    dtype = next(t for t in _RUN_DTYPES if np.iinfo(t).min <= low and high <= np.iinfo(t).max)
+    return weights.astype(dtype, copy=False)
+
+
+class CheckedRun:
+    """The levels of a complete run, in order, each passed on once it is checked.
+
+    Level 0 must be the identity alone.  In every level the inverse ordinals
+    obey the inverse rule and each weight agrees with its matrix,
+    start @ M == weights[inv_ordinal].  After the last level the run is
+    checked as a whole.  No two elements may share a weight; that makes a
+    weight row as sound a key as the matrix itself, and `keys` then holds
+    every element's weight, packed and sorted.  A truncated run is refused:
+    only the longest element sends the strictly dominant start to a
+    strictly negative weight, so the top level must be that element alone.
+    Only the weights are held, in the narrowest run dtype, so a consumer may
+    read, use and drop one level at a time; its result stands once the
+    iteration ends without an error.
+    """
+
+    def __init__(self, levels: Iterable[Level]):
+        self._levels = levels
+        self.keys: RowKeys | None = None
+
+    def __iter__(self) -> Iterator[Level]:
+        weights, level = [], None
+        for level in self._levels:
+            if not weights:
+                start = level.weights[0]
+                if level.size != 1 or not (level.matrices[0] == np.eye(start.size)).all():
+                    raise IntegrityError(f"level {level.index} holds {level.size} element(s) "
+                                         "and is not the identity alone; the run has no start")
+            check_inverse_ordinals(level.inv_ordinal, f"level {level.index}")
+            q = np.matmul(start, level.matrices)
+            bad = np.flatnonzero((q != level.weights[level.inv_ordinal]).any(axis=1))
+            if bad.size:
+                raise IntegrityError(
+                    f"level {level.index}, record {bad[0]}: start @ M = {q[bad[0]].tolist()} "
+                    "disagrees with the weight of its inverse, "
+                    f"record {level.inv_ordinal[bad[0]]}")
+            weights.append(_narrowest(level.weights))
+            yield level
+        if level is None:
+            raise WeylError("no levels given")
+        if level.size != 1 or (level.weights[0] >= 0).any():
+            raise IntegrityError(
+                f"top level {level.index} holds {level.size} element(s) and is not the "
+                "longest element alone; the run is incomplete")
+        self.keys = RowKeys(np.concatenate(weights))  # raises on two elements sharing a weight
 
 
 def build_index(levels: Iterable[Level]) -> ElementIndex:
-    """Number every element of a complete run and check its weight keys.
-
-    Each weight must agree with its matrix, start @ M == weights[inv_ordinal],
-    and no two elements may share a weight; that makes a weight row as sound
-    a key as the matrix itself, and makes the inverse of ordinal j of level
-    k the element ``offsets[k] + inv_ordinal[j]``.  A truncated run is refused:
-    only the longest element sends the strictly dominant start to a strictly
-    negative weight, so the top level must be that element alone.
-    """
-    levels = tuple(levels)
-    if not levels:
-        raise WeylError("no levels given")
-    start = levels[0].weights[0]
-    top = levels[-1]
-    if top.size != 1 or (top.weights[0] >= 0).any():
-        raise IntegrityError(
-            f"top level {top.index} holds {top.size} element(s) and is not the longest "
-            "element alone; the run is incomplete")
-    for level in levels:
-        check_inverse_ordinals(level.inv_ordinal, f"level {level.index}")
-        q = np.matmul(start, level.matrices)
-        bad = np.flatnonzero((q != level.weights[level.inv_ordinal]).any(axis=1))
-        if bad.size:
-            raise IntegrityError(
-                f"level {level.index}, record {bad[0]}: start @ M = {q[bad[0]].tolist()} "
-                f"disagrees with the weight of its inverse, record {level.inv_ordinal[bad[0]]}")
+    """Number every element of a complete run, holding the levels that
+    `CheckedRun` passes on; the inverse of ordinal j of level k is the element
+    ``offsets[k] + inv_ordinal[j]``."""
+    run = CheckedRun(levels)
+    levels = tuple(run)
     offsets = np.cumsum([0] + [level.size for level in levels])
-    # raises on two elements sharing a weight
-    keys = RowKeys(np.concatenate([level.weights for level in levels]))
     inv = np.concatenate([offsets[k] + level.inv_ordinal for k, level in enumerate(levels)])
-    return ElementIndex(levels=levels, inv=inv, offsets=offsets, keys=keys)
+    return ElementIndex(levels=levels, inv=inv, offsets=offsets, keys=run.keys)
 
 
 def summary_path(dir: Path | str, prefix: str) -> Path:

@@ -499,3 +499,25 @@ def descent_words(weights, cartan) -> np.ndarray:
         letters.append(i + 1)
         weights = weights - weights[rows, i][:, None] * cartan[i]
     return np.array(letters, dtype=np.int64).reshape(-1, n).T
+
+
+def matrix_orders(matrices, bound: int = 10_000) -> np.ndarray:
+    """Each matrix's order by powering: the least p >= 1 with m^p the identity.
+
+    The stack is powered a step at a time, the rows that reached the
+    identity dropped, at rank^3 per element per step.  A matrix with no such
+    p up to `bound` raises ValueError.
+    """
+    matrices = np.asarray(matrices, dtype=np.int64)
+    eye = np.eye(matrices.shape[-1], dtype=np.int64)
+    orders = np.zeros(len(matrices), dtype=np.int64)
+    pending = np.arange(len(matrices))
+    power = matrices
+    for p in range(1, bound + 1):
+        done = (power == eye).all(axis=(1, 2))
+        orders[pending[done]] = p
+        pending, power = pending[~done], power[~done]
+        if not pending.size:
+            return orders
+        power = power @ matrices[pending]
+    raise ValueError(f"no power up to {bound} reached the identity")

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import weylenum as we
-from weylenum import IntegrityError, WeylError
+from test_kernels import finite_cartan
+from weylenum import IntegrityError, WeylError, classify
 from weylenum.classify import format_class_report, report_cycle_types
+from weylenum.orbit import ENTRY_LIMIT
 from weylenum.reference import (D4_CLASS1_MEMBERS, D4_CLASS_ROWS, D4_CLASS_SIZES,
                                 D4_ORDER_PARTITION)
 
@@ -38,6 +42,113 @@ def test_order_partition_small():
 
 def test_order_partition_d4(d4_index):
     assert we.order_partition(d4_index) == D4_ORDER_PARTITION
+
+
+@st.composite
+def _run(draw):
+    """A finite-type Cartan matrix of rank 2 to 4 and a strictly dominant start."""
+    cartan = draw(finite_cartan())
+    start = draw(st.lists(st.integers(1, 3), min_size=len(cartan), max_size=len(cartan)))
+    return cartan, start
+
+
+@settings(max_examples=40, deadline=None)
+@given(_run())
+def test_weight_scan_agrees_with_matrix_powers(run):
+    # each element's scanned order is the least p with M^p the identity, and
+    # the partition is the count of those orders, from the index or a stream
+    cartan, start = run
+    index = we.build_index(we.generate_group(we.RootSystem("custom", cartan), start=start))
+    for level in index.levels:
+        scanned = classify._orders(level.weights[level.inv_ordinal], level.matrices, index.start)
+        assert np.array_equal(scanned, oracles.matrix_orders(level.matrices))
+    want = Counter(np.concatenate([oracles.matrix_orders(level.matrices)
+                                   for level in index.levels]).tolist())
+    assert we.order_partition(index) == dict(sorted(want.items()))
+    assert we.order_partition(we.CheckedRun(index.levels)) == dict(sorted(want.items()))
+
+
+def _tamper(levels, k, j, matrix):
+    matrices = levels[k].matrices.copy()
+    matrices[j] = matrix
+    return levels[:k] + [dataclasses.replace(levels[k], matrices=matrices)] + levels[k + 1:]
+
+
+def _non_group_record(levels):
+    """(k, j, M + N) for the first scanned record whose M + N, where N's rows a
+    and b are x and -x, so start @ N == 0, keeps its entries within D4's
+    largest coroot coefficient, 2."""
+    rank = levels[0].weights.shape[1]
+    for level in levels[2:]:
+        for j in np.flatnonzero(np.arange(level.size) <= level.inv_ordinal):
+            for a, b, c in np.ndindex(rank, rank, rank):
+                m = level.matrices[j].astype(np.int64)
+                m[a, c] += 1
+                m[b, c] -= 1
+                if a != b and np.abs(m).max() <= 2:
+                    return level.index, int(j), m
+    raise AssertionError("no record to tamper")
+
+
+def test_non_group_record_leaves_the_orbit_range(d4_levels):
+    # M + N passes build_index's start @ M check but is no group element;
+    # the matrix power loop runs it to the 10,000-power bound
+    k, j, m = _non_group_record(d4_levels)
+    index = we.build_index(_tamper(d4_levels, k, j, m))
+    with pytest.raises(IntegrityError, match=rf"^level {k}, record {j}: start @ M\^\d+ = "
+                                             r".* leaves the orbit's weight range \[-5, 5\]"):
+        we.order_partition(index)
+
+
+def test_non_group_partner_misses_the_start(d4_levels):
+    # the same tamper on the later record of an inverse pair, which is not
+    # scanned: stepped once, its weight does not come back to the start
+    three = d4_levels[3]
+    j = int(np.flatnonzero(np.arange(three.size) > three.inv_ordinal)[0])
+    m = three.matrices[j].astype(np.int64)
+    m[0, 0] += 1
+    m[1, 0] -= 1
+    index = we.build_index(_tamper(d4_levels, 3, j, m))
+    with pytest.raises(IntegrityError, match=rf"^level 3, record {j}: its weight @ M = "
+                                             r"\[.*\] is not the start"):
+        we.order_partition(index)
+
+
+def test_matrix_entry_beyond_the_largest_coroot_coefficient(d4_levels):
+    # an entry of 3 in D4, where coroot coefficients are at most 2, with
+    # start @ N == 0 still
+    m = d4_levels[3].matrices[0].astype(np.int64)
+    n = 3 - m[0, 0]
+    m[0, 0] += n
+    m[1, 0] -= n
+    index = we.build_index(_tamper(d4_levels, 3, 0, m))
+    with pytest.raises(IntegrityError, match="^level 3, record 0: a matrix entry lies beyond "
+                                             "the largest coroot coefficient, 2"):
+        we.order_partition(index)
+
+
+def test_order_partition_refuses_a_start_no_walk_takes(d4_levels):
+    # every weight times 2**38 is a consistent run whose start's coroot bound,
+    # 5 * 2**38, is at least the checked arithmetic bound 2**40
+    big = [dataclasses.replace(level, weights=level.weights.astype(np.int64) << 38)
+           for level in d4_levels]
+    index = we.build_index(big)
+    with pytest.raises(IntegrityError, match=rf"^level 0: start .* has coroot bound "
+                                             rf"{5 << 38}, at least .* {ENTRY_LIMIT}$"):
+        we.order_partition(index)
+
+
+@pytest.mark.slow
+def test_e7_classes_and_order_partition():
+    index = we.build_index(we.generate_group(we.root_system("E7")))
+    classes = we.conjugacy_classes(index)
+    partition = we.order_partition(index)
+    assert len(classes) == 60
+    assert sum(partition.values()) == 2_903_040
+    by_order = Counter()
+    for cls in classes:
+        by_order[cls.element_order] += cls.size
+    assert partition == dict(sorted(by_order.items()))
 
 
 def test_d4_thirteen_classes_in_published_row_order(d4_classes):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_classify import _non_group_record, _tamper
+from test_store import TAMPERED_RUNS, weight_shared_across_levels
 from weylenum import cycletype, store
 from weylenum.cli import EXIT_FAILURE, EXIT_MISMATCH, EXIT_OK, main
 
@@ -168,6 +173,58 @@ def test_orders_rejects_malformed_level_file(d4_run, capsys):
     path.write_text(body.replace("w=1,-2,3,3", "w=1,-,3,3"), encoding="utf-8", newline="\n")
     assert main(["orders", "D4", "--out", str(d4_run)]) == EXIT_FAILURE
     assert "elems=9.txt:1: malformed header" in capsys.readouterr().err
+
+
+def _serve(monkeypatch, levels):
+    """Make the level reader serve `levels` in place of a run's files."""
+    monkeypatch.setattr(store, "find_level_files",
+                        lambda out_dir, name: [Path(str(k)) for k in range(len(levels))])
+    monkeypatch.setattr(store, "read_level", lambda path: levels[int(path.name)])
+
+
+@pytest.mark.parametrize("case", TAMPERED_RUNS)
+def test_orders_refuses_what_build_index_refuses(d4_levels, monkeypatch, capsys, case):
+    # the streamed orders runs build_index's checks, with the same message
+    tamper, message = TAMPERED_RUNS[case]
+    _serve(monkeypatch, tamper(d4_levels))
+    assert main(["orders", "D4", "--out", "unread"]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(message, captured.err.removeprefix("error: ").rstrip("\n"))
+
+
+def _write_run(out, levels):
+    for level in levels:
+        store.write_level(level, "D4", out)
+
+
+def test_orders_refuses_two_levels_sharing_a_weight(tmp_path, d4_levels, capsys):
+    _write_run(tmp_path, weight_shared_across_levels(d4_levels))
+    assert main(["orders", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
+    assert "duplicate weights at rows 30 and 62" in capsys.readouterr().err
+
+
+def test_orders_refuses_a_record_that_is_no_group_element(tmp_path, d4_levels, capsys):
+    k, j, m = _non_group_record(d4_levels)
+    _write_run(tmp_path, _tamper(d4_levels, k, j, m))
+    assert main(["orders", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
+    assert f"error: level {k}, record {j}: start @ M^" in capsys.readouterr().err
+
+
+def test_orders_holds_one_level_at_a_time(d4_run, monkeypatch, capsys):
+    # when a level is read, no level before the one just scanned is still held
+    read, refs, alive = store.read_level, [], []
+
+    def read_level(path):
+        alive.append(sum(ref() is not None for ref in refs[:-1]))
+        level = read(path)
+        refs.append(weakref.ref(level))
+        return level
+
+    monkeypatch.setattr(store, "read_level", read_level)
+    assert main(["orders", "D4", "--out", str(d4_run)]) == EXIT_OK
+    assert "1:1, 2:43, 3:32, 4:84, 6:32" in capsys.readouterr().out
+    assert alive == [0] * 13
 
 
 def test_orders(d4_run, capsys):

@@ -213,12 +213,16 @@ def _distinct_rows(draw):
     return sorted(draw(st.sets(st.tuples(*[_entries(wide)] * rank), min_size=1, max_size=40)))
 
 
-@given(_distinct_rows(), st.randoms(use_true_random=False))
-def test_match_rows_agrees_with_dict(rows, rnd):
+@given(_distinct_rows(), st.sampled_from([np.int8, np.int16, np.int64]),
+       st.randoms(use_true_random=False))
+def test_match_rows_agrees_with_dict(rows, dtype, rnd):
+    # the rows in any signed dtype that holds them, the queries in int64
     rnd.shuffle(rows)
     queries = [rnd.choice(rows) for _ in range(2 * len(rows))]
     where = {row: j for j, row in enumerate(rows)}
-    got = we.match_rows(np.array(rows, dtype=np.int64), np.array(queries, dtype=np.int64))
+    if max(abs(x) for row in rows for x in row) > np.iinfo(dtype).max:
+        dtype = np.int64
+    got = we.match_rows(np.array(rows, dtype=dtype), np.array(queries, dtype=np.int64))
     assert got.tolist() == [where[q] for q in queries]
 
 
@@ -262,6 +266,12 @@ def test_match_rows_edge_cases():
     assert RowKeys(wide[:3]).words == 2
     with pytest.raises(IntegrityError, match="duplicate weights at rows 1 and 3"):
         we.match_rows(wide, wide[:0])
+    # rows keep a signed dtype, here at both ends of int8, and unsigned rows are cast
+    ends = np.array([[-128, 127], [127, -128], [0, 0]], dtype=np.int8)
+    assert we.match_rows(ends, ends[::-1].astype(np.int64)).tolist() == [2, 1, 0]
+    with pytest.raises(IntegrityError, match="query row 0 has no matching element"):
+        we.match_rows(ends, np.array([[-129, 127]]))
+    assert we.match_rows(np.array([[255], [0]], dtype=np.uint8), [[0], [255]]).tolist() == [1, 0]
 
 
 def test_pair_level_weights_empty_level(d4):

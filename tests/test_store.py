@@ -710,44 +710,105 @@ def test_build_index_inverse_ids_agree_with_weight_matching(name):
     assert np.array_equal(index.inv, index.keys.find(queries))
 
 
-def test_build_index_rejects_inverse_ordinal_out_of_range(d4_levels):
+def inverse_ordinal_out_of_range(levels):
     # -1 would pass the weight check by wrapping to the level's last record
-    four = d4_levels[4]
+    four = levels[4]
     inv = four.inv_ordinal.copy()
     inv[inv == four.size - 1] = -1
-    levels = _replace_level(d4_levels, 4, inv_ordinal=inv)
-    with pytest.raises(IntegrityError, match="^level 4: inverse ordinal out of range$"):
-        we.build_index(levels)
+    return _replace_level(levels, 4, inv_ordinal=inv)
+
+
+def _append_self_inverse(levels, k, source, j):
+    """`levels` with record j of level `source`, its own inverse, appended to level k."""
+    level, copy = levels[k], levels[source]
+    assert copy.inv_ordinal[j] == j
+    word = np.ones((1, level.index), dtype=level.words.dtype)
+    return _replace_level(
+        levels, k,
+        weights=np.concatenate([level.weights, copy.weights[j:j + 1]]),
+        matrices=np.concatenate([level.matrices, copy.matrices[j:j + 1]]),
+        words=np.concatenate([level.words, word]),
+        inv_ordinal=np.append(level.inv_ordinal, level.size))
+
+
+def duplicate_weight(levels):
+    # a copy of the self-inverse s1 appended to level 2 agrees with its own
+    # matrix, so only the uniqueness of weight keys can catch it
+    return _append_self_inverse(levels, 2, 1, 0)
+
+
+def weight_shared_across_levels(levels):
+    # the copy comes first: a self-inverse element of level 5 appended to level 3
+    j = int(np.flatnonzero(levels[5].inv_ordinal == np.arange(levels[5].size))[0])
+    return _append_self_inverse(levels, 3, 5, j)
+
+
+def weight_disagreeing_with_matrix(levels):
+    weights = levels[5].weights.copy()
+    weights[7] = -weights[7]
+    return _replace_level(levels, 5, weights=weights)
+
+
+def truncated(levels):
+    return levels[:7]
+
+
+def start_alone(levels):
+    # a singleton top level that is not the longest element
+    return levels[:1]
+
+
+def not_the_identity(levels):
+    # I + N with start @ N == 0 agrees with the weight check, but is no identity
+    matrices = levels[0].matrices.copy()
+    matrices[0, 0, 1], matrices[0, 1, 1] = 1, 0
+    return _replace_level(levels, 0, matrices=matrices)
+
+
+# Each tampered D4 run, and the error build_index raises on it.
+TAMPERED_RUNS = {
+    "inverse-ordinal-out-of-range": (inverse_ordinal_out_of_range,
+                                     "^level 4: inverse ordinal out of range$"),
+    "duplicate-weight": (duplicate_weight, "duplicate weights at rows 1 and 14"),
+    "weight-shared-across-levels": (weight_shared_across_levels,
+                                    "duplicate weights at rows 30 and 62"),
+    "weight-disagreeing-with-matrix": (weight_disagreeing_with_matrix,
+                                       r"level 5, record \d+: start @ M .* disagrees"),
+    "truncated": (truncated, "top level 6 holds 30 element"),
+    "start-alone": (start_alone, "top level 0 holds 1 element"),
+    "not-the-identity": (not_the_identity, "^level 0 holds 1 element.* not the identity alone"),
+}
+
+
+def _refused(levels, *cases):
+    for case in cases:
+        tamper, message = TAMPERED_RUNS[case]
+        with pytest.raises(IntegrityError, match=message):
+            we.build_index(tamper(levels))
+
+
+def test_build_index_rejects_inverse_ordinal_out_of_range(d4_levels):
+    _refused(d4_levels, "inverse-ordinal-out-of-range")
 
 
 def test_build_index_rejects_duplicate_weight(d4_levels):
-    # a copy of the self-inverse s1 appended to level 2 agrees with its own
-    # matrix, so only the uniqueness of weight keys can catch it
-    two, s1 = d4_levels[2], d4_levels[1]
-    levels = _replace_level(
-        d4_levels, 2,
-        weights=np.concatenate([two.weights, s1.weights[:1]]),
-        matrices=np.concatenate([two.matrices, s1.matrices[:1]]),
-        words=np.concatenate([two.words, [[1, 1]]]).astype(two.words.dtype),
-        inv_ordinal=np.append(two.inv_ordinal, two.size))
-    with pytest.raises(IntegrityError, match="duplicate weights at rows 1 and 14"):
-        we.build_index(levels)
+    _refused(d4_levels, "duplicate-weight")
+
+
+def test_build_index_rejects_weight_shared_across_levels(d4_levels):
+    _refused(d4_levels, "weight-shared-across-levels")
 
 
 def test_build_index_rejects_weight_disagreeing_with_matrix(d4_levels):
-    weights = d4_levels[5].weights.copy()
-    weights[7] = -weights[7]
-    levels = _replace_level(d4_levels, 5, weights=weights)
-    with pytest.raises(IntegrityError, match=r"level 5, record \d+: start @ M .* disagrees"):
-        we.build_index(levels)
+    _refused(d4_levels, "weight-disagreeing-with-matrix")
 
 
 def test_build_index_rejects_truncated_run(d4_levels):
-    with pytest.raises(IntegrityError, match="top level 6 holds 30 element"):
-        we.build_index(d4_levels[:7])
-    # a singleton top level that is not the longest element
-    with pytest.raises(IntegrityError, match="top level 0 holds 1 element"):
-        we.build_index(d4_levels[:1])
+    _refused(d4_levels, "truncated", "start-alone")
+
+
+def test_build_index_rejects_a_run_not_starting_at_the_identity(d4_levels):
+    _refused(d4_levels, "not-the-identity")
 
 
 def test_build_index_sizes(b3_levels):
