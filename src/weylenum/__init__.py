@@ -4,8 +4,8 @@ The enumeration builds each group as levels of equal reduced-word length,
 pairing every element with its inverse in the same pass, and feeds the
 downstream conjugacy-class and signed cycle-type computations.  The level
 step is a single numpy kernel, and an inverse's matrix is found through the
-pairing rather than stored.  A D_n class's signed cycle type comes from one
-array replay of its members' words as signed permutations.
+pairing rather than stored.  Conjugates and a D_n class's signed cycle
+type are read off the elements' weight rows, with no matrix product.
 """
 
 from .classify import (ConjugacyClass, class_label_d4, conjugacy_classes,

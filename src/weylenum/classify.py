@@ -7,11 +7,10 @@ and `order_partition` share.  `order_partition` takes a whole run's
 The classes take a complete run as one `ElementIndex`, which holds its levels.
 Classes are closed under conjugation by the simple reflections alone, which
 suffices because they generate the group.  Each generator's conjugation is
-computed for every element at once: the conjugates' weights are looked up
-in the packed weight keys of the index, and the classes are the connected
-components of those maps.  Classes are
-numbered by their least member in (level, ordinal) order, which is also
-the representative, so numbering and representatives are deterministic.
+read off the weight rows for every element at once, and the classes are
+the connected components of those maps.  Classes are numbered by their
+least member in (level, ordinal) order, which is also the representative,
+so numbering and representatives are deterministic.
 """
 
 from __future__ import annotations
@@ -162,23 +161,19 @@ def order_partition(run: ElementIndex | Iterable[Level]) -> dict[int, int]:
 
 def conjugacy_classes(index: ElementIndex,
                       ceiling: int = DEFAULT_CEILING) -> list[ConjugacyClass]:
-    """Partition the group into conjugacy classes.
-
-    Generator matrices are taken from level 1, whose elements are exactly
-    the simple reflections in ascending order.
-    """
+    """Partition the group into conjugacy classes."""
     levels = index.levels
     if index.total > ceiling:
         raise WeylError(
             f"group has {index.total} elements, above the ceiling {ceiling}; "
             "raise it explicitly to proceed")
-    # start @ R M R is the weight of (R M R)^-1, so the weight keys give the
-    # id of every element's conjugate by each generator R, a level at a time.
+    # weight(s·y) = weight(y) @ R_s, R_s from level 1, so one lookup gives L_s,
+    # the id of s·y for every y, and s·x·s = L_s[inv[L_s[inv[x]]]].
+    weights = np.concatenate([level.weights for level in levels])
     conjugates = []
     for refl in levels[1].matrices:
-        v = index.start @ refl
-        q = np.concatenate([(v @ level.matrices) @ refl for level in levels])
-        conjugates.append(index.inv[index.keys.find(q)])
+        left = index.keys.find(weights @ refl)
+        conjugates.append(left[index.inv[left[index.inv]]])
     # Min-label propagation with pointer jumping: each label falls to the
     # least id in its class, the class's least member in (level, ordinal) order.
     label, previous = np.arange(index.total), None

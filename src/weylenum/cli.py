@@ -127,12 +127,13 @@ def _load_index(name: str, out_dir: str, ceiling: int) -> store.ElementIndex:
 def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING,
                 as_json: bool = False) -> int:
     index = _load_index(name, out_dir, ceiling)
+    # Orders first: their guards name a record that is no group element.
+    partition = classify.order_partition(index)
     classes = classify.conjugacy_classes(index, ceiling=ceiling)
     ctypes = classify.report_cycle_types(classes, index)
     report = classify.format_class_report(classes, index, ctypes)
     report_path = Path(out_dir) / f"{store._file_prefix(name)}_classes.txt"
     store._write_atomically(report_path, report.encode())
-    partition = classify.order_partition(index)
     if as_json:
         payload = {
             "root_system": name,

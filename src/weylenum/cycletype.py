@@ -1,19 +1,15 @@
-"""Signed cycle-types of W(D_n) classes, replayed as arrays of signed permutations.
+"""Signed cycle-types of W(D_n) classes, read off the members' weight rows.
 
-Generators of D_n act on the basis e_1..e_n as the adjacent transpositions
-(e_i e_{i+1}) for i < n plus the final generator e_{n-1} -> -e_n,
-e_n -> -e_{n-1}.  A word maps to the composition of its generators with the
-rightmost applied first, matching how words label group elements elsewhere
-in this package.  Row k of a replayed array holds the images of e_1..e_n
-under word k: images[s] = j means e_{s+1} -> e_j, with j < 0 for a sign flip.
-
-A signed cycle-type lists the cycle lengths of the underlying permutation,
-negated when the signs along the cycle multiply to -1, longer cycles first
-and negative before positive at equal length; length-1 cycles included.
-
-Only D_n in Bourbaki numbering has a signed-permutation model here; the
-functions take its rank n and do not check the run's Cartan matrix, which
-`classify.report_cycle_types` does.
+In Euclidean ε-coordinates W(D_n) acts as the signed permutations of
+e_1..e_n with an even number of sign changes (Bourbaki, *Lie Groups and Lie
+Algebras*, ch. VI, plate IV), and an element's weight is a signed
+permutation of the start's coordinates, held as the images of e_1..e_n:
+images[s] = j means e_{s+1} -> e_j, with j < 0 for a sign flip.  A signed
+cycle-type lists the cycle lengths of the underlying permutation, negated
+when the signs along the cycle multiply to -1, longer cycles first and
+negative before positive at equal length; length-1 cycles included.
+Only D_n in Bourbaki numbering has this model; `classify.report_cycle_types`
+checks the run's Cartan matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, WeylError
+from .errors import IntegrityError
 
 
 def render_cycle_type(ctype: Sequence[int]) -> str:
@@ -30,25 +26,25 @@ def render_cycle_type(ctype: Sequence[int]) -> str:
     return "[" + "".join(str(c) if c > 0 else f"~{-c}" for c in ctype) + "]"
 
 
-def _signed_images(words: np.ndarray, n: int) -> np.ndarray:
-    """Signed permutations of D_n words, one row per word of generators 1..n.
-
-    A 0 pads a shorter word and acts as the identity.  Word positions are
-    taken left to right, for all rows at once, each composed on the right of
-    the product so far, so the rightmost letter acts first.
-    """
-    if words.size and (words.min() < 0 or words.max() > n):
-        bad = words[(words < 0) | (words > n)][0]
-        raise WeylError(f"generator index {bad} out of range 1..{n}")
-    # Row g holds the images under generator g; row 0, the padding, is the identity.
-    actions = np.tile(np.arange(1, n + 1, dtype=np.int64), (n + 1, 1))
-    g = np.arange(1, n)
-    actions[g, g - 1], actions[g, g] = g + 1, g
-    actions[n, n - 2:] = -n, -(n - 1)
-    images = np.tile(np.arange(1, n + 1, dtype=np.int64), (len(words), 1))
-    for p in range(words.shape[1]):
-        a = actions[words[:, p]]
-        images = np.sign(a) * np.take_along_axis(images, np.abs(a) - 1, axis=1)
+def _epsilon_images(weights: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Signed permutations of D_n elements, one row per weight row.  Row i of
+    `omega` is 2ω_{i+1} in ε-coordinates; home, the start's, has distinct
+    magnitudes, and column j of a row is ±home[s], so ±(s + 1) is the image of
+    e_{j+1} under the element or its inverse (which share a cycle type).  A 0
+    in home, at n - 1 when the start's last two coordinates are equal, takes
+    the sign that makes the number of sign changes even."""
+    n = len(start)
+    omega = 2 * np.tri(n, dtype=np.int64)
+    omega[n - 2:] = 1
+    omega[n - 2, n - 1] = -1
+    home = start.astype(np.int64) @ omega
+    eps = weights.astype(np.int64) @ omega
+    by_size = np.argsort(np.abs(home))
+    at = np.searchsorted(np.abs(home)[by_size], np.abs(eps)).clip(max=n - 1)
+    source = by_size[at]
+    images = np.where(eps * home[source] < 0, -1, 1) * (source + 1)
+    odd = (images < 0).sum(axis=1) % 2 == 1
+    images[(eps == 0) & odd[:, None]] *= -1
     return images
 
 
@@ -85,18 +81,16 @@ def class_cycle_type(cls, index) -> tuple[int, ...]:
     """Cycle type of a conjugacy class, checked to be constant over all members.
 
     `index` is the `ElementIndex` of the run whose levels the class's
-    (level, ordinal) member coordinates point into.  All members are
-    replayed together, as one array of signed permutations, and compared
-    with row 0, the representative (the least member).
+    (level, ordinal) member coordinates point into.  All members' weight
+    rows are read together, as one array of signed permutations, and
+    compared with row 0, the representative (the least member).
     """
-    levels = index.levels
-    n = index.start.size
     lvl_of, ord_of = np.array(cls.members, dtype=np.int64).reshape(-1, 2).T
-    padded = np.zeros((len(lvl_of), lvl_of.max(initial=0)), dtype=np.int64)
-    for lvl in np.flatnonzero(np.bincount(lvl_of)).tolist():  # words of length lvl
-        rows = np.flatnonzero(lvl_of == lvl)
-        padded[rows, :lvl] = levels[lvl].words[ord_of[rows]]
-    labels = _cycle_labels(_signed_images(padded, n))
+    # Members are sorted, so each level's ordinals are one run of them.
+    lvls, first = np.unique(lvl_of, return_index=True)
+    weights = np.concatenate([index.levels[k].weights[ords] for k, ords
+                              in zip(lvls.tolist(), np.split(ord_of, first[1:]))])
+    labels = _cycle_labels(_epsilon_images(weights, index.start))
     expected = _cycle_type(labels[0])
     differ = np.flatnonzero((labels != labels[0]).any(axis=1))
     if differ.size:

@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import IntegrityError, ParseError, WeylError
 from .orbit import _RUN_DTYPES, Level, RowKeys, check_inverse_ordinals
+from .rootsystems import RootSystem
 
 _FILE_RE = re.compile(r"^(?P<prefix>.+)_WeightMatrByLevel_(?P<k>\d+)_elems=(?P<n>\d+)\.txt$")
 # Canonical fields of the record grammar: %u never carries a sign, and a
@@ -416,6 +417,8 @@ def level_one_cartan(level: Level) -> np.ndarray:
     """A run's int64 Cartan matrix from its level 1, which holds the simple
     reflections in ascending order: row i of R_i is ``e_i - cartan[i]``."""
     i = np.arange(level.weights.shape[1])
+    if level.size != i.size:
+        raise IntegrityError(f"level 1 holds {level.size} element(s), not {i.size}")
     return np.eye(i.size, dtype=np.int64) - level.matrices[i, i]
 
 
@@ -463,7 +466,8 @@ class CheckedRun:
     weight row as sound a key as the matrix itself, and `keys` then holds
     every element's weight, packed and sorted.  A truncated run is refused:
     only the longest element sends the strictly dominant start to a
-    strictly negative weight, so the top level must be that element alone.
+    strictly negative weight, so the top level must be that element alone,
+    and the run must hold as many elements as the group of `level_one_cartan`.
     Only the weights are held, in the narrowest run dtype, so a consumer may
     read, use and drop one level at a time; its result stands once the
     iteration ends without an error.
@@ -489,6 +493,8 @@ class CheckedRun:
                     f"level {level.index}, record {bad[0]}: start @ M = {q[bad[0]].tolist()} "
                     "disagrees with the weight of its inverse, "
                     f"record {level.inv_ordinal[bad[0]]}")
+            if len(weights) == 1:
+                cartan = level_one_cartan(level)
             weights.append(_narrowest(level.weights))
             yield level
         if level is None:
@@ -498,6 +504,9 @@ class CheckedRun:
                 f"top level {level.index} holds {level.size} element(s) and is not the "
                 "longest element alone; the run is incomplete")
         self.keys = RowKeys(np.concatenate(weights))  # raises on two elements sharing a weight
+        if self.keys.order.size != (order := RootSystem("run", cartan).order):
+            raise IntegrityError(f"the run holds {self.keys.order.size} elements, but the "
+                                 f"group of its level-1 Cartan matrix has {order}")
 
 
 def build_index(levels: Iterable[Level]) -> ElementIndex:

@@ -3,11 +3,12 @@
 Each oracle recomputes something the package also knows, but by a different
 route: level sizes come from the length generating function expanded with
 sympy, the reflection action is replayed on explicit root vectors in
-Euclidean space with Fraction arithmetic, D_n words are replayed one
-generator at a time as signed permutations, and orbits and closures are
-built by brute force with plain-dict bookkeeping.  Nothing here imports
-from the package except `read_level_reference`, which returns the
-package's `Level` and raises its errors so that a test can compare outcomes.
+Euclidean space with Fraction arithmetic, D_n words are replayed as signed
+permutations (one generator at a time, and as arrays), conjugates come from
+the elements' matrices, and orbits and closures are built by brute force
+with plain-dict bookkeeping.  Nothing here imports from the package except
+`read_level_reference`, which returns the package's `Level` and raises its
+errors so that a test can compare outcomes.
 """
 
 from __future__ import annotations
@@ -211,6 +212,29 @@ def word_to_signed_perm(word, n: int) -> SignedPermutation:
     for g in word:
         perm = perm.compose(d_generator(n, int(g)))
     return perm
+
+
+def signed_images(words: np.ndarray, n: int) -> np.ndarray:
+    """Signed permutations of D_n words, one row per word of generators 1..n,
+    replayed as arrays: row k holds the images of e_1..e_n under word k.
+
+    A 0 pads a shorter word and acts as the identity.  Word positions are
+    taken left to right, for all rows at once, each composed on the right of
+    the product so far, so the rightmost letter acts first.
+    """
+    if words.size and (words.min() < 0 or words.max() > n):
+        bad = words[(words < 0) | (words > n)][0]
+        raise ValueError(f"generator index {bad} out of range 1..{n}")
+    # Row g holds the images under generator g; row 0, the padding, is the identity.
+    actions = np.tile(np.arange(1, n + 1, dtype=np.int64), (n + 1, 1))
+    g = np.arange(1, n)
+    actions[g, g - 1], actions[g, g] = g + 1, g
+    actions[n, n - 2:] = -n, -(n - 1)
+    images = np.tile(np.arange(1, n + 1, dtype=np.int64), (len(words), 1))
+    for p in range(words.shape[1]):
+        a = actions[words[:, p]]
+        images = np.sign(a) * np.take_along_axis(images, np.abs(a) - 1, axis=1)
+    return images
 
 
 def signed_cycle_type(p: SignedPermutation) -> tuple[int, ...]:
@@ -521,3 +545,40 @@ def matrix_orders(matrices, bound: int = 10_000) -> np.ndarray:
             return orders
         power = power @ matrices[pending]
     raise ValueError(f"no power up to {bound} reached the identity")
+
+
+def matrix_conjugates(index) -> list[np.ndarray]:
+    """For each generator R, the id of R·x·R for every element x of an
+    `ElementIndex`, from the elements' matrices.
+
+    start @ R M R is the weight of (R M R)^-1, so the weight keys give the
+    id of every element's conjugate by R, a level at a time.
+    """
+    levels = index.levels
+    conjugates = []
+    for refl in levels[1].matrices:
+        v = index.start @ refl
+        q = np.concatenate([(v @ level.matrices) @ refl for level in levels])
+        conjugates.append(index.inv[index.keys.find(q)])
+    return conjugates
+
+
+def components(maps, total: int) -> set[frozenset[int]]:
+    """The connected components of 0..total-1 under the given maps, by
+    breadth-first search."""
+    seen, parts = set(), set()
+    for x in range(total):
+        if x in seen:
+            continue
+        seen.add(x)
+        queue, part = [x], []
+        while queue:
+            y = queue.pop()
+            part.append(y)
+            for m in maps:
+                z = int(m[y])
+                if z not in seen:
+                    seen.add(z)
+                    queue.append(z)
+        parts.add(frozenset(part))
+    return parts

@@ -242,6 +242,18 @@ def test_partition_independent_of_generator_order(d4_levels, d4_classes):
     assert set(parts) == {frozenset(c.members) for c in d4_classes}
 
 
+@settings(max_examples=40, deadline=None)
+@given(_run())
+def test_classes_agree_with_matrix_conjugates(run):
+    # the classes read off the weight rows are the components of the
+    # conjugations that the elements' matrices give
+    cartan, start = run
+    index = we.build_index(we.generate_group(we.RootSystem("custom", cartan), start=start))
+    ids = {frozenset((index.offsets[k] + j).item() for k, j in c.members)
+           for c in we.conjugacy_classes(index)}
+    assert ids == oracles.components(oracles.matrix_conjugates(index), index.total)
+
+
 def test_conjugacy_ceiling(d4_index):
     with pytest.raises(WeylError, match="ceiling"):
         we.conjugacy_classes(d4_index, ceiling=100)

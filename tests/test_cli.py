@@ -211,6 +211,18 @@ def test_orders_refuses_a_record_that_is_no_group_element(tmp_path, d4_levels, c
     assert f"error: level {k}, record {j}: start @ M^" in capsys.readouterr().err
 
 
+def test_classes_refuses_a_record_that_is_no_group_element(tmp_path, d4_levels, capsys):
+    # the order scan runs first, so its guard names the record and no report is written
+    k, j, m = _non_group_record(d4_levels)
+    assert (k, j) == (2, 0)
+    _write_run(tmp_path, _tamper(d4_levels, k, j, m))
+    assert main(["classes", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: level 2, record 0: start @ M^")
+    assert not (tmp_path / "D4_classes.txt").exists()
+
+
 def test_orders_holds_one_level_at_a_time(d4_run, monkeypatch, capsys):
     # when a level is read, no level before the one just scanned is still held
     read, refs, alive = store.read_level, [], []

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
@@ -11,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import weylenum as we
 from oracles import SignedPermutation, signed_cycle_type, word_to_signed_perm
-from weylenum import IntegrityError, WeylError
-from weylenum.cycletype import _cycle_labels, _cycle_type, _signed_images
+from weylenum import IntegrityError
+from weylenum.cycletype import _cycle_labels, _cycle_type, _epsilon_images
 from weylenum.reference import D4_CYCLE_TYPES
 
 
@@ -48,7 +47,7 @@ def test_generator_actions_d4():
 @pytest.mark.parametrize("n", range(3, 8))
 def test_generator_images_match_euclidean_reflections(n):
     # generator i reflects e_k in the simple root a_i of the Euclidean D_n
-    # model; both replays must send e_k where that reflection does
+    # model; both oracle replays must send e_k where that reflection does
     roots = oracles.simple_roots("D", n)
     basis = [tuple(int(d == k) for d in range(n)) for k in range(n)]
     for i, a in enumerate(roots, start=1):
@@ -60,7 +59,7 @@ def test_generator_images_match_euclidean_reflections(n):
             assert abs(image[j]) == 1
             expected.append(int(image[j]) * (j + 1))
         assert oracles.d_generator(n, i).images == tuple(expected)
-        assert _signed_images(np.array([[i]]), n)[0].tolist() == expected
+        assert oracles.signed_images(np.array([[i]]), n)[0].tolist() == expected
 
 
 def test_word_to_signed_perm_examples():
@@ -136,11 +135,11 @@ def test_class_cycle_types_beyond_d4(name, classes, distinct, request):
         assert {t for t, k in types.items() if k > 1} == {(6,), (4, 2), (2, 2, 2)}
 
 
-def test_class_cycle_type_replays_each_class_once(d4_classes, d4_index, monkeypatch):
+def test_class_cycle_type_reads_each_class_once(d4_classes, d4_index, monkeypatch):
     calls = []
-    real = we.cycletype._signed_images
-    monkeypatch.setattr(we.cycletype, "_signed_images",
-                        lambda words, n: calls.append(len(words)) or real(words, n))
+    real = we.cycletype._epsilon_images
+    monkeypatch.setattr(we.cycletype, "_epsilon_images",
+                        lambda weights, start: calls.append(len(weights)) or real(weights, start))
     for c in d4_classes:
         we.class_cycle_type(c, d4_index)
     assert calls == [c.size for c in d4_classes]
@@ -202,10 +201,10 @@ def word_batch(draw):
 @settings(max_examples=80)
 @given(word_batch())
 def test_batched_replay_matches_word_by_word(batch):
-    # the array replay behind class_cycle_type against the one-word oracle
+    # the oracle's array replay against its one-word replay
     n, words = batch
     width = max(map(len, words))
-    images = _signed_images(np.array([w + [0] * (width - len(w)) for w in words]).reshape(
+    images = oracles.signed_images(np.array([w + [0] * (width - len(w)) for w in words]).reshape(
         len(words), width), n)
     labels = _cycle_labels(images)
     for word, row, label in zip(words, images, labels):
@@ -214,10 +213,25 @@ def test_batched_replay_matches_word_by_word(batch):
         assert _cycle_type(label) == signed_cycle_type(perm)
 
 
-def test_class_cycle_type_rejects_generator_out_of_range(d4_index):
-    levels = list(d4_index.levels)
-    words = np.array([[1], [5], [3], [4]], dtype=np.uint8)
-    levels[1] = dataclasses.replace(levels[1], words=words)
-    fake = SimpleNamespace(representative=(1, 0), members=((1, 0), (1, 1)))
-    with pytest.raises(WeylError, match="out of range 1..4"):
-        we.class_cycle_type(fake, dataclasses.replace(d4_index, levels=tuple(levels)))
+def test_array_replay_rejects_generator_out_of_range():
+    with pytest.raises(ValueError, match=r"generator index 5 out of range 1\.\.4"):
+        oracles.signed_images(np.array([[1], [5], [3], [4]]), 4)
+
+
+@pytest.mark.parametrize("equal", [True, False], ids=["last-two-equal", "last-two-differ"])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_epsilon_read_matches_word_replay(n, equal):
+    # a random strictly dominant start, whose last ε-coordinate is zero
+    # exactly when its last two coordinates are equal; every member's
+    # ε-read cycle type against the array replay of its word, and up to
+    # 40 members a level against the one-word replay
+    rng = np.random.default_rng(10 * n + equal)
+    start = rng.integers(1, 4, n)
+    while (start[-2] == start[-1]) != equal:
+        start[-1] = rng.integers(1, 4)
+    for level in we.generate_group(we.root_system(f"D{n}"), start=start.tolist()):
+        labels = _cycle_labels(_epsilon_images(level.weights, start))
+        assert np.array_equal(labels, _cycle_labels(oracles.signed_images(level.words, n)))
+        for j in rng.permutation(level.size)[:40].tolist():
+            assert _cycle_type(labels[j]) \
+                == signed_cycle_type(word_to_signed_perm(level.words[j], n))

@@ -765,6 +765,30 @@ def not_the_identity(levels):
     return _replace_level(levels, 0, matrices=matrices)
 
 
+def _drop(levels, k, records):
+    """`levels` with the given records of level k deleted, the rest renumbered."""
+    level = levels[k]
+    keep = np.ones(level.size, dtype=bool)
+    keep[records] = False
+    renumbered = np.cumsum(keep) - 1
+    return _replace_level(levels, k, weights=level.weights[keep], matrices=level.matrices[keep],
+                          words=level.words[keep],
+                          inv_ordinal=renumbered[level.inv_ordinal[keep]])
+
+
+def missing_pair(levels):
+    # every level stays consistent and the top is still the longest element
+    # alone, but the run holds 190 of D4's 192 elements
+    four = levels[4]
+    j = int(np.flatnonzero(four.inv_ordinal != np.arange(four.size))[0])
+    return _drop(levels, 4, [j, four.inv_ordinal[j]])
+
+
+def missing_reflection(levels):
+    # s4 deleted from level 1, which no longer gives a Cartan matrix
+    return _drop(levels, 1, [3])
+
+
 # Each tampered D4 run, and the error build_index raises on it.
 TAMPERED_RUNS = {
     "inverse-ordinal-out-of-range": (inverse_ordinal_out_of_range,
@@ -777,6 +801,10 @@ TAMPERED_RUNS = {
     "truncated": (truncated, "top level 6 holds 30 element"),
     "start-alone": (start_alone, "top level 0 holds 1 element"),
     "not-the-identity": (not_the_identity, "^level 0 holds 1 element.* not the identity alone"),
+    "missing-pair": (missing_pair, "^the run holds 190 elements, but the group of its "
+                                   "level-1 Cartan matrix has 192$"),
+    "missing-reflection": (missing_reflection,
+                           "^level 1 holds 3 element\\(s\\), not 4$"),
 }
 
 
@@ -809,6 +837,10 @@ def test_build_index_rejects_truncated_run(d4_levels):
 
 def test_build_index_rejects_a_run_not_starting_at_the_identity(d4_levels):
     _refused(d4_levels, "not-the-identity")
+
+
+def test_build_index_rejects_a_run_missing_elements(d4_levels):
+    _refused(d4_levels, "missing-pair", "missing-reflection")
 
 
 def test_build_index_sizes(b3_levels):
