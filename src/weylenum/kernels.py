@@ -14,6 +14,13 @@ accepted images are built.  The generator matrix ``R_i`` differs from the
 identity in row ``i`` alone, ``delta_ik - cartan[i, k]``, so ``R_i @ M`` is
 ``M`` with row ``i`` replaced.
 
+A step works a block of `BLOCK` sources at a time, in two passes: the first
+fills the level's ``(sources, rank)`` acceptance mask, the second builds each
+block's images (and matrices) in place in the output.  So it holds no
+temporary that spans the level but the mask and the output.  ``src`` is int32
+while the level has fewer than 2**31 elements, else int64, and ``gen`` is
+``np.min_scalar_type(rank - 1)``.
+
 The dtype may be as narrow as int8.  numpy's integer array arithmetic wraps
 modulo 2**bits, so a result is exact whenever its true value fits the dtype,
 even if an intermediate product overflows.  Every value a step keeps or
@@ -28,25 +35,49 @@ from __future__ import annotations
 import numpy as np
 
 
-def _accepted(weights, cartan):
-    """The accepted successors of a level of weights: (images, src, gen)."""
+# Sources per block of a step.  2**14 and 2**15 ran fastest on E8's orbit and
+# group levels; the per-block temporaries grow with it.
+BLOCK = 1 << 15
+
+
+def _accepted(weights, cartan, matrices=None):
+    """The accepted successors of a level: (images, matrices or None, src, gen).
+
+    Their matrices are built only when `matrices` is given.
+    """
     m, n = weights.shape
-    col = np.ascontiguousarray(weights.T)
-    nonneg = col >= 0
     mask = np.empty((m, n), dtype=bool)
-    for i in range(n):
-        ok = col[i] > 0
-        for k in range(i + 1, n):
-            if cartan[i, k] == 0:
-                ok &= nonneg[k]
-            else:
-                ok &= col[k] - cartan[i, k] * col[i] >= 0
-        mask[:, i] = ok
-    src, gen = np.nonzero(mask)
-    images = weights[src]
-    rows = np.arange(len(src))
-    images -= images[rows, gen, None] * cartan[gen]
-    return images, src, gen
+    for a in range(0, m, BLOCK):
+        col = np.ascontiguousarray(weights[a:a + BLOCK].T)
+        nonneg = col >= 0
+        for i in range(n):
+            ok = col[i] > 0
+            for k in range(i + 1, n):
+                if cartan[i, k] == 0:
+                    ok &= nonneg[k]
+                else:
+                    ok &= col[k] - cartan[i, k] * col[i] >= 0
+            mask[a:a + BLOCK, i] = ok
+    total = np.count_nonzero(mask)
+    images = np.empty((total, n), dtype=weights.dtype)
+    new = None if matrices is None else np.empty((total, n, n), dtype=matrices.dtype)
+    src = np.empty(total, dtype=np.int32 if m < 1 << 31 else np.int64)
+    gen = np.empty(total, dtype=np.min_scalar_type(n - 1))
+    at = 0
+    for a in range(0, m, BLOCK):
+        s, g = np.nonzero(mask[a:a + BLOCK])
+        s += a
+        out = slice(at, at + len(s))
+        src[out], gen[out] = s, g
+        rows, c = np.arange(len(s)), cartan[g]
+        # mode="clip" writes straight into `out`; "raise" would buffer a copy.
+        block = np.take(weights, s, axis=0, out=images[out], mode="clip")
+        block -= block[rows, g, None] * c
+        if new is not None:
+            block = np.take(matrices, s, axis=0, out=new[out], mode="clip")
+            block[rows, g] -= np.einsum("jk,jkl->jl", c, block)
+        at += len(s)
+    return images, new, src, gen
 
 
 def step_level(weights, matrices, cartan):
@@ -55,13 +86,10 @@ def step_level(weights, matrices, cartan):
     ``gen`` is 0-based.  Inverses are not computed here: the pairing of the
     new level determines them.
     """
-    images, src, gen = _accepted(weights, cartan)
-    new = matrices[src]
-    rows = np.arange(len(src))
-    new[rows, gen] -= np.einsum("jk,jkl->jl", cartan[gen], new)
-    return images, new, src, gen
+    return _accepted(weights, cartan, matrices)
 
 
 def step_orbit(weights, cartan):
     """One orbit step; returns (weights, src, gen) with ``gen`` 0-based."""
-    return _accepted(weights, cartan)
+    images, _, src, gen = _accepted(weights, cartan)
+    return images, src, gen

@@ -308,7 +308,7 @@ def build_next_level(current: Level, rs: RootSystem) -> Level:
         weights=new_w,
         matrices=new_m,
         words=np.concatenate(
-            [(gen0 + 1).astype(current.words.dtype)[:, None], current.words[src]], axis=1),
+            [(gen0.astype(current.words.dtype) + 1)[:, None], current.words[src]], axis=1),
         inv_ordinal=pair_level_weights(index, new_w, new_m, start),
     )
 

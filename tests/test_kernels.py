@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from weylenum import cartan_matrix, kernels, root_system
+from weylenum import (RootSystem, cartan_matrix, generate_group, generate_orbit, kernels,
+                      root_system)
 from weylenum.rootsystems import validate_cartan
 
 BUILT_IN = ["A1", "A2", "A3", "A5", "B2", "B3", "B5", "C2", "C3", "C5", "D4", "D5",
@@ -68,20 +72,75 @@ def level_input(draw):
     return weights, matrices, cartan
 
 
-def _assert_same(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert g.shape == w.shape
-        assert np.array_equal(g, w)
+def _assert_steps_match_reference(weights, matrices, cartan):
+    """Both steps equal oracles.step_reference element for element and in order.
+
+    Images and matrices are in the level's dtype, `src` is int32 and `gen` the
+    narrowest unsigned type of the generator indices, as the words use.
+    """
+    want = oracles.step_reference(weights, matrices, cartan)
+    dtypes = (weights.dtype, matrices.dtype, np.int32, np.min_scalar_type(len(cartan) - 1))
+    for got, parts in ((kernels.step_level(weights, matrices, cartan), (0, 1, 2, 3)),
+                       (kernels.step_orbit(weights, cartan), (0, 2, 3))):
+        assert len(got) == len(parts)
+        for g, k in zip(got, parts):
+            assert g.dtype == dtypes[k]
+            assert g.shape == want[k].shape
+            assert np.array_equal(g, want[k])
 
 
 @settings(max_examples=300)
 @given(level_input())
 def test_steps_match_tensor_reference(case):
-    # element for element and in order: images, matrices, src and gen
-    weights, matrices, cartan = case
-    want = oracles.step_reference(weights, matrices, cartan)
-    _assert_same(kernels.step_level(weights, matrices, cartan), want)
-    images, _, src, gen = want
-    _assert_same(kernels.step_orbit(weights, cartan), (images, src, gen))
+    # the inputs are int64, the oracle's dtype, so images and matrices keep it
+    _assert_steps_match_reference(*case)
+
+
+@pytest.fixture(scope="module")
+def blocked_levels():
+    """Levels of more than 2 * BLOCK + 7 sources, by name.
+
+    `wrapping-int8`: level 18 of E7 + A1, the A1 node last, from the start
+    (1, ..., 1, 100), in int8.  Its coroot bound is 100, and about half the
+    rows of every block hold A1 coordinate 100, whose image under the last
+    generator, 100 - 2 * 100, wraps.  `random-f4`: int64 weights and matrices
+    in -4..4 on F4.
+    """
+    cartan = np.zeros((8, 8), dtype=np.int64)
+    cartan[:7, :7] = cartan_matrix("E7")
+    cartan[7, 7] = 2
+    start = [1] * 7 + [100]
+    *_, level = generate_group(RootSystem("E7+A1", cartan), start=start, levels_up_to=18)
+    assert level.weights.dtype == np.int8
+    rng = np.random.default_rng(23)
+    m = 2 * kernels.BLOCK + 7
+    return {"wrapping-int8": (level.weights, level.matrices, cartan.astype(np.int8)),
+            "random-f4": (rng.integers(-4, 5, size=(m, 4)), rng.integers(-4, 5, size=(m, 4, 4)),
+                          cartan_matrix("F4"))}
+
+
+@pytest.mark.parametrize("name", ["wrapping-int8", "random-f4"])
+@pytest.mark.parametrize("sources", [0, kernels.BLOCK - 1, kernels.BLOCK, kernels.BLOCK + 1,
+                                     2 * kernels.BLOCK + 7], ids=["0", "B-1", "B", "B+1", "2B+7"])
+def test_steps_match_reference_across_blocks(blocked_levels, name, sources):
+    weights, matrices, cartan = blocked_levels[name]
+    assert len(weights) >= sources
+    _assert_steps_match_reference(weights[:sources], matrices[:sources], cartan)
+
+
+def test_step_holds_no_full_level_temporary():
+    # E8's orbit of rho, level 22 to 23: 588,833 sources, 729,680 images.  The
+    # step may hold its mask and its output whole, and beyond them 128 B per
+    # source of one block (4 MiB); 2.5 MiB was measured at 2**15 sources a block.
+    e8 = root_system("E8")
+    *_, level = generate_orbit(e8, [1] * 8, levels_up_to=22)
+    weights = level.weights
+    cartan = e8.cartan.astype(weights.dtype)
+    tracemalloc.start()
+    try:
+        out = kernels.step_orbit(weights, cartan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mask = weights.shape[0] * weights.shape[1]
+    assert peak < sum(a.nbytes for a in out) + mask + 128 * kernels.BLOCK

@@ -414,6 +414,15 @@ def test_words_are_the_descent_of_the_weights(name):
         assert np.array_equal(oracles.descent_words(level.weights, rs.cartan), level.words)
 
 
+def test_words_name_generators_past_255():
+    # at rank 256 the step's gen is uint8 and the words uint16; generator 256
+    # is gen 255, whose letter must not wrap to 0
+    rs = we.RootSystem("A1x256", 2 * np.eye(256, dtype=np.int64))
+    one = list(we.generate_group(rs, levels_up_to=1))[1]
+    assert one.words.dtype == np.uint16
+    assert one.words.ravel().tolist() == list(range(1, 257))
+
+
 def test_word_invariants(d4_levels):
     start = d4_levels[0].weights[0]
     r = _generators(we.root_system("D4"))
@@ -532,6 +541,13 @@ def test_generate_orbit_rejects(d4):
 def test_generate_orbit_truncation(d4):
     orbit = list(we.generate_orbit(d4, [1, 1, 1, 1], levels_up_to=2))
     assert [o.size for o in orbit] == [1, 4, 9]
+
+
+@pytest.mark.slow
+def test_e8_orbit_of_rho_level_sizes():
+    # 696,729,600 weights in 121 levels, one level and its successor held at a time
+    sizes = [level.size for level in we.generate_orbit(we.root_system("E8"), [1] * 8)]
+    assert sizes == oracles.poincare_level_sizes("E", 8)
 
 
 @settings(max_examples=25)
