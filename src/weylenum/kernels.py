@@ -15,11 +15,22 @@ identity in row ``i`` alone, ``delta_ik - cartan[i, k]``, so ``R_i @ M`` is
 ``M`` with row ``i`` replaced.
 
 A step works a block of `BLOCK` sources at a time, in two passes: the first
-fills the level's ``(sources, rank)`` acceptance mask, the second builds each
-block's images (and matrices) in place in the output.  So it holds no
+fills and counts the level's ``(sources, rank)`` acceptance mask, the second
+builds each block's images (and matrices) in place in the output.  A block's
+accepted positions, from one ``np.flatnonzero`` of its rows of the mask, are
+split by the rank straight into its rows of ``src`` and ``gen``, and each
+image's pivot ``nu[i]`` is read from the flattened block.  So it holds no
 temporary that spans the level but the mask and the output.  ``src`` is int32
 while the level has fewer than 2**31 elements, else int64, and ``gen`` is
 ``np.min_scalar_type(rank - 1)``.
+
+A level of more than one block is cut at its middle source.  In each pass the
+calling thread does the first half and the package's worker thread the second
+(`_in_two`); the second half's build starts at the first half's count, so the
+output is the one a single thread makes.  On one CPU both halves run on the
+caller.  The worker is the package's only one, shared with the level codec in
+`store`: made on first use, made afresh in a forked child, and given only
+untraced inner functions, never `step_level` or `step_orbit`.
 
 The dtype may be as narrow as int8.  numpy's integer array arithmetic wraps
 modulo 2**bits, so a result is exact whenever its true value fits the dtype,
@@ -32,12 +43,102 @@ all of those (see :func:`.orbit._start_vector`).
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 
 # Sources per block of a step.  2**14 and 2**15 ran fastest on E8's orbit and
 # group levels; the per-block temporaries grow with it.
 BLOCK = 1 << 15
+# The package's one worker thread, made on first use by `_in_two` under the
+# lock, so that importing the package does not import concurrent.futures.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """In a forked child, whose copy of the worker has no thread to run it."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_two(work, first: tuple, second: tuple) -> tuple:
+    """(work(*first), work(*second)), the first half on the calling thread and
+    the second on the package's worker thread; on one CPU both on the caller.
+
+    The caller does half of the work itself, so that only one more thread
+    (and one more malloc arena) is ever made, and it waits for the worker's
+    half even when its own half raises.  `work` is never a traced entry
+    point: the benchmark's tracer keeps one call stack for the process.
+    """
+    global _worker
+    if _cpus() < 2:
+        return work(*first), work(*second)
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="weylenum")
+        future = _worker.submit(work, *second)
+    try:
+        head = work(*first)
+    finally:
+        future.exception()  # waits for the worker's half without raising its error
+    return head, future.result()
+
+
+def _mask(weights, cartan, mask, lo, hi):
+    """Fill rows lo..hi-1 of the acceptance mask, a block at a time; gives
+    how many of them are set."""
+    n = weights.shape[1]
+    for a in range(lo, hi, BLOCK):
+        b = min(a + BLOCK, hi)
+        col = np.ascontiguousarray(weights[a:b].T)
+        nonneg = col >= 0
+        for i in range(n):
+            ok = col[i] > 0
+            for k in range(i + 1, n):
+                if cartan[i, k] == 0:
+                    ok &= nonneg[k]
+                else:
+                    ok &= col[k] - cartan[i, k] * col[i] >= 0
+            mask[a:b, i] = ok
+    return np.count_nonzero(mask[lo:hi])
+
+
+def _build(weights, cartan, matrices, mask, images, new, src, gen, lo, hi, at):
+    """Build the successors of sources lo..hi-1 into the outputs from row `at`
+    on, a block at a time; `new` is None when no matrices are built."""
+    n = weights.shape[1]
+    for a in range(lo, hi, BLOCK):
+        # row-major positions in the block's mask, split straight into src and gen
+        flat = np.flatnonzero(mask[a:min(a + BLOCK, hi)])
+        out = slice(at, at + len(flat))
+        s, g = src[out], gen[out]
+        np.divmod(flat, n, out=(s, g), casting="unsafe")
+        s += a
+        c = np.take(cartan, g, axis=0)
+        pivot = np.arange(0, len(flat) * n, n)
+        pivot += g  # entry (j, g[j]) of the block's rows, flattened
+        # mode="clip" writes straight into `out`; "raise" would buffer a copy.
+        block = np.take(weights, s, axis=0, out=images[out], mode="clip")
+        block -= np.take(block.reshape(-1), pivot)[:, None] * c
+        if new is not None:
+            block = np.take(matrices, s, axis=0, out=new[out], mode="clip")
+            block.reshape(-1, n)[pivot] -= np.einsum("jk,jkl->jl", c, block)
+        at += len(flat)
 
 
 def _accepted(weights, cartan, matrices=None):
@@ -47,36 +148,16 @@ def _accepted(weights, cartan, matrices=None):
     """
     m, n = weights.shape
     mask = np.empty((m, n), dtype=bool)
-    for a in range(0, m, BLOCK):
-        col = np.ascontiguousarray(weights[a:a + BLOCK].T)
-        nonneg = col >= 0
-        for i in range(n):
-            ok = col[i] > 0
-            for k in range(i + 1, n):
-                if cartan[i, k] == 0:
-                    ok &= nonneg[k]
-                else:
-                    ok &= col[k] - cartan[i, k] * col[i] >= 0
-            mask[a:a + BLOCK, i] = ok
-    total = np.count_nonzero(mask)
+    cut = m // 2 if m > BLOCK else m
+    run = _in_two if cut < m else lambda work, first, second: (work(*first), work(*second))
+    head, tail = run(_mask, (weights, cartan, mask, 0, cut), (weights, cartan, mask, cut, m))
+    total = head + tail
     images = np.empty((total, n), dtype=weights.dtype)
     new = None if matrices is None else np.empty((total, n, n), dtype=matrices.dtype)
     src = np.empty(total, dtype=np.int32 if m < 1 << 31 else np.int64)
     gen = np.empty(total, dtype=np.min_scalar_type(n - 1))
-    at = 0
-    for a in range(0, m, BLOCK):
-        s, g = np.nonzero(mask[a:a + BLOCK])
-        s += a
-        out = slice(at, at + len(s))
-        src[out], gen[out] = s, g
-        rows, c = np.arange(len(s)), cartan[g]
-        # mode="clip" writes straight into `out`; "raise" would buffer a copy.
-        block = np.take(weights, s, axis=0, out=images[out], mode="clip")
-        block -= block[rows, g, None] * c
-        if new is not None:
-            block = np.take(matrices, s, axis=0, out=new[out], mode="clip")
-            block[rows, g] -= np.einsum("jk,jkl->jl", c, block)
-        at += len(s)
+    both = (weights, cartan, matrices, mask, images, new, src, gen)
+    run(_build, (*both, 0, cut, 0), (*both, cut, m, head))
     return images, new, src, gen
 
 

@@ -292,6 +292,20 @@ def _level_zero(arr: np.ndarray) -> Level:
     )
 
 
+def _prepend(gen0: np.ndarray, words: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """The words ``gen0[j] + 1`` followed by ``words[src[j]]``, in the words' dtype.
+
+    The sources' words are gathered a block of `kernels.BLOCK` rows at a time
+    into the one result, so no gathered copy spans the level.
+    """
+    out = np.empty((len(src), words.shape[1] + 1), dtype=words.dtype)
+    out[:, 0] = gen0
+    out[:, 0] += 1
+    for a in range(0, len(src), kernels.BLOCK):
+        out[a:a + kernels.BLOCK, 1:] = words[src[a:a + kernels.BLOCK]]
+    return out
+
+
 def build_next_level(current: Level, rs: RootSystem) -> Level:
     """Construct the successor of a level, paired with its inverses.
 
@@ -307,8 +321,7 @@ def build_next_level(current: Level, rs: RootSystem) -> Level:
     return Level(
         weights=new_w,
         matrices=new_m,
-        words=np.concatenate(
-            [(gen0.astype(current.words.dtype) + 1)[:, None], current.words[src]], axis=1),
+        words=_prepend(gen0, current.words, src),
         inv_ordinal=pair_level_weights(index, new_w, new_m, start),
     )
 

@@ -16,9 +16,10 @@ words.  `read_level` parses every integer of a file in one numpy pass and
 accepts the file only when the level they make writes back byte for byte,
 so a loaded level is exactly what its file says.  A level or file of more
 than `_BLOCK` records is formatted or parsed in two halves, the first on
-the calling thread and the second on the codec's one worker thread, made
-on first use; a level of one block stays on the calling thread.  Each loaded word has as
-many generators as the level index, each in 1..rank.  A rejected file is
+the calling thread and the second on the package's one worker thread
+(`kernels._in_two`), which the level step shares; a level of one block
+stays on the calling thread.  Each loaded word has as many generators as
+the level index, each in 1..rank.  A rejected file is
 classified line by line, and the error names its first line out of slot.
 `write_level`, `write_summary` and the class report of ``weylenum classes``
 rename a finished temporary file into place (`_write_atomically`), so no
@@ -37,13 +38,13 @@ import glob
 import json
 import os
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import IntegrityError, ParseError, WeylError
 from .orbit import _RUN_DTYPES, Level, RowKeys, check_inverse_ordinals
 from .rootsystems import RootSystem
@@ -62,22 +63,8 @@ _CAP = 10**18
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 # format_level works this many records at a time, which bounds its scratch
 # arrays whatever the level size.  The codec works a level or a file of
-# more records in two halves, one of them on `_worker`.
+# more records in two halves, one of them on the package's worker thread.
 _BLOCK = 2048
-# The codec's one worker thread, made on first use by `_in_two` under the
-# lock, so that importing the package does not import concurrent.futures.
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
-    """In a forked child, whose copy of the worker has no thread to run it."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 @dataclass(frozen=True)
@@ -138,37 +125,6 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
     return np.abs(values).view(np.uint64)
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_two(work, first: tuple, second: tuple) -> tuple:
-    """(work(*first), work(*second)), the first half on the calling thread and
-    the second on the codec's worker thread; on one CPU both on the caller.
-
-    The caller does half of the work itself, so that only one more thread
-    (and one more malloc arena) is ever made, and it waits for the worker's
-    half even when its own half raises.  `work` is never a traced entry
-    point: the benchmark's tracer keeps one call stack for the process.
-    """
-    global _worker
-    if _cpus() < 2:
-        return work(*first), work(*second)
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="weylenum-codec")
-        future = _worker.submit(work, *second)
-    try:
-        head = work(*first)
-    finally:
-        future.exception()  # waits for the worker's half without raising its error
-    return head, future.result()
-
-
 def _word_tokens(rank: int) -> np.ndarray:
     """Row g: generator g's word token, padded with 0, then a dot in the last byte."""
     tokens = [format_word((g,)).encode() for g in range(1, rank + 1)]
@@ -190,7 +146,7 @@ def format_level(level: Level) -> bytes:
     byte a record leaves unused, and one boolean compaction per block drops
     those bytes; no literal, digit or token byte is 0.  A level of more than
     one block is cut at its middle record: the calling thread formats the
-    first half and the codec's worker thread the second (`_in_two`).
+    first half and the package's worker thread the second (`kernels._in_two`).
     """
     n, rank = level.weights.shape
     header, row = _record_lines(rank)
@@ -248,7 +204,7 @@ def format_level(level: Level) -> bytes:
 
     if n <= _BLOCK:  # one block stays on the calling thread
         return b"".join(blocks(0, n))
-    head, tail = _in_two(blocks, (0, n // 2), (n // 2, n))
+    head, tail = kernels._in_two(blocks, (0, n // 2), (n // 2, n))
     return b"".join(head + tail)
 
 
@@ -317,7 +273,7 @@ def _parse_level(data: bytes, index: int, size: int) -> Level | None:
     cut = data.find(b"\nn=", len(data) // 2) + 1 if size > _BLOCK else 0
     try:
         if cut:
-            numbers = np.concatenate(_in_two(_integers, (data[:cut],), (data[cut:],)))
+            numbers = np.concatenate(kernels._in_two(_integers, (data[:cut],), (data[cut:],)))
         else:
             numbers = _integers(data)
     except (ValueError, DeprecationWarning):

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import multiprocessing
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_store import _cpus
+from test_tracing import thread_tracer
 from weylenum import (RootSystem, cartan_matrix, generate_group, generate_orbit, kernels,
-                      root_system)
+                      orbit, root_system)
 from weylenum.rootsystems import validate_cartan
 
 BUILT_IN = ["A1", "A2", "A3", "A5", "B2", "B3", "B5", "C2", "C3", "C5", "D4", "D5",
@@ -123,24 +129,88 @@ def blocked_levels():
 @pytest.mark.parametrize("sources", [0, kernels.BLOCK - 1, kernels.BLOCK, kernels.BLOCK + 1,
                                      2 * kernels.BLOCK + 7], ids=["0", "B-1", "B", "B+1", "2B+7"])
 def test_steps_match_reference_across_blocks(blocked_levels, name, sources):
+    # a level of more than one block is cut in two; on one CPU both halves
+    # run on the calling thread, and on two the second on the worker
     weights, matrices, cartan = blocked_levels[name]
     assert len(weights) >= sources
-    _assert_steps_match_reference(weights[:sources], matrices[:sources], cartan)
+    for cpus in (1, 2):
+        with _cpus(cpus):
+            _assert_steps_match_reference(weights[:sources], matrices[:sources], cartan)
+
+
+@pytest.mark.parametrize("sources, cuts", [(kernels.BLOCK, 0), (kernels.BLOCK + 1, 2)])
+def test_only_a_step_of_more_than_one_block_is_cut_in_two(blocked_levels, sources, cuts):
+    weights, matrices, cartan = blocked_levels["random-f4"]
+    with _cpus(2), mock.patch.object(kernels, "_in_two", wraps=kernels._in_two) as in_two:
+        kernels.step_level(weights[:sources], matrices[:sources], cartan)
+        kernels.step_orbit(weights[:sources], cartan)
+    assert in_two.call_count == 2 * cuts  # each step's mask pass, then its build pass
+
+
+def test_a_traced_step_keeps_its_spans_on_the_calling_thread(blocked_levels, monkeypatch):
+    # The benchmark's tracer keeps one call stack: the worker runs the step's
+    # inner passes, never a traced entry point.
+    weights, matrices, cartan = blocked_levels["wrapping-int8"]
+    tracer = thread_tracer(monkeypatch)
+    with _cpus(2):
+        kernels.step_orbit(weights, cartan)
+        kernels.step_level(weights, matrices, cartan)
+    assert kernels._worker is not None
+    assert tracer.threads == {threading.get_ident()}
+    assert tracer.names == ["kernels.step_orbit", "kernels.step_level"]
+    assert tracer.parents == [-1, -1]
+
+
+def test_a_forked_child_step_makes_its_own_worker(blocked_levels):
+    weights, _, cartan = blocked_levels["wrapping-int8"]
+    with _cpus(2):
+        want = kernels.step_orbit(weights, cartan)  # the parent's worker is made
+        child = multiprocessing.get_context("fork").Process(target=lambda: sys.exit(
+            not all(map(np.array_equal, kernels.step_orbit(weights, cartan), want))))
+        child.start()
+        child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0
 
 
 def test_step_holds_no_full_level_temporary():
-    # E8's orbit of rho, level 22 to 23: 588,833 sources, 729,680 images.  The
-    # step may hold its mask and its output whole, and beyond them 128 B per
-    # source of one block (4 MiB); 2.5 MiB was measured at 2**15 sources a block.
+    # E8's orbit of rho, level 22 to 23: 588,833 sources, 729,680 images, cut
+    # in two halves on two threads.  The step may hold its mask and its output
+    # whole, and beyond them 128 B per source of one block (4 MiB) for both
+    # threads together; 2.9 MiB was measured at 2**15 sources a block.
     e8 = root_system("E8")
-    *_, level = generate_orbit(e8, [1] * 8, levels_up_to=22)
-    weights = level.weights
-    cartan = e8.cartan.astype(weights.dtype)
+    with _cpus(2):
+        *_, level = generate_orbit(e8, [1] * 8, levels_up_to=22)  # makes the worker
+        weights = level.weights
+        cartan = e8.cartan.astype(weights.dtype)
+        tracemalloc.start()
+        try:
+            out = kernels.step_orbit(weights, cartan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    mask = weights.shape[0] * weights.shape[1]
+    assert peak < sum(a.nbytes for a in out) + mask + 128 * kernels.BLOCK
+
+
+def test_words_hold_no_full_level_gathered_copy():
+    # One E8 group step, level 16 to 17: 166,768 new words of 17 letters, in
+    # six blocks.  Their build may hold the result and one block of gathered
+    # rows, with its source indices as intp; 0.59 MB was measured beyond the
+    # result, against 2.8 MB for a gathered copy of the whole level.
+    e8 = root_system("E8")
+    *_, level = generate_group(e8, levels_up_to=16)
+    cartan = e8.cartan.astype(level.weights.dtype)
+    *_, src, gen = kernels.step_level(level.weights, level.matrices, cartan)
+    assert len(src) > 4 * kernels.BLOCK
     tracemalloc.start()
     try:
-        out = kernels.step_orbit(weights, cartan)
+        words = orbit._prepend(gen, level.words, src)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    mask = weights.shape[0] * weights.shape[1]
-    assert peak < sum(a.nbytes for a in out) + mask + 128 * kernels.BLOCK
+    assert np.array_equal(words[:, 0], gen + 1)
+    assert np.array_equal(words[:, 1:], level.words[src])
+    block = kernels.BLOCK * (words.shape[1] * words.itemsize + np.dtype(np.intp).itemsize)
+    assert peak < words.nbytes + block

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import weylenum as we
 from weylenum import IntegrityError, ParseError, WeylError
-from weylenum import store
+from weylenum import kernels, store
 
 
 def test_level_file_name_round_trip():
@@ -111,8 +111,8 @@ def _involution(size, rng):
 
 
 def _cpus(count):
-    """The codec as on a host of `count` CPUs: one thread for both halves, or two."""
-    return mock.patch.object(store, "_cpus", lambda: count)
+    """The package as on a host of `count` CPUs: one thread for both halves, or two."""
+    return mock.patch.object(kernels, "_cpus", lambda: count)
 
 
 @settings(max_examples=40)
@@ -146,7 +146,7 @@ def multi_block_level(size=2 * store._BLOCK + 7):
 @pytest.mark.parametrize("size, cuts", [(store._BLOCK, 0), (store._BLOCK + 1, 3)])
 def test_only_a_level_of_more_than_one_block_is_cut_in_two(tmp_path, size, cuts):
     level = multi_block_level(size)
-    with _cpus(2), mock.patch.object(store, "_in_two", wraps=store._in_two) as in_two:
+    with _cpus(2), mock.patch.object(kernels, "_in_two", wraps=kernels._in_two) as in_two:
         path = store.write_level(level, "X", tmp_path).path
         assert store.read_level(path) == level
     assert in_two.call_count == cuts  # the write's format, then the read's parse and format
@@ -167,13 +167,13 @@ def test_callers_on_many_threads_share_the_one_worker(tmp_path, monkeypatch):
 
     callers = futures.ThreadPoolExecutor(4)
     monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(store, "_worker", None)
+    monkeypatch.setattr(kernels, "_worker", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with _cpus(2), callers:
             for _ in range(10):
-                store._worker = None
+                kernels._worker = None
                 start = threading.Barrier(4, timeout=60)
 
                 def together(call, *args):

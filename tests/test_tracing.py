@@ -3,7 +3,7 @@
 `perfbench/tracing.py` wraps each `(module, attr)` of its ENTRY_POINTS at run
 time; a deleted or renamed entry point would otherwise fail only traced runs.
 Its `Tracer` keeps one call stack, so no traced entry point may run on the
-level codec's worker thread.
+package's worker thread, which the level codec and the level step share.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 from pathlib import Path
 
 from test_store import _cpus, multi_block_level
-from weylenum import store
+from weylenum import kernels, store
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,9 +36,9 @@ def test_traced_entry_points_resolve():
     assert missing == []
 
 
-def test_codec_spans_come_from_the_calling_thread(tmp_path, monkeypatch):
-    # The tracer keeps one call stack, so the codec's worker thread must run
-    # no traced entry point: one format span per call site, all on this thread.
+def thread_tracer(monkeypatch):
+    """The benchmark's tracer, installed over every entry point until the test
+    ends, and recording the threads that open its spans in `threads`."""
     tracing = _tracing()
     originals = {getattr(importlib.import_module(f"weylenum.{module}"), attr)
                  for module, attr, _ in tracing.ENTRY_POINTS}
@@ -59,11 +59,18 @@ def test_codec_spans_come_from_the_calling_thread(tmp_path, monkeypatch):
 
     tracer = ThreadTracer()
     tracing.install(tracer)
+    return tracer
+
+
+def test_codec_spans_come_from_the_calling_thread(tmp_path, monkeypatch):
+    # The tracer keeps one call stack, so the package's worker thread must run
+    # no traced entry point: one format span per call site, all on this thread.
+    tracer = thread_tracer(monkeypatch)
     level = multi_block_level()
     with _cpus(2):
         path = store.write_level(level, "X", tmp_path).path
         assert store.read_level(path) == level
-    assert store._worker is not None
+    assert kernels._worker is not None
     assert tracer.threads == {threading.get_ident()}
     spans = [(name, tracer.names[parent]) for name, parent in zip(tracer.names, tracer.parents)
              if parent >= 0]
