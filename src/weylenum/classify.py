@@ -1,10 +1,11 @@
 """Element orders, the order partition, and conjugacy classes.
 
 Element orders come from one weight scan, `_orders`, which `element_order`
-and `order_partition` share.  `order_partition` takes a whole run's
-`ElementIndex`, or the levels a `store.CheckedRun` passes on, one at a time.
+and `order_partition` share.  `order_partition` scans the levels a
+`store.CheckedRun` passes on, one at a time.
 
-The classes take a complete run as one `ElementIndex`, which holds its levels.
+The classes take a complete run as one `ElementIndex`, its weights and
+inverse ids; a representative's word and matrix come from `descent`.
 Classes are closed under conjugation by the simple reflections alone, which
 suffices because they generate the group.  Each generator's conjugation is
 read off the weight rows for every element at once, and the classes are
@@ -16,16 +17,16 @@ so numbering and representatives are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import cycletype
 from .errors import IntegrityError, WeylError
-from .orbit import ENTRY_LIMIT, Level
+from .orbit import ENTRY_LIMIT
 from .reference import D4_CLASS_ROWS
-from .rootsystems import cartan_matrix, positive_coroots, validate_cartan
-from .store import ElementIndex, format_word, level_one_cartan
+from .rootsystems import cartan_matrix
+from .store import CheckedRun, ElementIndex, format_word
 
 # Conjugacy needs the whole group in memory; refuse beyond this many elements
 # unless the caller raises the ceiling explicitly.
@@ -55,12 +56,9 @@ def _orders(v: np.ndarray, matrices: np.ndarray, start: np.ndarray,
             bound: int | None = None, where=lambda j: "") -> np.ndarray:
     """Least p >= 1 with v_p == start for each row j, where v_1 = v[j] and
     v_{p+1} = v_p @ matrices[j]: the order of matrices[j] when v[j] is
-    start @ matrices[j] and `start` is strictly dominant.
-
-    An iterate with an entry beyond `bound` raises IntegrityError, as does a
-    row with no such p up to DEFAULT_ORDER_BOUND; `where(j)` prefixes the
-    message with the name of row j.
-    """
+    start @ matrices[j] and `start` is strictly dominant.  An iterate beyond
+    `bound`, or no such p up to DEFAULT_ORDER_BOUND, is an IntegrityError
+    prefixed with `where(j)`."""
     v, matrices = v.astype(np.int64, copy=False), matrices.astype(np.int64, copy=False)
     orders = np.zeros(len(v), dtype=np.int64)
     pending = np.arange(len(v))
@@ -90,28 +88,10 @@ def element_order(m: np.ndarray) -> int:
     return int(_orders((rho @ m)[None], m[None], rho)[0])
 
 
-def _bounds(start: np.ndarray, cartan: np.ndarray) -> tuple[int, int]:
-    """(B, c): every weight of the start's orbit lies in [-B, B], and every
-    entry of a group matrix, a coroot coefficient, in [-c, c].
+def order_partition(run: CheckedRun) -> dict[int, int]:
+    """Count of elements per element order, over the group of `run`, whose
+    levels are scanned and dropped one at a time as it passes them on.
 
-    B is the start's coroot bound, max |<start, beta^vee>| over the positive
-    coroots, in exact integers.  A run whose B is at least ENTRY_LIMIT is
-    refused, since no walk starts there; below it, an iterate in [-B, B]
-    times a matrix in [-c, c] is exact in int64.
-    """
-    coroots = positive_coroots(validate_cartan(cartan))
-    bound = max(abs(x) for x in coroots.astype(object) @ start.astype(object))
-    if bound >= ENTRY_LIMIT:
-        raise IntegrityError(f"level 0: start {start.tolist()} has coroot bound {bound}, at "
-                             f"least the checked arithmetic bound {ENTRY_LIMIT}")
-    return bound, int(coroots.max())
-
-
-def order_partition(run: ElementIndex | Iterable[Level]) -> dict[int, int]:
-    """Count of elements per element order, over the whole group.
-
-    `run` is an index, or the levels of a complete run in order as a
-    `store.CheckedRun` passes them on, scanned and dropped one at a time.
     The start is strictly dominant, so it lies in the open chamber, on which
     W acts simply transitively: w^p = e exactly when start @ M^p == start.
     So each element carries one weight row, stepped v <- v @ M from p = 1,
@@ -121,18 +101,22 @@ def order_partition(run: ElementIndex | Iterable[Level]) -> dict[int, int]:
     own inverse; the other element of the pair is stepped once, as its
     weight @ M must be the start.  From level 1 on, a matrix entry beyond
     the largest coroot coefficient, an iterate beyond the start's coroot
-    bound (`_bounds`) or a step that misses the start is an IntegrityError
-    naming the level and the ordinal.  The pairing is used and the classes
-    are not, so the partition cross-checks their per-class sums.
+    bound B (refused from ENTRY_LIMIT on, so each product is exact in
+    int64) or a step that misses the start is an IntegrityError naming the
+    level and the ordinal.  The pairing is used and the classes are not, so
+    the partition cross-checks their per-class sums.
     """
-    levels = run.levels if isinstance(run, ElementIndex) else run
     counts = np.zeros(DEFAULT_ORDER_BOUND + 1, dtype=np.int64)
     bound = None
-    for k, level in enumerate(levels):
+    for k, level in enumerate(run):
         if k == 0:
             start = level.weights[0].astype(np.int64)
         elif k == 1:
-            bound, entry = _bounds(start, level_one_cartan(level))
+            bound = run.system.coroot_bound(start)
+            if bound >= ENTRY_LIMIT:
+                raise IntegrityError(f"level 0: start {start.tolist()} has coroot bound {bound}, "
+                                     f"at least the checked arithmetic bound {ENTRY_LIMIT}")
+            entry = int(run.system.coroots.max())
         matrices, inv = level.matrices, level.inv_ordinal
         scanned = np.flatnonzero(np.arange(level.size) <= inv)
 
@@ -159,20 +143,52 @@ def order_partition(run: ElementIndex | Iterable[Level]) -> dict[int, int]:
     return {p: int(n) for p, n in enumerate(counts.tolist()) if n}
 
 
+def descent(weights: np.ndarray, start: np.ndarray, cartan: np.ndarray, lengths,
+            where=lambda j: "") -> tuple[np.ndarray, np.ndarray]:
+    """Words and int64 matrices of the elements of weights `weights` and lengths
+    `lengths` (one, or one per row), by descent (Humphreys, *Reflection Groups
+    and Coxeter Groups*, §1.6-1.7): the first letter is 1 + the index of the
+    last negative coordinate, whose reflection R_i (the identity but row i,
+    e_i - cartan[i]) gives the weight of the rest.  The matrix of a_1...a_k is
+    R_{a_1}...R_{a_k}, and row j's word is ``words[j, :lengths[j]]``, 0 past
+    it.  A row dominant before its length in letters, or not the start after
+    them, is an IntegrityError prefixed with `where(j)`."""
+    v = np.array(weights, dtype=np.int64)
+    n, rank = v.shape
+    lengths = np.broadcast_to(lengths, n)
+    matrices = np.repeat(np.eye(rank, dtype=np.int64)[None], n, axis=0)
+    words = np.zeros((n, lengths.max(initial=0)), dtype=np.min_scalar_type(rank))
+    descends = np.ones(n, dtype=bool)
+    for t in range(words.shape[1]):
+        a = np.flatnonzero(lengths > t)  # the rows still descending
+        negative = v[a] < 0
+        descends[a] &= negative.any(axis=1)
+        i = rank - 1 - np.argmax(negative[:, ::-1], axis=1)
+        words[a, t] = i + 1
+        v[a] -= v[a, i, None] * cartan[i]
+        matrices[a] -= matrices[a, :, i, None] * cartan[i][:, None, :]
+    bad = np.flatnonzero(~descends | (v != start).any(axis=1))
+    if bad.size:
+        raise IntegrityError(f"{where(bad[0])}its weight does not descend to the start "
+                             f"in {lengths[bad[0]]} letter(s)")
+    return words, matrices
+
+
 def conjugacy_classes(index: ElementIndex,
                       ceiling: int = DEFAULT_CEILING) -> list[ConjugacyClass]:
-    """Partition the group into conjugacy classes."""
-    levels = index.levels
+    """Partition the group into conjugacy classes; each representative's word
+    and matrix M are the `descent` of its weight row, and its order is
+    `element_order(M)`."""
     if index.total > ceiling:
-        raise WeylError(
-            f"group has {index.total} elements, above the ceiling {ceiling}; "
-            "raise it explicitly to proceed")
-    # weight(s·y) = weight(y) @ R_s, R_s from level 1, so one lookup gives L_s,
-    # the id of s·y for every y, and s·x·s = L_s[inv[L_s[inv[x]]]].
-    weights = np.concatenate([level.weights for level in levels])
+        raise WeylError(f"group has {index.total} elements, above the ceiling {ceiling}; "
+                        "raise it explicitly to proceed")
+    # weight(s·y) = weight(y) @ R_s, so one lookup gives L_s, the id of s·y
+    # for every y, and s·x·s = L_s[inv[L_s[inv[x]]]].
     conjugates = []
-    for refl in levels[1].matrices:
-        left = index.keys.find(weights @ refl)
+    for i, row in enumerate(index.cartan):
+        refl = np.eye(len(row), dtype=np.int64)
+        refl[i] -= row
+        left = index.keys.find(index.weights @ refl)
         conjugates.append(left[index.inv[left[index.inv]]])
     # Min-label propagation with pointer jumping: each label falls to the
     # least id in its class, the class's least member in (level, ordinal) order.
@@ -184,18 +200,22 @@ def conjugacy_classes(index: ElementIndex,
         label = label[label]
     ids = np.argsort(label, kind="stable")
     heads = np.flatnonzero(np.diff(label[ids], prepend=-1))
-    level_of = np.repeat(np.arange(len(levels)), np.diff(index.offsets))[ids]
+    level_of = np.repeat(np.arange(len(index.offsets) - 1), np.diff(index.offsets))[ids]
     coords = list(zip(level_of.tolist(), (ids - index.offsets[level_of]).tolist()))
-    classes: list[ConjugacyClass] = []
-    for lo, hi in zip(heads, [*heads[1:], index.total]):
-        members = tuple(coords[lo:hi])
-        lvl, j = members[0]
-        classes.append(ConjugacyClass(
-            representative_word=levels[lvl].word(j),
-            members=members,
-            element_order=element_order(levels[lvl].matrices[j]),
-        ))
-    return classes
+    reps, lengths = ids[heads], level_of[heads]
+
+    def at(c: int) -> str:
+        return "level {}, record {}: ".format(*coords[heads[c]])
+
+    words, matrices = descent(index.weights[reps], index.start, index.cartan, lengths, at)
+    q = index.start @ matrices
+    bad = np.flatnonzero((q != index.weights[index.inv[reps]]).any(axis=1))
+    if bad.size:
+        raise IntegrityError(f"{at(bad[0])}start @ M = {q[bad[0]].tolist()} for its descended "
+                             "matrix M disagrees with the weight of its inverse")
+    return [ConjugacyClass(tuple(words[c, :lengths[c]].tolist()), tuple(coords[lo:hi]),
+                           element_order(matrices[c]))
+            for c, (lo, hi) in enumerate(zip(heads, [*heads[1:], index.total]))]
 
 
 def class_label_d4(cls: ConjugacyClass, ctype: tuple[int, ...]) -> str | None:

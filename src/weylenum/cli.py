@@ -114,40 +114,29 @@ def cmd_verify(name: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _load_index(name: str, out_dir: str, ceiling: int) -> store.ElementIndex:
-    """The run in `out_dir` as one index; above `ceiling` elements no file is read."""
+def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING,
+                as_json: bool = False) -> int:
     paths = store.find_level_files(out_dir, name)
     total = sum(store.parse_level_file_name(p)[2] for p in paths)
     if total > ceiling:
         raise WeylError(f"{name} has {total} elements, above the ceiling {ceiling}; "
                         "pass --ceiling to raise the limit if you have the memory")
-    return store.build_index([store.read_level(p) for p in paths])
-
-
-def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING,
-                as_json: bool = False) -> int:
-    index = _load_index(name, out_dir, ceiling)
-    # Orders first: their guards name a record that is no group element.
-    partition = classify.order_partition(index)
+    # One level at a time: read, checked, scanned, dropped.  Orders first:
+    # their guards name a record that is no group element.
+    run = store.CheckedRun(store.read_level(p) for p in paths)
+    partition = classify.order_partition(run)
+    index = store.build_index(run)
     classes = classify.conjugacy_classes(index, ceiling=ceiling)
     ctypes = classify.report_cycle_types(classes, index)
     report = classify.format_class_report(classes, index, ctypes)
     report_path = Path(out_dir) / f"{store._file_prefix(name)}_classes.txt"
     store._write_atomically(report_path, report.encode())
     if as_json:
-        payload = {
-            "root_system": name,
-            "classes": [
-                {
-                    "size": c.size,
-                    "order": c.element_order,
-                    "representative": list(c.representative),
-                    "word": list(c.representative_word),
-                }
-                for c in classes
-            ],
-            "order_partition": {str(k): v for k, v in partition.items()},
-        }
+        payload = {"root_system": name,
+                   "classes": [{"size": c.size, "order": c.element_order,
+                                "representative": list(c.representative),
+                                "word": list(c.representative_word)} for c in classes],
+                   "order_partition": {str(k): v for k, v in partition.items()}}
         print(json.dumps(payload, indent=2))
     else:
         print(report, end="")

@@ -9,7 +9,8 @@ cycle-type lists the cycle lengths of the underlying permutation, negated
 when the signs along the cycle multiply to -1, longer cycles first and
 negative before positive at equal length; length-1 cycles included.
 Only D_n in Bourbaki numbering has this model; `classify.report_cycle_types`
-checks the run's Cartan matrix.
+checks the run's Cartan matrix.  A class's weight rows are one gather from
+its run's `ElementIndex.weights`.
 """
 
 from __future__ import annotations
@@ -82,14 +83,11 @@ def class_cycle_type(cls, index) -> tuple[int, ...]:
 
     `index` is the `ElementIndex` of the run whose levels the class's
     (level, ordinal) member coordinates point into.  All members' weight
-    rows are read together, as one array of signed permutations, and
+    rows are gathered by id, as one array of signed permutations, and
     compared with row 0, the representative (the least member).
     """
     lvl_of, ord_of = np.array(cls.members, dtype=np.int64).reshape(-1, 2).T
-    # Members are sorted, so each level's ordinals are one run of them.
-    lvls, first = np.unique(lvl_of, return_index=True)
-    weights = np.concatenate([index.levels[k].weights[ords] for k, ords
-                              in zip(lvls.tolist(), np.split(ord_of, first[1:]))])
+    weights = index.weights[index.offsets[lvl_of] + ord_of]
     labels = _cycle_labels(_epsilon_images(weights, index.start))
     expected = _cycle_type(labels[0])
     differ = np.flatnonzero((labels != labels[0]).any(axis=1))

@@ -251,14 +251,9 @@ def _start_vector(start: Weight, rs: RootSystem, strict: bool) -> np.ndarray:
     """`start` as a new vector in the run's dtype, checked in this order: real
     coordinates, each of magnitude below ENTRY_LIMIT, on Python numbers before
     any int64 conversion; integral coordinates; `rs.rank` of them, at least one;
-    dominance, strict if `strict`; a coroot bound below ENTRY_LIMIT.
-
-    The coroot bound is B = max <start, beta^vee> over `rs.coroots`.  For a
-    dominant start, coordinate i of w(start) is <start, w^-1 alpha_i^vee>, and
-    w^-1 alpha_i^vee is a coroot, so every weight of the orbit lies in [-B, B].
-    A group matrix entry is a coroot coefficient, at most B when the start is
-    strictly dominant.  The run's dtype is the narrowest signed integer type
-    that holds B.
+    dominance, strict if `strict`; a coroot bound (`RootSystem.coroot_bound`)
+    below ENTRY_LIMIT.  The bound caps every entry of the run, so the run's
+    dtype is the narrowest signed integer type that holds it.
     """
     entries = np.ravel(start).tolist()
     real = all(isinstance(x, numbers.Real) for x in entries)
@@ -274,8 +269,7 @@ def _start_vector(start: Weight, rs: RootSystem, strict: bool) -> np.ndarray:
     if (arr < int(strict)).any():
         raise WeylError(f"start weight must be {'strictly ' if strict else ''}dominant "
                         f"(all coordinates >= {int(strict)}), got {arr.tolist()}")
-    # Exact below rank 2**20: entries are below 2**40, coroot coefficients at most 6.
-    bound = int((rs.coroots @ arr).max())
+    bound = rs.coroot_bound(arr)
     if bound >= ENTRY_LIMIT:
         raise WeylError(f"start weight {arr.tolist()} has coroot bound {bound}, at least "
                         f"the checked arithmetic bound {ENTRY_LIMIT}")

@@ -227,6 +227,14 @@ class RootSystem:
         return math.prod((h + 1) ** (counts[h - 1] - counts[h])
                          for h in range(1, len(counts)))
 
+    def coroot_bound(self, weight) -> int:
+        """B = max |<weight, beta^vee>| over the positive coroots, exactly.  The
+        orbit of a dominant weight lies in [-B, B], as coordinate i of w(weight)
+        is <weight, w^-1 alpha_i^vee>; a group matrix entry, a coroot
+        coefficient, is at most B when the weight is strictly dominant."""
+        pairings = self.coroots.astype(object) @ np.asarray(weight).astype(object)
+        return max(abs(x) for x in pairings)
+
     def __repr__(self) -> str:
         return f"RootSystem({self.name!r}, rank={self.rank})"
 

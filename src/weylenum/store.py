@@ -26,10 +26,10 @@ rename a finished temporary file into place (`_write_atomically`), so no
 partial file is ever seen.
 `CheckedRun` passes on the levels of a complete run one at a time, each once
 it is checked, and checks the run as a whole after the last; a consumer can
-read, use and drop a level at a time.  `build_index` holds what it passes
-on: it keys the elements by weight row, packed and sorted once as
-`ElementIndex.keys`, and numbers each element's inverse from its level's
-inverse ordinals.
+read, use and drop a level at a time.  It keeps only what the run's
+`ElementIndex` holds, which `build_index` gives: every weight in the
+narrowest run dtype, keyed by weight row as `keys`, each element's inverse
+id from its level's inverse ordinals, and the level-1 Cartan matrix.
 """
 
 from __future__ import annotations
@@ -233,13 +233,9 @@ def write_level(level: Level, prefix: str, dir: Path | str) -> LevelFile:
 
 
 def read_level(path: Path | str) -> Level:
-    """Load a level file, accepting exactly the bytes write_level writes.
-
-    Every integer of the file is read in one pass, in two halves for a file
-    of more than a block: per record its ordinal, word letters, weight,
-    n_inv and matrix, a fixed count per level.  The file is accepted when
-    those numbers make a level that `format_level` writes back byte for
-    byte, so the writer alone says what is canonical.
+    """Load a level file, accepting exactly the bytes write_level writes: the
+    file's integers (per record its ordinal, word letters, weight, n_inv and
+    matrix) must make a level that `format_level` writes back byte for byte.
     Any other file is classified by `_first_fault`, which names the first
     line out of its slot.  The inverse ordinals must obey the inverse rule,
     since the level derives each inverse matrix from them.
@@ -382,15 +378,15 @@ def level_one_cartan(level: Level) -> np.ndarray:
 class ElementIndex:
     """A complete run with every element numbered in (level, ordinal) order.
 
-    Element ``offsets[k] + j`` is ordinal j of level k.  Its weight row
-    names it uniquely, so weight rows serve as keys: ``keys.find(rows)``
-    gives the id of the element of each weight row.
+    Element ``offsets[k] + j`` is ordinal j of level k, and ``keys.find(rows)``
+    gives the id of the element of each weight row.  No matrix or word is held.
     """
 
-    levels: tuple[Level, ...]
+    weights: np.ndarray      # (N, rank) every element's weight, in the narrowest run dtype
     inv: np.ndarray          # (N,) id of each element's inverse
-    offsets: np.ndarray      # (len(levels) + 1,) id of each level's first element
+    offsets: np.ndarray      # (levels + 1,) id of each level's first element
     keys: RowKeys            # every element's weight, packed and sorted
+    cartan: np.ndarray       # the run's int64 Cartan matrix, read off level 1
 
     @property
     def total(self) -> int:
@@ -398,18 +394,7 @@ class ElementIndex:
 
     @property
     def start(self) -> np.ndarray:  # (rank,) the identity's weight
-        return self.levels[0].weights[0]
-
-    @property
-    def cartan(self) -> np.ndarray:  # the run's int64 Cartan matrix
-        return level_one_cartan(self.levels[1])
-
-
-def _narrowest(weights: np.ndarray) -> np.ndarray:
-    """`weights` in the first of the run dtypes that holds them."""
-    low, high = int(weights.min(initial=0)), int(weights.max(initial=0))
-    dtype = next(t for t in _RUN_DTYPES if np.iinfo(t).min <= low and high <= np.iinfo(t).max)
-    return weights.astype(dtype, copy=False)
+        return self.weights[0]
 
 
 class CheckedRun:
@@ -417,25 +402,26 @@ class CheckedRun:
 
     Level 0 must be the identity alone.  In every level the inverse ordinals
     obey the inverse rule and each weight agrees with its matrix,
-    start @ M == weights[inv_ordinal].  After the last level the run is
-    checked as a whole.  No two elements may share a weight; that makes a
-    weight row as sound a key as the matrix itself, and `keys` then holds
-    every element's weight, packed and sorted.  A truncated run is refused:
-    only the longest element sends the strictly dominant start to a
-    strictly negative weight, so the top level must be that element alone,
-    and the run must hold as many elements as the group of `level_one_cartan`.
-    Only the weights are held, in the narrowest run dtype, so a consumer may
-    read, use and drop one level at a time; its result stands once the
-    iteration ends without an error.
+    start @ M == weights[inv_ordinal].  Level 1 gives the run's `system`.
+    After the last level no two elements may share a weight, which makes a
+    weight row as sound a key as the matrix.  A truncated run is refused:
+    only the longest element sends the strictly dominant start to a strictly
+    negative weight, so the top level must be that element alone, and the
+    run must hold as many elements as `system`'s group; then `index` is its
+    `ElementIndex`.  A run is iterated once: iterating again resumes it.
     """
 
     def __init__(self, levels: Iterable[Level]):
-        self._levels = levels
-        self.keys: RowKeys | None = None
+        self.system: RootSystem | None = None
+        self.index: ElementIndex | None = None
+        self._checked = self._check(levels)
 
     def __iter__(self) -> Iterator[Level]:
-        weights, level = [], None
-        for level in self._levels:
+        return self._checked
+
+    def _check(self, levels: Iterable[Level]) -> Iterator[Level]:
+        weights, inv, offsets, level = [], [], [0], None
+        for level in levels:
             if not weights:
                 start = level.weights[0]
                 if level.size != 1 or not (level.matrices[0] == np.eye(start.size)).all():
@@ -450,8 +436,13 @@ class CheckedRun:
                     "disagrees with the weight of its inverse, "
                     f"record {level.inv_ordinal[bad[0]]}")
             if len(weights) == 1:
-                cartan = level_one_cartan(level)
-            weights.append(_narrowest(level.weights))
+                self.system = RootSystem("run", level_one_cartan(level))
+            low, high = int(level.weights.min(initial=0)), int(level.weights.max(initial=0))
+            weights.append(level.weights.astype(next(  # the narrowest run dtype
+                t for t in _RUN_DTYPES if np.iinfo(t).min <= low and high <= np.iinfo(t).max),
+                copy=False))
+            inv.append(offsets[-1] + level.inv_ordinal)
+            offsets.append(offsets[-1] + level.size)
             yield level
         if level is None:
             raise WeylError("no levels given")
@@ -459,21 +450,20 @@ class CheckedRun:
             raise IntegrityError(
                 f"top level {level.index} holds {level.size} element(s) and is not the "
                 "longest element alone; the run is incomplete")
-        self.keys = RowKeys(np.concatenate(weights))  # raises on two elements sharing a weight
-        if self.keys.order.size != (order := RootSystem("run", cartan).order):
-            raise IntegrityError(f"the run holds {self.keys.order.size} elements, but the "
+        weights = np.concatenate(weights)
+        keys = RowKeys(weights)  # raises on two elements sharing a weight
+        if len(weights) != (order := self.system.order):
+            raise IntegrityError(f"the run holds {len(weights)} elements, but the "
                                  f"group of its level-1 Cartan matrix has {order}")
+        self.index = ElementIndex(weights=weights, inv=np.concatenate(inv),
+                                  offsets=np.array(offsets), keys=keys, cartan=self.system.cartan)
 
 
-def build_index(levels: Iterable[Level]) -> ElementIndex:
-    """Number every element of a complete run, holding the levels that
-    `CheckedRun` passes on; the inverse of ordinal j of level k is the element
-    ``offsets[k] + inv_ordinal[j]``."""
-    run = CheckedRun(levels)
-    levels = tuple(run)
-    offsets = np.cumsum([0] + [level.size for level in levels])
-    inv = np.concatenate([offsets[k] + level.inv_ordinal for k, level in enumerate(levels)])
-    return ElementIndex(levels=levels, inv=inv, offsets=offsets, keys=run.keys)
+def build_index(run: CheckedRun) -> ElementIndex:
+    """The run's `ElementIndex`, once the levels no consumer has taken are checked."""
+    for _ in run:
+        pass
+    return run.index
 
 
 def summary_path(dir: Path | str, prefix: str) -> Path:

@@ -547,20 +547,20 @@ def matrix_orders(matrices, bound: int = 10_000) -> np.ndarray:
     raise ValueError(f"no power up to {bound} reached the identity")
 
 
-def matrix_conjugates(index) -> list[np.ndarray]:
-    """For each generator R, the id of R·x·R for every element x of an
-    `ElementIndex`, from the elements' matrices.
+def matrix_conjugates(levels) -> list[np.ndarray]:
+    """For each generator R, the id of R·x·R for every element x of a
+    complete run's levels, numbered in (level, ordinal) order, from the
+    elements' matrices.
 
-    start @ R M R is the weight of (R M R)^-1, so the weight keys give the
-    id of every element's conjugate by R, a level at a time.
+    With a strictly dominant start, start @ M names the element of matrix M,
+    so a dict of those rows gives the id of every element's conjugate by R
+    from start @ R M R.
     """
-    levels = index.levels
-    conjugates = []
-    for refl in levels[1].matrices:
-        v = index.start @ refl
-        q = np.concatenate([(v @ level.matrices) @ refl for level in levels])
-        conjugates.append(index.inv[index.keys.find(q)])
-    return conjugates
+    start = levels[0].weights[0].astype(np.int64)
+    matrices = np.concatenate([level.matrices for level in levels]).astype(np.int64)
+    ids = {row.tobytes(): x for x, row in enumerate(start @ matrices)}
+    return [np.array([ids[q.tobytes()] for q in ((start @ refl) @ matrices) @ refl])
+            for refl in levels[1].matrices]
 
 
 def components(maps, total: int) -> set[frozenset[int]]:

@@ -63,14 +63,14 @@ def test_criterion_2_d4_level_two_golden_file(tmp_path, d4_levels):
              failures)
 
 
-def test_criterion_3_d4_conjugacy_sizes_and_order_partition(d4_classes, d4_index):
+def test_criterion_3_d4_conjugacy_sizes_and_order_partition(d4_classes, d4_levels):
     failures = []
     if len(d4_classes) != 13:
         failures.append(f"{len(d4_classes)} classes, expected 13")
     sizes = sorted(c.size for c in d4_classes)
     if sizes != [1, 1, 6, 6, 6, 12, 12, 12, 24, 24, 24, 32, 32]:
         failures.append(f"size multiset {sizes}")
-    partition = we.order_partition(d4_index)
+    partition = we.order_partition(we.CheckedRun(d4_levels))
     if partition != {1: 1, 2: 43, 3: 32, 4: 84, 6: 32}:
         failures.append(f"order partition {partition}")
     _verdict("criterion 3: D4 has 13 classes with the published sizes and "

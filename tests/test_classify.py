@@ -13,7 +13,7 @@ import weylenum as we
 from test_kernels import finite_cartan
 from weylenum import IntegrityError, WeylError, classify
 from weylenum.classify import format_class_report, report_cycle_types
-from weylenum.orbit import ENTRY_LIMIT
+from weylenum.orbit import ENTRY_LIMIT, RowKeys
 from weylenum.reference import (D4_CLASS1_MEMBERS, D4_CLASS_ROWS, D4_CLASS_SIZES,
                                 D4_ORDER_PARTITION)
 
@@ -34,14 +34,14 @@ def test_element_order_bound():
 
 
 def test_order_partition_small():
-    a1 = we.build_index(we.generate_group(we.root_system("A1")))
+    a1 = we.CheckedRun(we.generate_group(we.root_system("A1")))
     assert we.order_partition(a1) == {1: 1, 2: 1}
-    a2 = we.build_index(we.generate_group(we.root_system("A2")))
+    a2 = we.CheckedRun(we.generate_group(we.root_system("A2")))
     assert we.order_partition(a2) == {1: 1, 2: 3, 3: 2}
 
 
-def test_order_partition_d4(d4_index):
-    assert we.order_partition(d4_index) == D4_ORDER_PARTITION
+def test_order_partition_d4(d4_levels):
+    assert we.order_partition(we.CheckedRun(d4_levels)) == D4_ORDER_PARTITION
 
 
 @st.composite
@@ -56,16 +56,67 @@ def _run(draw):
 @given(_run())
 def test_weight_scan_agrees_with_matrix_powers(run):
     # each element's scanned order is the least p with M^p the identity, and
-    # the partition is the count of those orders, from the index or a stream
+    # the partition is the count of those orders
     cartan, start = run
-    index = we.build_index(we.generate_group(we.RootSystem("custom", cartan), start=start))
-    for level in index.levels:
-        scanned = classify._orders(level.weights[level.inv_ordinal], level.matrices, index.start)
+    levels = list(we.generate_group(we.RootSystem("custom", cartan), start=start))
+    for level in levels:
+        scanned = classify._orders(level.weights[level.inv_ordinal], level.matrices,
+                                   levels[0].weights[0])
         assert np.array_equal(scanned, oracles.matrix_orders(level.matrices))
     want = Counter(np.concatenate([oracles.matrix_orders(level.matrices)
-                                   for level in index.levels]).tolist())
-    assert we.order_partition(index) == dict(sorted(want.items()))
-    assert we.order_partition(we.CheckedRun(index.levels)) == dict(sorted(want.items()))
+                                   for level in levels]).tolist())
+    assert we.order_partition(we.CheckedRun(levels)) == dict(sorted(want.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_run())
+def test_descent_agrees_with_the_oracle(run):
+    # every level's words and matrices, read off its weights alone
+    cartan, start = run
+    rs = we.RootSystem("custom", cartan)
+    for level in we.generate_group(rs, start=start):
+        words, matrices = classify.descent(level.weights, start, rs.cartan, level.index)
+        assert np.array_equal(words, oracles.descent_words(level.weights, rs.cartan))
+        assert words.dtype == level.words.dtype
+        assert np.array_equal(matrices, level.matrices)
+
+
+@pytest.mark.parametrize("length", [2, 4, 5])
+def test_descent_refuses_a_weight_of_another_length(d4, d4_levels, length):
+    # level 3's weights are not the start after 2 letters, and dominant after
+    # 3; stepped on, a dominant weight goes to s_4 of it and back, so after 5
+    # letters it is the start again
+    with pytest.raises(IntegrityError, match=r"^level 3, record 0: its weight does not "
+                                             rf"descend to the start in {length} letter\(s\)$"):
+        classify.descent(d4_levels[3].weights, d4_levels[0].weights[0], d4.cartan, length,
+                         lambda j: f"level 3, record {j}: ")
+
+
+def test_classes_refuse_a_representative_whose_weight_is_of_another_level(d4_index):
+    # ids 1 (level 1) and 14 (level 3) swap weights: a consistent key set, but
+    # the weight of record 0 of level 1 takes three letters to descend
+    weights = d4_index.weights.copy()
+    weights[[1, 14]] = weights[[14, 1]]
+    index = dataclasses.replace(d4_index, weights=weights, keys=RowKeys(weights))
+    with pytest.raises(IntegrityError, match=r"^level 1, record 0: its weight does not "
+                                             r"descend to the start in 1 letter\(s\)$"):
+        we.conjugacy_classes(index)
+
+
+def test_classes_refuse_a_descended_matrix_that_misses_the_inverse(d4_index, monkeypatch):
+    # a descent that gives each matrix transposed: R_1^T sends the start to
+    # [0, 1, 1, 1], not to s_1's weight [-1, 2, 1, 1]
+    real = classify.descent
+
+    def transposed(*args):
+        words, matrices = real(*args)
+        return words, matrices.transpose(0, 2, 1)
+
+    monkeypatch.setattr(classify, "descent", transposed)
+    with pytest.raises(IntegrityError, match=r"^level 1, record 0: start @ M = \[0, 1, 1, 1\] "
+                                             "for its descended matrix M disagrees with the "
+                                             "weight of its inverse$"):
+        we.conjugacy_classes(d4_index)
 
 
 def _tamper(levels, k, j, matrix):
@@ -94,10 +145,10 @@ def test_non_group_record_leaves_the_orbit_range(d4_levels):
     # M + N passes build_index's start @ M check but is no group element;
     # the matrix power loop runs it to the 10,000-power bound
     k, j, m = _non_group_record(d4_levels)
-    index = we.build_index(_tamper(d4_levels, k, j, m))
+    run = we.CheckedRun(_tamper(d4_levels, k, j, m))
     with pytest.raises(IntegrityError, match=rf"^level {k}, record {j}: start @ M\^\d+ = "
                                              r".* leaves the orbit's weight range \[-5, 5\]"):
-        we.order_partition(index)
+        we.order_partition(run)
 
 
 def test_non_group_partner_misses_the_start(d4_levels):
@@ -108,10 +159,10 @@ def test_non_group_partner_misses_the_start(d4_levels):
     m = three.matrices[j].astype(np.int64)
     m[0, 0] += 1
     m[1, 0] -= 1
-    index = we.build_index(_tamper(d4_levels, 3, j, m))
+    run = we.CheckedRun(_tamper(d4_levels, 3, j, m))
     with pytest.raises(IntegrityError, match=rf"^level 3, record {j}: its weight @ M = "
                                              r"\[.*\] is not the start"):
-        we.order_partition(index)
+        we.order_partition(run)
 
 
 def test_matrix_entry_beyond_the_largest_coroot_coefficient(d4_levels):
@@ -121,10 +172,10 @@ def test_matrix_entry_beyond_the_largest_coroot_coefficient(d4_levels):
     n = 3 - m[0, 0]
     m[0, 0] += n
     m[1, 0] -= n
-    index = we.build_index(_tamper(d4_levels, 3, 0, m))
+    run = we.CheckedRun(_tamper(d4_levels, 3, 0, m))
     with pytest.raises(IntegrityError, match="^level 3, record 0: a matrix entry lies beyond "
                                              "the largest coroot coefficient, 2"):
-        we.order_partition(index)
+        we.order_partition(run)
 
 
 def test_order_partition_refuses_a_start_no_walk_takes(d4_levels):
@@ -132,17 +183,17 @@ def test_order_partition_refuses_a_start_no_walk_takes(d4_levels):
     # 5 * 2**38, is at least the checked arithmetic bound 2**40
     big = [dataclasses.replace(level, weights=level.weights.astype(np.int64) << 38)
            for level in d4_levels]
-    index = we.build_index(big)
+    run = we.CheckedRun(big)
     with pytest.raises(IntegrityError, match=rf"^level 0: start .* has coroot bound "
                                              rf"{5 << 38}, at least .* {ENTRY_LIMIT}$"):
-        we.order_partition(index)
+        we.order_partition(run)
 
 
 @pytest.mark.slow
 def test_e7_classes_and_order_partition():
-    index = we.build_index(we.generate_group(we.root_system("E7")))
-    classes = we.conjugacy_classes(index)
-    partition = we.order_partition(index)
+    run = we.CheckedRun(we.generate_group(we.root_system("E7")))
+    partition = we.order_partition(run)
+    classes = we.conjugacy_classes(we.build_index(run))
     assert len(classes) == 60
     assert sum(partition.values()) == 2_903_040
     by_order = Counter()
@@ -201,7 +252,7 @@ def test_class_counts_small_systems():
     for name, expected in [("A2", 3), ("A3", 5), ("B2", 5), ("B3", 10), ("G2", 6),
                            ("B4", 20), ("D5", 18), ("F4", 25), ("E6", 25)]:
         levels = list(we.generate_group(we.root_system(name)))
-        index = we.build_index(levels)
+        index = we.build_index(we.CheckedRun(levels))
         classes = we.conjugacy_classes(index)
         assert len(classes) == expected, name
         assert sum(c.size for c in classes) == index.total
@@ -209,7 +260,7 @@ def test_class_counts_small_systems():
 
 def test_a2_class_sizes():
     levels = list(we.generate_group(we.root_system("A2")))
-    index = we.build_index(levels)
+    index = we.build_index(we.CheckedRun(levels))
     classes = we.conjugacy_classes(index)
     assert sorted(c.size for c in classes) == [1, 2, 3]
 
@@ -248,10 +299,11 @@ def test_classes_agree_with_matrix_conjugates(run):
     # the classes read off the weight rows are the components of the
     # conjugations that the elements' matrices give
     cartan, start = run
-    index = we.build_index(we.generate_group(we.RootSystem("custom", cartan), start=start))
+    levels = list(we.generate_group(we.RootSystem("custom", cartan), start=start))
+    index = we.build_index(we.CheckedRun(levels))
     ids = {frozenset((index.offsets[k] + j).item() for k, j in c.members)
            for c in we.conjugacy_classes(index)}
-    assert ids == oracles.components(oracles.matrix_conjugates(index), index.total)
+    assert ids == oracles.components(oracles.matrix_conjugates(levels), index.total)
 
 
 def test_conjugacy_ceiling(d4_index):
@@ -305,7 +357,7 @@ def test_format_class_report_d6_is_pinned(d6_classes, d6_index):
 
 
 def test_format_class_report_family_a(a3_levels):
-    index = we.build_index(a3_levels)
+    index = we.build_index(we.CheckedRun(a3_levels))
     classes = we.conjugacy_classes(index)
     report = format_class_report(classes, index, report_cycle_types(classes, index))
     assert "cycle_type" not in report

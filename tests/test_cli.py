@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from test_classify import _non_group_record, _tamper
 from test_store import TAMPERED_RUNS, weight_shared_across_levels
-from weylenum import cycletype, store
+from weylenum import classify, cycletype, rootsystems, store
 from weylenum.cli import EXIT_FAILURE, EXIT_MISMATCH, EXIT_OK, main
 
 
@@ -177,9 +178,9 @@ def test_orders_rejects_malformed_level_file(d4_run, capsys):
 
 def _serve(monkeypatch, levels):
     """Make the level reader serve `levels` in place of a run's files."""
-    monkeypatch.setattr(store, "find_level_files",
-                        lambda out_dir, name: [Path(str(k)) for k in range(len(levels))])
-    monkeypatch.setattr(store, "read_level", lambda path: levels[int(path.name)])
+    paths = [Path(store.level_file_name("D4", k, level.size)) for k, level in enumerate(levels)]
+    monkeypatch.setattr(store, "find_level_files", lambda out_dir, name: paths)
+    monkeypatch.setattr(store, "read_level", lambda path: levels[paths.index(path)])
 
 
 @pytest.mark.parametrize("case", TAMPERED_RUNS)
@@ -191,6 +192,19 @@ def test_orders_refuses_what_build_index_refuses(d4_levels, monkeypatch, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(message, captured.err.removeprefix("error: ").rstrip("\n"))
+
+
+@pytest.mark.parametrize("case", TAMPERED_RUNS)
+def test_classes_refuses_what_build_index_refuses(d4_levels, tmp_path, monkeypatch, capsys,
+                                                  case):
+    # the streamed classes runs the same checks, and writes no report
+    tamper, message = TAMPERED_RUNS[case]
+    _serve(monkeypatch, tamper(d4_levels))
+    assert main(["classes", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(message, captured.err.removeprefix("error: ").rstrip("\n"))
+    assert not list(tmp_path.glob("*_classes.txt"))
 
 
 def _write_run(out, levels):
@@ -223,8 +237,10 @@ def test_classes_refuses_a_record_that_is_no_group_element(tmp_path, d4_levels, 
     assert not (tmp_path / "D4_classes.txt").exists()
 
 
-def test_orders_holds_one_level_at_a_time(d4_run, monkeypatch, capsys):
-    # when a level is read, no level before the one just scanned is still held
+def _count_held(monkeypatch) -> tuple[list, list[int]]:
+    """Make each level read first record in `alive` how many levels before the
+    one just read are still held; gives weak references to the levels read,
+    and `alive`."""
     read, refs, alive = store.read_level, [], []
 
     def read_level(path):
@@ -234,9 +250,44 @@ def test_orders_holds_one_level_at_a_time(d4_run, monkeypatch, capsys):
         return level
 
     monkeypatch.setattr(store, "read_level", read_level)
+    return refs, alive
+
+
+def test_orders_holds_one_level_at_a_time(d4_run, monkeypatch, capsys):
+    # when a level is read, no level before the one just scanned is still held
+    _, alive = _count_held(monkeypatch)
     assert main(["orders", "D4", "--out", str(d4_run)]) == EXIT_OK
     assert "1:1, 2:43, 3:32, 4:84, 6:32" in capsys.readouterr().out
     assert alive == [0] * 13
+
+
+def test_classes_holds_one_level_at_a_time(d4_run, monkeypatch, capsys):
+    # as orders does, and the classes are formed with no level held at all
+    refs, alive = _count_held(monkeypatch)
+    real = classify.conjugacy_classes
+
+    def conjugacy_classes(index, ceiling):
+        alive.append(sum(ref() is not None for ref in refs))
+        return real(index, ceiling=ceiling)
+
+    monkeypatch.setattr(classify, "conjugacy_classes", conjugacy_classes)
+    assert main(["classes", "D4", "--out", str(d4_run)]) == EXIT_OK
+    assert "D4: 13 classes" in capsys.readouterr().out
+    assert alive == [0] * 14
+
+
+@pytest.mark.parametrize("command", ["orders", "classes"])
+def test_a_run_derives_its_system_once(d4_run, monkeypatch, capsys, command):
+    # one coroot closure and one read of the Cartan matrix off level 1, counted
+    # under every name the package's modules import them by
+    calls = Counter()
+    for real in (rootsystems.positive_coroots, store.level_one_cartan):
+        for module in [m for key, m in sys.modules.items() if key.startswith("weylenum")]:
+            if getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, lambda *args, real=real:
+                                    calls.update([real.__name__]) or real(*args))
+    assert main([command, "D4", "--out", str(d4_run)]) == EXIT_OK
+    assert calls == {"positive_coroots": 1, "level_one_cartan": 1}
 
 
 def test_orders(d4_run, capsys):

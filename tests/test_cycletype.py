@@ -145,10 +145,10 @@ def test_class_cycle_type_reads_each_class_once(d4_classes, d4_index, monkeypatc
     assert calls == [c.size for c in d4_classes]
 
 
-def test_class_cycle_type_detects_disagreement(d4_index):
+def test_class_cycle_type_detects_disagreement(d4_index, d4_levels):
     fake = SimpleNamespace(representative=(1, 0), members=((1, 0), (2, 0)))
-    rep = signed_cycle_type(word_to_signed_perm(d4_index.levels[1].word(0), 4))
-    got = signed_cycle_type(word_to_signed_perm(d4_index.levels[2].word(0), 4))
+    rep = signed_cycle_type(word_to_signed_perm(d4_levels[1].word(0), 4))
+    got = signed_cycle_type(word_to_signed_perm(d4_levels[2].word(0), 4))
     with pytest.raises(IntegrityError, match=rf"cycle type \({', '.join(map(str, got))}\) "
                                              rf"of member \(2, 0\) differs from the "
                                              rf"representative's \({', '.join(map(str, rep))}\)"):

@@ -407,11 +407,16 @@ def test_generate_group_deterministic(d4, d4_levels):
 
 @pytest.mark.parametrize("name", ["A4", "B4", "C3", "D4", "F4", "G2", "E6"])
 def test_words_are_the_descent_of_the_weights(name):
+    # the oracle's descent and the package's, which gives the matrices too
     rs = we.root_system(name)
     for level in we.generate_group(rs):
         assert level.words.dtype == np.min_scalar_type(rs.rank) == np.uint8
         assert level.words.shape == (level.size, level.index)
         assert np.array_equal(oracles.descent_words(level.weights, rs.cartan), level.words)
+        words, matrices = we.classify.descent(level.weights, [1] * rs.rank, rs.cartan,
+                                              level.index)
+        assert np.array_equal(words, level.words)
+        assert np.array_equal(matrices, level.matrices)
 
 
 def test_words_name_generators_past_255():

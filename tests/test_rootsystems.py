@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from test_kernels import finite_cartan
-from weylenum import (ElementIndex, RootSystem, UnsupportedRootSystem, build_index,
+from weylenum import (CheckedRun, RootSystem, UnsupportedRootSystem, build_index,
                       cartan_matrix, generate_group, generate_orbit, kernels, load_cartan_file,
                       root_system)
 from weylenum.rootsystems import parse_id, positive_coroots, validate_cartan
+from weylenum.store import level_one_cartan
 
 SAMPLE_NAMES = ["A1", "A2", "A5", "B2", "B3", "B7", "C3", "C4", "D3", "D4",
                 "D8", "E6", "E7", "E8", "F4", "G2"]
@@ -295,9 +296,8 @@ def test_root_system_accepts_exactly_positive_principal_minors_at_rank_4(c):
 
 
 def _level_one_cartan(rs):
-    # ElementIndex.cartan reads level 1 alone, so a run cut after it will do
-    levels = tuple(generate_group(rs, levels_up_to=1))
-    return ElementIndex(levels=levels, inv=None, offsets=None, keys=None).cartan
+    # level_one_cartan reads level 1 alone, so a run cut after it will do
+    return level_one_cartan(list(generate_group(rs, levels_up_to=1))[1])
 
 
 @pytest.mark.parametrize("name", BUILT_IN_TO_RANK_8)
@@ -313,7 +313,7 @@ def test_level_one_gives_the_cartan_matrix(name):
 def test_a_full_run_gives_its_cartan_matrix(c):
     # any finite-type matrix, whatever its numbering, from a complete run
     rs = RootSystem("custom", c)
-    assert np.array_equal(build_index(generate_group(rs)).cartan, rs.cartan)
+    assert np.array_equal(build_index(CheckedRun(generate_group(rs))).cartan, rs.cartan)
 
 
 def test_load_cartan_file(tmp_path):

@@ -703,9 +703,10 @@ def _replace_level(levels, k, **fields):
 @pytest.mark.parametrize("name", ["D4", "B3", "G2"])
 def test_build_index_inverse_ids_agree_with_weight_matching(name):
     # each inverse id is the position of start @ M among all the run's weights
-    index = we.build_index(we.generate_group(we.root_system(name)))
-    queries = np.concatenate([index.start @ level.matrices for level in index.levels])
-    weights = np.concatenate([level.weights for level in index.levels])
+    levels = list(we.generate_group(we.root_system(name)))
+    index = we.build_index(we.CheckedRun(levels))
+    queries = np.concatenate([index.start @ level.matrices for level in levels])
+    weights = np.concatenate([level.weights for level in levels])
     assert np.array_equal(index.inv, we.match_rows(weights, queries))
     assert np.array_equal(index.inv, index.keys.find(queries))
 
@@ -812,7 +813,7 @@ def _refused(levels, *cases):
     for case in cases:
         tamper, message = TAMPERED_RUNS[case]
         with pytest.raises(IntegrityError, match=message):
-            we.build_index(tamper(levels))
+            we.build_index(we.CheckedRun(tamper(levels)))
 
 
 def test_build_index_rejects_inverse_ordinal_out_of_range(d4_levels):
@@ -844,11 +845,11 @@ def test_build_index_rejects_a_run_missing_elements(d4_levels):
 
 
 def test_build_index_sizes(b3_levels):
-    assert we.build_index(b3_levels).total == 48
+    assert we.build_index(we.CheckedRun(b3_levels)).total == 48
     a1 = list(we.generate_group(we.root_system("A1")))
-    assert we.build_index(a1).total == 2
+    assert we.build_index(we.CheckedRun(a1)).total == 2
     with pytest.raises(WeylError, match="no levels"):
-        we.build_index([])
+        we.build_index(we.CheckedRun([]))
 
 
 def test_summary_round_trip(tmp_path):
