@@ -15,7 +15,7 @@ from .errors import IntegrityError, ParseError, UnsupportedRootSystem, WeylError
 from .orbit import (Level, OrbitLevel, build_next_level, generate_group, generate_orbit,
                     match_rows)
 from .rootsystems import RootSystem, cartan_matrix, load_cartan_file, root_system
-from .store import (CheckedRun, ElementIndex, LevelFile, build_index, read_level,
+from .store import (CheckedRun, ElementIndex, LevelFile, build_index, read_level, read_run,
                     read_summary, write_level, write_summary)
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __all__ = [
     "build_index", "build_next_level", "cartan_matrix",
     "class_cycle_type", "class_label_d4", "conjugacy_classes", "element_order",
     "generate_group", "generate_orbit", "load_cartan_file", "match_rows",
-    "order_partition", "read_level", "read_summary",
+    "order_partition", "read_level", "read_run", "read_summary",
     "render_cycle_type", "root_system",
     "write_level", "write_summary",
 ]

@@ -121,9 +121,9 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
     if total > ceiling:
         raise WeylError(f"{name} has {total} elements, above the ceiling {ceiling}; "
                         "pass --ceiling to raise the limit if you have the memory")
-    # One level at a time: read, checked, scanned, dropped.  Orders first:
-    # their guards name a record that is no group element.
-    run = store.CheckedRun(store.read_level(p) for p in paths)
+    # One level at a time: walked and matched to its file, checked, scanned for
+    # orders, dropped; build_index then gives the index of what was checked.
+    run = store.read_run(paths)
     partition = classify.order_partition(run)
     index = store.build_index(run)
     classes = classify.conjugacy_classes(index, ceiling=ceiling)
@@ -163,9 +163,9 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
 
 
 def cmd_orders(name: str, out_dir: str, as_json: bool = False) -> int:
-    # One level at a time: read, checked, scanned, dropped.
+    # One level at a time: walked and matched to its file, checked, scanned, dropped.
     paths = store.find_level_files(out_dir, name)
-    partition = classify.order_partition(store.CheckedRun(store.read_level(p) for p in paths))
+    partition = classify.order_partition(store.read_run(paths))
     if as_json:
         print(json.dumps({"root_system": name,
                           "order_partition": {str(k): v for k, v in partition.items()}},

@@ -64,7 +64,7 @@ Weight = Sequence[int]
 class Level:
     """All elements of one word length, in discovery order, each with its inverse."""
 
-    weights: np.ndarray          # (n, rank) in the run's dtype; int64 when read from disk
+    weights: np.ndarray          # (n, rank) in the run's dtype; int64 from read_level
     matrices: np.ndarray         # (n, rank, rank) in the same dtype
     words: np.ndarray            # (n, index) of np.min_scalar_type(rank)
     inv_ordinal: np.ndarray      # (n,) int64; ordinal of each element's inverse

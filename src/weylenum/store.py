@@ -24,6 +24,12 @@ classified line by line, and the error names its first line out of slot.
 `write_level`, `write_summary` and the class report of ``weylenum classes``
 rename a finished temporary file into place (`_write_atomically`), so no
 partial file is ever seen.
+`read_run` reads a whole run for ``weylenum orders`` and ``classes`` and
+parses levels 0 and 1 only: each later level is re-walked from the one
+below with `build_next_level`, in the run's dtype, and its file is accepted
+when it holds exactly the bytes `format_level` writes for it, so every
+record on disk is the walk's element.  `read_level` still parses any single
+file, into int64 arrays.
 `CheckedRun` passes on the levels of a complete run one at a time, each once
 it is checked, and checks the run as a whole after the last; a consumer can
 read, use and drop a level at a time.  It keeps only what the run's
@@ -46,7 +52,8 @@ import numpy as np
 
 from . import kernels
 from .errors import IntegrityError, ParseError, WeylError
-from .orbit import _RUN_DTYPES, Level, RowKeys, check_inverse_ordinals
+from .orbit import (_RUN_DTYPES, Level, RowKeys, _level_zero, _start_vector, build_next_level,
+                    check_inverse_ordinals)
 from .rootsystems import RootSystem
 
 _FILE_RE = re.compile(r"^(?P<prefix>.+)_WeightMatrByLevel_(?P<k>\d+)_elems=(?P<n>\d+)\.txt$")
@@ -340,6 +347,81 @@ def _first_fault(path: Path, data: bytes, index: int, size: int) -> NoReturn:
     # Not reached while format_level writes exactly this grammar: a file whose
     # every line fits its slot writes back identically and was accepted.
     raise ParseError(f"{path}: does not write back identically")
+
+
+def read_run(paths: Sequence[Path | str]) -> CheckedRun:
+    """The `CheckedRun` of a run's level files, given in level order, with no
+    integer parsed past level 1.
+
+    Levels 0 and 1 are parsed by `read_level`.  Every later level is the one
+    `build_next_level` makes from the level below, in the run's dtype, and its
+    file is accepted only when its name gives that level's index and size and
+    it holds exactly the bytes `format_level` writes for it.  Level 1 is
+    compared with the step from level 0 once `CheckedRun` has checked it and
+    derived the run's system, which the walk takes from the run.  So every
+    record on disk is the walk's element, from the start and the Cartan matrix
+    read off level 1.  A file that is not the walk's level is an error:
+    `read_level` names a line out of the grammar at its path:line, and
+    `_walk_fault` names any other fault by its level, ordinal and field.
+    """
+    run = CheckedRun(_walked_levels([Path(p) for p in paths], lambda: run.system))
+    return run
+
+
+def _walked_levels(paths: list[Path], system) -> Iterator[Level]:
+    """Levels 0 and 1 as `read_level` gives them, then each later level as the
+    walk makes it, once its file is found to hold exactly that level.  Only the
+    level last passed on is held while the next is made."""
+    for k, path in enumerate(paths[:2]):
+        level = read_level(path)
+        if k == 0:
+            start = level.weights[0].tolist()
+        yield level
+    if len(paths) < 3:
+        return
+    rs = system()
+    walked = build_next_level(_level_zero(_start_vector(start, rs, strict=True)), rs)
+    _walk_fault(paths[1], level, walked)
+    del level  # level 1 as parsed, equal to the walk's
+    for path in paths[2:]:
+        walked = build_next_level(walked, rs)
+        _, index, size = parse_level_file_name(path)
+        if index != walked.index:
+            raise IntegrityError(f"{path}: its name gives level {index}, but the walk is at "
+                                 f"level {walked.index}")
+        if size != walked.size:  # the first record one of the two lacks
+            raise IntegrityError(f"level {index}, record {min(size, walked.size)}: {path} "
+                                 f"gives elems={size}, but the walk's level holds {walked.size}")
+        if not size or format_level(walked) != path.read_bytes():
+            _walk_fault(path, read_level(path), walked)  # read_level names a line out of slot
+        yield walked
+
+
+def _walk_fault(path: Path, disk: Level, walked: Level) -> None:
+    """Raise the error for the first record of `disk`, read from `path`, that is
+    not the walk's record of its place, naming the first field, in file order,
+    that differs; return when the two levels are equal."""
+    if disk.weights.shape != walked.weights.shape:  # the sizes agree with the name
+        raise IntegrityError(f"{path}: level {walked.index} holds records of rank "
+                             f"{disk.weights.shape[1]}, not the run's {walked.weights.shape[1]}")
+    n = walked.size
+
+    def rows(level: Level) -> tuple[np.ndarray, ...]:  # per field, in file order, a row per record
+        return (level.words, level.weights, level.inv_ordinal[:, None],
+                level.matrices.reshape(n, -1))
+
+    differ = np.stack([(a != b).any(axis=1) for a, b in zip(rows(disk), rows(walked))])
+    if differ.any():
+        j = int(np.argmax(differ.any(axis=0)))
+        field = int(np.argmax(differ[:, j]))
+
+        def shown(level: Level):
+            return (format_word(level.word(j)), level.weights[j].tolist(),
+                    int(level.inv_ordinal[j]), level.matrices[j].tolist())[field]
+
+        name = ("word", "weight", "n_inv", "matrix")[field]
+        raise IntegrityError(f"level {walked.index}, record {j}: its {name} in {path} "
+                             f"is {shown(disk)}, not the walk's {shown(walked)}")
 
 
 def level_files(dir: Path | str, prefix: str) -> dict[int, Path]:

@@ -177,10 +177,12 @@ def test_orders_rejects_malformed_level_file(d4_run, capsys):
 
 
 def _serve(monkeypatch, levels):
-    """Make the level reader serve `levels` in place of a run's files."""
+    """Make the run reader pass `levels`, unwalked, to `CheckedRun` in place of a
+    run's files."""
     paths = [Path(store.level_file_name("D4", k, level.size)) for k, level in enumerate(levels)]
     monkeypatch.setattr(store, "find_level_files", lambda out_dir, name: paths)
-    monkeypatch.setattr(store, "read_level", lambda path: levels[paths.index(path)])
+    monkeypatch.setattr(store, "read_run", lambda given: store.CheckedRun(
+        levels[paths.index(path)] for path in given))
 
 
 @pytest.mark.parametrize("case", TAMPERED_RUNS)
@@ -213,52 +215,64 @@ def _write_run(out, levels):
 
 
 def test_orders_refuses_two_levels_sharing_a_weight(tmp_path, d4_levels, capsys):
+    # CheckedRun names rows 30 and 62 when served these levels; on disk the walk
+    # refuses row 30, level 3's record 16, which its level 3 lacks
     _write_run(tmp_path, weight_shared_across_levels(d4_levels))
     assert main(["orders", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
-    assert "duplicate weights at rows 30 and 62" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: level 3, record 16: ")
+    assert err.endswith("elems=17, but the walk's level holds 16\n")
 
 
 def test_orders_refuses_a_record_that_is_no_group_element(tmp_path, d4_levels, capsys):
     k, j, m = _non_group_record(d4_levels)
     _write_run(tmp_path, _tamper(d4_levels, k, j, m))
     assert main(["orders", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
-    assert f"error: level {k}, record {j}: start @ M^" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: level {k}, record {j}: its matrix in ")
 
 
 def test_classes_refuses_a_record_that_is_no_group_element(tmp_path, d4_levels, capsys):
-    # the order scan runs first, so its guard names the record and no report is written
+    # the walk names the record as its level is read, and no report is written
     k, j, m = _non_group_record(d4_levels)
     assert (k, j) == (2, 0)
     _write_run(tmp_path, _tamper(d4_levels, k, j, m))
     assert main(["classes", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: level 2, record 0: start @ M^")
+    assert captured.err.startswith("error: level 2, record 0: its matrix in ")
+    assert f"is {m.tolist()}, not the walk's {d4_levels[2].matrices[0].tolist()}" \
+        in captured.err
     assert not (tmp_path / "D4_classes.txt").exists()
 
 
 def _count_held(monkeypatch) -> tuple[list, list[int]]:
-    """Make each level read first record in `alive` how many levels before the
-    one just read are still held; gives weak references to the levels read,
-    and `alive`."""
-    read, refs, alive = store.read_level, [], []
+    """Make each level the run reader makes, parsed from its file or walked
+    from the level below, first record in `alive` how many levels below the
+    one just scanned are still held; gives weak references to the levels
+    made, and `alive`."""
+    read, walk, refs, alive = store.read_level, store.build_next_level, [], []
 
-    def read_level(path):
-        alive.append(sum(ref() is not None for ref in refs[:-1]))
-        level = read(path)
+    def made(make, just_scanned, *args):
+        alive.append(sum(ref() is not None and ref().index < just_scanned for ref in refs))
+        level = make(*args)
         refs.append(weakref.ref(level))
         return level
 
-    monkeypatch.setattr(store, "read_level", read_level)
+    monkeypatch.setattr(store, "read_level", lambda path: made(
+        read, store.parse_level_file_name(path)[1] - 1, path))
+    # the walk's level 1 is made from level 0 once the parsed level 1 is scanned
+    monkeypatch.setattr(store, "build_next_level", lambda level, rs: made(
+        walk, max(level.index, 1), level, rs))
     return refs, alive
 
 
 def test_orders_holds_one_level_at_a_time(d4_run, monkeypatch, capsys):
-    # when a level is read, no level before the one just scanned is still held
+    # when a level is made, no level before the one just scanned is still held:
+    # levels 0 and 1 are parsed, then the walk makes levels 1 to 12
     _, alive = _count_held(monkeypatch)
     assert main(["orders", "D4", "--out", str(d4_run)]) == EXIT_OK
     assert "1:1, 2:43, 3:32, 4:84, 6:32" in capsys.readouterr().out
-    assert alive == [0] * 13
+    assert alive == [0] * 14
 
 
 def test_classes_holds_one_level_at_a_time(d4_run, monkeypatch, capsys):
@@ -273,7 +287,7 @@ def test_classes_holds_one_level_at_a_time(d4_run, monkeypatch, capsys):
     monkeypatch.setattr(classify, "conjugacy_classes", conjugacy_classes)
     assert main(["classes", "D4", "--out", str(d4_run)]) == EXIT_OK
     assert "D4: 13 classes" in capsys.readouterr().out
-    assert alive == [0] * 14
+    assert alive == [0] * 15
 
 
 @pytest.mark.parametrize("command", ["orders", "classes"])

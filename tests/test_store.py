@@ -884,3 +884,175 @@ def test_read_summary_malformed(tmp_path, body, problem):
     store.summary_path(tmp_path, "D4").write_bytes(body)
     with pytest.raises(WeylError, match=f"summary file .*D4_summary.json {problem}"):
         store.read_summary(tmp_path, "D4")
+
+
+# The run reader: levels 0 and 1 parsed, every later level re-walked and its
+# file accepted only when it holds exactly the walk's bytes.
+
+def _written_run(directory, levels, prefix="D4"):
+    for level in levels:
+        store.write_level(level, prefix, directory)
+    return store.find_level_files(directory, prefix)
+
+
+@pytest.mark.parametrize("name, start", [
+    ("A1", None), ("G2", None), ("B3", None), ("B3", (3, 1, 2)), ("D4", None), ("F4", None),
+])
+def test_read_run_gives_the_walks_levels(tmp_path, name, start):
+    levels = list(we.generate_group(we.root_system(name), start=start))
+    run = store.read_run(_written_run(tmp_path, levels, name))
+    read = list(run)
+    assert read == levels
+    # levels 0 and 1 as read_level parses them, then the walk's in the run dtype
+    assert [level.weights.dtype for level in read] \
+        == [np.int64] * min(2, len(levels)) + [levels[0].weights.dtype] * (len(levels) - 2)
+    want = we.build_index(we.CheckedRun(levels))
+    assert np.array_equal(run.index.weights, want.weights)
+    assert np.array_equal(run.index.inv, want.inv)
+    assert np.array_equal(run.index.offsets, want.offsets)
+
+
+def _swap(level, a, b):
+    """`level` with records a and b exchanged, their n= and n_inv renumbered."""
+    perm = np.arange(level.size)
+    perm[[a, b]] = b, a  # record p is record perm[p] of `level`, and perm is its own inverse
+    return dataclasses.replace(level, weights=level.weights[perm],
+                               matrices=level.matrices[perm], words=level.words[perm],
+                               inv_ordinal=perm[level.inv_ordinal[perm]])
+
+
+@functools.cache
+def _d4_files():
+    """(file name, bytes) of every level of D4, and the levels."""
+    levels = list(we.generate_group(we.root_system("D4")))
+    return [(store.level_file_name("D4", level.index, level.size), store.format_level(level))
+            for level in levels], levels
+
+
+@st.composite
+def _canonical_faults(draw):
+    """A D4 level past 1 changed so that its file stays canonical, as (level
+    index, the changed file's name, its bytes), and the message the walk's
+    refusal must match, which names the level, the ordinal and the field."""
+    _, levels = _d4_files()
+    kind = draw(st.sampled_from(["matrix", "swap", "letter", "elems"]))
+    k = draw(st.integers(2, len(levels) - (2 if kind == "swap" else 1)))
+    level, rank = levels[k], levels[0].weights.shape[1]
+    j = draw(st.integers(0, level.size - 1))
+    name = store.level_file_name("D4", k, level.size)
+    if kind == "matrix":  # M + N, where N's rows a and b are d e_c and -d e_c: start @ N = 0
+        a, b = draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=2, unique=True))
+        c, d = draw(st.integers(0, rank - 1)), draw(st.sampled_from([-2, -1, 1, 2]))
+        matrices = level.matrices.astype(np.int64)
+        matrices[j, a, c] += d
+        matrices[j, b, c] -= d
+        level, field = dataclasses.replace(level, matrices=matrices), "matrix"
+    elif kind == "swap":
+        b = draw(st.integers(0, level.size - 1).filter(lambda b: b != j))
+        # the first record changed is one of the two, or one whose n_inv names one
+        first = min(j, b, *level.inv_ordinal[[j, b]].tolist())
+        field = "word" if first in (j, b) else "n_inv"
+        level, j = _swap(level, j, b), first
+    elif kind == "letter":  # one letter becomes another generator in 1..rank
+        at = draw(st.integers(0, k - 1))
+        words = level.words.copy()
+        words[j, at] = draw(st.integers(1, rank).filter(lambda g: g != words[j, at]))
+        level, field = dataclasses.replace(level, words=words), "word"
+    else:  # the file renamed to a wrong elems=
+        size = draw(st.integers(1, level.size + 3).filter(lambda n: n != level.size))
+        name = store.level_file_name("D4", k, size)
+        return k, name, store.format_level(level), (
+            rf"^level {k}, record {min(size, level.size)}: .*{re.escape(name)} "
+            rf"gives elems={size}, but the walk's level holds {level.size}$")
+    return k, name, store.format_level(level), (
+        rf"^level {k}, record {j}: its {field} in .*{re.escape(name)} is .*, not the walk's ")
+
+
+@settings(max_examples=200)
+@given(_canonical_faults())
+def test_read_run_names_a_canonical_record_that_is_not_the_walks(fault):
+    k, name, data, message = fault
+    files, _ = _d4_files()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (clean_name, clean) in enumerate(files):
+            path = Path(tmp) / (name if i == k else clean_name)
+            path.write_bytes(data if i == k else clean)
+        run = store.read_run(store.find_level_files(tmp, "D4"))
+        with pytest.raises(IntegrityError, match=message):
+            for level in run:
+                assert level.index < k  # every level below is passed on
+        assert run.index is None
+
+
+def test_a_swapped_pair_passes_the_parsing_reader_but_not_the_walk(tmp_path, d4_levels):
+    # two records exchanged, with n= and n_inv renumbered: every check the parsed
+    # levels pass through CheckedRun and the order scan holds, so parsing every
+    # integer of the run accepted it
+    four = d4_levels[4]
+    j = int(np.flatnonzero(four.inv_ordinal != np.arange(four.size))[0])
+    assert j != 5
+    paths = _written_run(tmp_path, d4_levels[:4] + [_swap(four, j, 5)] + d4_levels[5:])
+    parsed = we.CheckedRun(store.read_level(p) for p in paths)
+    assert we.order_partition(parsed) == {1: 1, 2: 43, 3: 32, 4: 84, 6: 32}
+    assert we.build_index(parsed).total == 192
+    first = min(j, 5, *four.inv_ordinal[[j, 5]].tolist())
+    field = "word" if first in (j, 5) else "n_inv"
+    with pytest.raises(IntegrityError, match=rf"^level 4, record {first}: its {field} in "):
+        we.build_index(store.read_run(paths))
+
+
+def test_read_run_names_a_level_one_record_that_is_not_the_walks(tmp_path, d4_levels):
+    # s1's matrix plus N, whose rows 2 and 3 are e_0 and -e_0: start @ N = 0 and
+    # row 0, which gives the Cartan matrix, is kept, so CheckedRun passes level 1
+    matrices = d4_levels[1].matrices.astype(np.int64)
+    matrices[0, 2, 0] += 1
+    matrices[0, 3, 0] -= 1
+    paths = _written_run(tmp_path, _replace_level(d4_levels, 1, matrices=matrices))
+    with pytest.raises(IntegrityError, match=r"^level 1, record 0: its matrix in .*"
+                                             r"is \[\[-1, 1, 0, 0\], \[0, 1, 0, 0\], "
+                                             r"\[1, 0, 1, 0\], \[-1, 0, 0, 1\]\], not the walk's "
+                                             r"\[\[-1, 1, 0, 0\], \[0, 1, 0, 0\], "
+                                             r"\[0, 0, 1, 0\], \[0, 0, 0, 1\]\]$"):
+        we.build_index(store.read_run(paths))
+
+
+def test_read_run_refuses_files_out_of_level_order(tmp_path, d4_levels):
+    paths = _written_run(tmp_path, d4_levels)
+    paths[2], paths[3] = paths[3], paths[2]
+    with pytest.raises(IntegrityError, match=r"_3_elems=16\.txt: its name gives level 3, but "
+                                             r"the walk is at level 2$"):
+        we.build_index(store.read_run(paths))
+
+
+@pytest.mark.parametrize("size, error, message", [
+    (1, IntegrityError, r"^level 13, record 0: .*_13_elems=1\.txt gives elems=1, but the "
+                        r"walk's level holds 0$"),
+    (0, ParseError, r"_13_elems=0\.txt:1: no records"),
+])
+def test_read_run_refuses_a_file_past_the_longest_element(tmp_path, d4_levels, size, error,
+                                                           message):
+    paths = _written_run(tmp_path, d4_levels)
+    extra = tmp_path / store.level_file_name("D4", 13, size)
+    extra.write_bytes(paths[12].read_bytes() if size else b"")
+    with pytest.raises(error, match=message):
+        we.build_index(store.read_run(store.find_level_files(tmp_path, "D4")))
+
+
+def test_read_run_names_a_line_out_of_the_grammar_past_level_1(tmp_path, d4_levels):
+    # the walk's refusal falls back on read_level, which names the line
+    paths = _written_run(tmp_path, d4_levels)
+    paths[6].write_bytes(paths[6].read_bytes().replace(b"n=3, ", b"n=03, "))
+    with pytest.raises(ParseError, match=r"_6_elems=30\.txt:16: malformed header"):
+        we.build_index(store.read_run(paths))
+
+
+def test_read_run_names_a_level_file_of_another_rank(tmp_path, d4_levels):
+    # level 2's name and record count, but rank-3 records: canonical, and not D4's
+    two = d4_levels[2]
+    paths = _written_run(tmp_path, d4_levels)
+    paths[2].write_bytes(store.format_level(we.Level(
+        weights=two.weights[:, :3], matrices=two.matrices[:, :3, :3],
+        words=np.minimum(two.words, 3), inv_ordinal=two.inv_ordinal)))
+    with pytest.raises(IntegrityError, match=r"_2_elems=9\.txt: level 2 holds records of "
+                                             r"rank 3, not the run's 4$"):
+        we.build_index(store.read_run(paths))

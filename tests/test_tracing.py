@@ -14,6 +14,7 @@ import sys
 import threading
 from pathlib import Path
 
+import weylenum as we
 from test_store import _cpus, multi_block_level
 from weylenum import kernels, store
 
@@ -78,3 +79,21 @@ def test_codec_spans_come_from_the_calling_thread(tmp_path, monkeypatch):
                              ("store.format_level", "store.write_level")]
     assert [tracer.names[i] for i, parent in enumerate(tracer.parents) if parent < 0] \
         == ["store.write_level", "store.read_level"]
+
+
+def test_run_reader_spans_come_from_the_calling_thread(tmp_path, monkeypatch):
+    # B6's largest level holds 3,210 records, so re-walking it formats it in
+    # two halves.  Levels 0 and 1 are parsed, and written back; the walk makes
+    # levels 1 to 36 and formats levels 2 to 36 to match their files.
+    levels = list(we.generate_group(we.root_system("B6")))
+    for level in levels:
+        store.write_level(level, "B6", tmp_path)
+    tracer = thread_tracer(monkeypatch)
+    with _cpus(2):
+        index = store.build_index(store.read_run(store.find_level_files(tmp_path, "B6")))
+    assert index.total == 46080
+    assert max(level.size for level in levels) > store._BLOCK
+    assert kernels._worker is not None
+    assert tracer.threads == {threading.get_ident()}
+    assert (tracer.calls["store.read_level"], tracer.calls["orbit.build_next_level"],
+            tracer.calls["store.format_level"]) == (2, 36, 37)
