@@ -2,7 +2,8 @@
 
 Element orders come from one weight scan, `_orders`, which `element_order`
 and `order_partition` share.  `order_partition` scans the levels a
-`store.CheckedRun` passes on, one at a time.
+`store.CheckedRun` passes on, one at a time; they are the walk's, so the
+scan checks nothing the walk has proved.
 
 The classes take a complete run as one `ElementIndex`, its weights and
 inverse ids; a representative's word and matrix come from `descent`.
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import cycletype
 from .errors import IntegrityError, WeylError
-from .orbit import ENTRY_LIMIT
 from .reference import D4_CLASS_ROWS
 from .rootsystems import cartan_matrix
 from .store import CheckedRun, ElementIndex, format_word
@@ -52,31 +52,22 @@ class ConjugacyClass:
         return len(self.members)
 
 
-def _orders(v: np.ndarray, matrices: np.ndarray, start: np.ndarray,
-            bound: int | None = None, where=lambda j: "") -> np.ndarray:
+def _orders(v: np.ndarray, matrices: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Least p >= 1 with v_p == start for each row j, where v_1 = v[j] and
     v_{p+1} = v_p @ matrices[j]: the order of matrices[j] when v[j] is
-    start @ matrices[j] and `start` is strictly dominant.  An iterate beyond
-    `bound`, or no such p up to DEFAULT_ORDER_BOUND, is an IntegrityError
-    prefixed with `where(j)`."""
+    start @ matrices[j] and `start` is strictly dominant.  No such p up to
+    DEFAULT_ORDER_BOUND is an IntegrityError."""
     v, matrices = v.astype(np.int64, copy=False), matrices.astype(np.int64, copy=False)
     orders = np.zeros(len(v), dtype=np.int64)
     pending = np.arange(len(v))
     for p in range(1, DEFAULT_ORDER_BOUND + 1):
-        if bound is not None:
-            out = np.flatnonzero((np.abs(v) > bound).any(axis=1))
-            if out.size:
-                raise IntegrityError(
-                    f"{where(pending[out[0]])}start @ M^{p} = {v[out[0]].tolist()} leaves the "
-                    f"orbit's weight range [-{bound}, {bound}]; M is not a group element")
         done = (v == start).all(axis=1)
         orders[pending[done]] = p
         pending, v, matrices = pending[~done], v[~done], matrices[~done]
         if not pending.size:
             return orders
         v = np.matmul(v[:, None, :], matrices)[:, 0]
-    raise IntegrityError(
-        f"{where(pending[0])}no power up to {DEFAULT_ORDER_BOUND} reached the identity")
+    raise IntegrityError(f"no power up to {DEFAULT_ORDER_BOUND} reached the identity")
 
 
 def element_order(m: np.ndarray) -> int:
@@ -98,46 +89,18 @@ def order_partition(run: CheckedRun) -> dict[int, int]:
     whose weight start @ M is its inverse's, already on the level.  An
     element and its inverse share an order, so only ordinals j with
     j <= inv_ordinal[j] are scanned, each counted twice when it is not its
-    own inverse; the other element of the pair is stepped once, as its
-    weight @ M must be the start.  From level 1 on, a matrix entry beyond
-    the largest coroot coefficient, an iterate beyond the start's coroot
-    bound B (refused from ENTRY_LIMIT on, so each product is exact in
-    int64) or a step that misses the start is an IntegrityError naming the
-    level and the ordinal.  The pairing is used and the classes are not, so
-    the partition cross-checks their per-class sums.
+    own inverse.  Every iterate is a weight of the run, within the start's
+    coroot bound, which `generate_group` keeps below ENTRY_LIMIT, so each
+    product is exact in int64.  The pairing is used and the classes are not,
+    so the partition cross-checks their per-class sums.
     """
     counts = np.zeros(DEFAULT_ORDER_BOUND + 1, dtype=np.int64)
-    bound = None
-    for k, level in enumerate(run):
-        if k == 0:
-            start = level.weights[0].astype(np.int64)
-        elif k == 1:
-            bound = run.system.coroot_bound(start)
-            if bound >= ENTRY_LIMIT:
-                raise IntegrityError(f"level 0: start {start.tolist()} has coroot bound {bound}, "
-                                     f"at least the checked arithmetic bound {ENTRY_LIMIT}")
-            entry = int(run.system.coroots.max())
-        matrices, inv = level.matrices, level.inv_ordinal
+    for level in run:
+        if level.index == 0:
+            start = level.weights[0]
+        inv = level.inv_ordinal
         scanned = np.flatnonzero(np.arange(level.size) <= inv)
-
-        def at(j: int) -> str:
-            return f"level {level.index}, record {j}: "
-
-        if k and max(int(matrices.max()), -int(matrices.min())) > entry:
-            beyond = np.flatnonzero(((matrices > entry) | (matrices < -entry)).any(axis=(1, 2)))
-            raise IntegrityError(f"{at(beyond[0])}a matrix entry lies beyond the largest "
-                                 f"coroot coefficient, {entry}; M is not a group element")
-        orders = _orders(level.weights[inv[scanned]], matrices[scanned], start, bound,
-                         lambda row: at(scanned[row]))
-        # Each scanned iterate v_1 was the weight of a partner, so it is in [-B, B].
-        partners = np.flatnonzero(np.arange(level.size) > inv)
-        back = np.matmul(level.weights[partners, None, :].astype(np.int64),
-                         matrices[partners].astype(np.int64))
-        missed = np.flatnonzero((back[:, 0] != start).any(axis=1))
-        if missed.size:
-            raise IntegrityError(f"{at(partners[missed[0]])}its weight @ M = "
-                                 f"{back[missed[0], 0].tolist()} is not the start; "
-                                 "M is not a group element")
+        orders = _orders(level.weights[inv[scanned]], level.matrices[scanned], start)
         counts += np.bincount(np.concatenate([orders, orders[inv[scanned] != scanned]]),
                               minlength=counts.size)
     return {p: int(n) for p, n in enumerate(counts.tolist()) if n}

@@ -121,8 +121,8 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
     if total > ceiling:
         raise WeylError(f"{name} has {total} elements, above the ceiling {ceiling}; "
                         "pass --ceiling to raise the limit if you have the memory")
-    # One level at a time: walked and matched to its file, checked, scanned for
-    # orders, dropped; build_index then gives the index of what was checked.
+    # One level at a time: walked, matched to its file, scanned for orders and
+    # dropped; build_index then gives the index of the walk's weights.
     run = store.read_run(paths)
     partition = classify.order_partition(run)
     index = store.build_index(run)
@@ -163,7 +163,7 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
 
 
 def cmd_orders(name: str, out_dir: str, as_json: bool = False) -> int:
-    # One level at a time: walked and matched to its file, checked, scanned, dropped.
+    # One level at a time: walked, matched to its file, scanned and dropped.
     paths = store.find_level_files(out_dir, name)
     partition = classify.order_partition(store.read_run(paths))
     if as_json:

@@ -24,18 +24,16 @@ classified line by line, and the error names its first line out of slot.
 `write_level`, `write_summary` and the class report of ``weylenum classes``
 rename a finished temporary file into place (`_write_atomically`), so no
 partial file is ever seen.
-`read_run` reads a whole run for ``weylenum orders`` and ``classes`` and
-parses levels 0 and 1 only: each later level is re-walked from the one
-below with `build_next_level`, in the run's dtype, and its file is accepted
-when it holds exactly the bytes `format_level` writes for it, so every
-record on disk is the walk's element.  `read_level` still parses any single
-file, into int64 arrays.
-`CheckedRun` passes on the levels of a complete run one at a time, each once
-it is checked, and checks the run as a whole after the last; a consumer can
-read, use and drop a level at a time.  It keeps only what the run's
-`ElementIndex` holds, which `build_index` gives: every weight in the
-narrowest run dtype, keyed by weight row as `keys`, each element's inverse
-id from its level's inverse ordinals, and the level-1 Cartan matrix.
+A run is the walk: `CheckedRun` passes on the levels `generate_group` makes,
+one at a time, so a consumer can use and drop a level at a time, and it
+keeps only each level's weights and inverse ids.  `build_index` assembles
+them into the run's `ElementIndex`, keyed by weight row as `keys`.
+`read_run` gives the run of a run's files for ``weylenum orders`` and
+``classes``: it parses levels 0 and 1 only, for the start and the Cartan
+matrix, and accepts each level's file when it holds exactly the bytes
+`format_level` writes for the walk's level, so every record on disk is the
+walk's element.  `read_level` still parses any single file, into int64
+arrays.
 """
 
 from __future__ import annotations
@@ -52,8 +50,7 @@ import numpy as np
 
 from . import kernels
 from .errors import IntegrityError, ParseError, WeylError
-from .orbit import (_RUN_DTYPES, Level, RowKeys, _level_zero, _start_vector, build_next_level,
-                    check_inverse_ordinals)
+from .orbit import Level, RowKeys, check_inverse_ordinals, generate_group
 from .rootsystems import RootSystem
 
 _FILE_RE = re.compile(r"^(?P<prefix>.+)_WeightMatrByLevel_(?P<k>\d+)_elems=(?P<n>\d+)\.txt$")
@@ -353,48 +350,54 @@ def read_run(paths: Sequence[Path | str]) -> CheckedRun:
     """The `CheckedRun` of a run's level files, given in level order, with no
     integer parsed past level 1.
 
-    Levels 0 and 1 are parsed by `read_level`.  Every later level is the one
-    `build_next_level` makes from the level below, in the run's dtype, and its
-    file is accepted only when its name gives that level's index and size and
-    it holds exactly the bytes `format_level` writes for it.  Level 1 is
-    compared with the step from level 0 once `CheckedRun` has checked it and
-    derived the run's system, which the walk takes from the run.  So every
-    record on disk is the walk's element, from the start and the Cartan matrix
-    read off level 1.  A file that is not the walk's level is an error:
-    `read_level` names a line out of the grammar at its path:line, and
-    `_walk_fault` names any other fault by its level, ordinal and field.
+    Levels 0 and 1 are parsed by `read_level`, only for the start and the
+    Cartan matrix that level 1's simple reflections give.  The run's levels
+    are then those `generate_group` walks from them, each passed on once its
+    file is found to hold exactly that level: its name gives the level's
+    index and size, and it holds exactly the bytes `format_level` writes for
+    it.  So every record on disk is the walk's element.  A file that is not
+    the walk's level is an error: `read_level` names a line out of the
+    grammar at its path:line, and `_walk_fault` names any other fault by its
+    level, ordinal and field.  Files that end before the walk does are an
+    incomplete run, and a file past its longest element holds no element of it.
     """
-    run = CheckedRun(_walked_levels([Path(p) for p in paths], lambda: run.system))
+    paths = [Path(p) for p in paths]
+    if not paths:
+        raise WeylError("no levels given")
+    for k, path in enumerate(paths):
+        if (index := parse_level_file_name(path)[1]) != k:
+            raise IntegrityError(f"{path}: its name gives level {index}, but the walk is at "
+                                 f"level {k}")
+    zero = read_level(paths[0])
+    if len(paths) == 1:  # every system has a level 1
+        raise _incomplete(zero)
+    run = CheckedRun(RootSystem("run", level_one_cartan(read_level(paths[1]))),
+                     zero.weights[0].tolist())
+    run._levels = _matched(paths, run._levels)
     return run
 
 
-def _walked_levels(paths: list[Path], system) -> Iterator[Level]:
-    """Levels 0 and 1 as `read_level` gives them, then each later level as the
-    walk makes it, once its file is found to hold exactly that level.  Only the
-    level last passed on is held while the next is made."""
-    for k, path in enumerate(paths[:2]):
-        level = read_level(path)
-        if k == 0:
-            start = level.weights[0].tolist()
+def _incomplete(top: Level) -> IntegrityError:
+    return IntegrityError(f"top level {top.index} holds {top.size} element(s) and is not the "
+                          "longest element alone; the run is incomplete")
+
+
+def _matched(paths: list[Path], levels: Iterator[Level]) -> Iterator[Level]:
+    """Each level of the walk `levels`, once the next of `paths` is found to
+    hold exactly that level.  Only the level last passed on is held while the
+    walk makes the next."""
+    for k, path in enumerate(paths):
+        level = next(levels, None)  # None past the walk's last level
+        size = level.size if level else 0
+        elems = parse_level_file_name(path)[2]
+        if elems != size:  # the first record one of the two lacks
+            raise IntegrityError(f"level {k}, record {min(elems, size)}: {path} "
+                                 f"gives elems={elems}, but the walk's level holds {size}")
+        if not size or format_level(level) != path.read_bytes():
+            _walk_fault(path, read_level(path), level)  # read_level names a line out of slot
         yield level
-    if len(paths) < 3:
-        return
-    rs = system()
-    walked = build_next_level(_level_zero(_start_vector(start, rs, strict=True)), rs)
-    _walk_fault(paths[1], level, walked)
-    del level  # level 1 as parsed, equal to the walk's
-    for path in paths[2:]:
-        walked = build_next_level(walked, rs)
-        _, index, size = parse_level_file_name(path)
-        if index != walked.index:
-            raise IntegrityError(f"{path}: its name gives level {index}, but the walk is at "
-                                 f"level {walked.index}")
-        if size != walked.size:  # the first record one of the two lacks
-            raise IntegrityError(f"level {index}, record {min(size, walked.size)}: {path} "
-                                 f"gives elems={size}, but the walk's level holds {walked.size}")
-        if not size or format_level(walked) != path.read_bytes():
-            _walk_fault(path, read_level(path), walked)  # read_level names a line out of slot
-        yield walked
+    if next(levels, None) is not None:
+        raise _incomplete(level)
 
 
 def _walk_fault(path: Path, disk: Level, walked: Level) -> None:
@@ -464,11 +467,11 @@ class ElementIndex:
     gives the id of the element of each weight row.  No matrix or word is held.
     """
 
-    weights: np.ndarray      # (N, rank) every element's weight, in the narrowest run dtype
+    weights: np.ndarray      # (N, rank) every element's weight, in the run dtype
     inv: np.ndarray          # (N,) id of each element's inverse
     offsets: np.ndarray      # (levels + 1,) id of each level's first element
     keys: RowKeys            # every element's weight, packed and sorted
-    cartan: np.ndarray       # the run's int64 Cartan matrix, read off level 1
+    cartan: np.ndarray       # the run's int64 Cartan matrix
 
     @property
     def total(self) -> int:
@@ -480,72 +483,47 @@ class ElementIndex:
 
 
 class CheckedRun:
-    """The levels of a complete run, in order, each passed on once it is checked.
+    """The levels of a complete run, as `generate_group(system, start)` walks
+    them, passed on one at a time.
 
-    Level 0 must be the identity alone.  In every level the inverse ordinals
-    obey the inverse rule and each weight agrees with its matrix,
-    start @ M == weights[inv_ordinal].  Level 1 gives the run's `system`.
-    After the last level no two elements may share a weight, which makes a
-    weight row as sound a key as the matrix.  A truncated run is refused:
-    only the longest element sends the strictly dominant start to a strictly
-    negative weight, so the top level must be that element alone, and the
-    run must hold as many elements as `system`'s group; then `index` is its
+    The walk makes each level from the one below, paired with its inverses,
+    and checks the run as a whole after the last: as many levels as
+    `system` has positive roots, as many elements as its group, and the
+    longest element alone on top.  The run keeps only each level's weights,
+    in the run dtype, and its inverse ids, from which `build_index` makes its
     `ElementIndex`.  A run is iterated once: iterating again resumes it.
     """
 
-    def __init__(self, levels: Iterable[Level]):
-        self.system: RootSystem | None = None
-        self.index: ElementIndex | None = None
-        self._checked = self._check(levels)
+    def __init__(self, system: RootSystem, start: Sequence[int] | None = None):
+        self.system = system
+        self._parts: tuple[list, list, list] | None = None  # set once the walk is complete
+        self._levels = self._kept(generate_group(system, start))
 
     def __iter__(self) -> Iterator[Level]:
-        return self._checked
+        return self._levels
 
-    def _check(self, levels: Iterable[Level]) -> Iterator[Level]:
-        weights, inv, offsets, level = [], [], [0], None
+    def _kept(self, levels: Iterable[Level]) -> Iterator[Level]:
+        weights, inv, offsets = [], [], [0]
         for level in levels:
-            if not weights:
-                start = level.weights[0]
-                if level.size != 1 or not (level.matrices[0] == np.eye(start.size)).all():
-                    raise IntegrityError(f"level {level.index} holds {level.size} element(s) "
-                                         "and is not the identity alone; the run has no start")
-            check_inverse_ordinals(level.inv_ordinal, f"level {level.index}")
-            q = np.matmul(start, level.matrices)
-            bad = np.flatnonzero((q != level.weights[level.inv_ordinal]).any(axis=1))
-            if bad.size:
-                raise IntegrityError(
-                    f"level {level.index}, record {bad[0]}: start @ M = {q[bad[0]].tolist()} "
-                    "disagrees with the weight of its inverse, "
-                    f"record {level.inv_ordinal[bad[0]]}")
-            if len(weights) == 1:
-                self.system = RootSystem("run", level_one_cartan(level))
-            low, high = int(level.weights.min(initial=0)), int(level.weights.max(initial=0))
-            weights.append(level.weights.astype(next(  # the narrowest run dtype
-                t for t in _RUN_DTYPES if np.iinfo(t).min <= low and high <= np.iinfo(t).max),
-                copy=False))
+            weights.append(level.weights)
             inv.append(offsets[-1] + level.inv_ordinal)
             offsets.append(offsets[-1] + level.size)
             yield level
-        if level is None:
-            raise WeylError("no levels given")
-        if level.size != 1 or (level.weights[0] >= 0).any():
-            raise IntegrityError(
-                f"top level {level.index} holds {level.size} element(s) and is not the "
-                "longest element alone; the run is incomplete")
-        weights = np.concatenate(weights)
-        keys = RowKeys(weights)  # raises on two elements sharing a weight
-        if len(weights) != (order := self.system.order):
-            raise IntegrityError(f"the run holds {len(weights)} elements, but the "
-                                 f"group of its level-1 Cartan matrix has {order}")
-        self.index = ElementIndex(weights=weights, inv=np.concatenate(inv),
-                                  offsets=np.array(offsets), keys=keys, cartan=self.system.cartan)
+        self._parts = weights, inv, offsets
 
 
 def build_index(run: CheckedRun) -> ElementIndex:
-    """The run's `ElementIndex`, once the levels no consumer has taken are checked."""
+    """The run's `ElementIndex`, once the levels no consumer has taken are
+    walked.  The run gives up its weights and inverse ids to it, so a run gives
+    one index; a run refused before its end gives none."""
     for _ in run:
         pass
-    return run.index
+    if run._parts is None:
+        raise WeylError("the run has no index: it was refused, or its index was built")
+    (weights, inv, offsets), run._parts = run._parts, None
+    weights = np.concatenate(weights)
+    return ElementIndex(weights=weights, inv=np.concatenate(inv), offsets=np.array(offsets),
+                        keys=RowKeys(weights), cartan=run.system.cartan)
 
 
 def summary_path(dir: Path | str, prefix: str) -> Path:

@@ -20,8 +20,8 @@ def d4_levels(d4):
 
 
 @pytest.fixture(scope="session")
-def d4_index(d4_levels):
-    return we.build_index(we.CheckedRun(d4_levels))
+def d4_index(d4):
+    return we.build_index(we.CheckedRun(d4))
 
 
 @pytest.fixture(scope="session")
@@ -41,12 +41,12 @@ def a3_levels():
 
 @pytest.fixture(scope="session")
 def d5_index():
-    return we.build_index(we.CheckedRun(we.generate_group(we.root_system("D5"))))
+    return we.build_index(we.CheckedRun(we.root_system("D5")))
 
 
 @pytest.fixture(scope="session")
 def d6_index():
-    return we.build_index(we.CheckedRun(we.generate_group(we.root_system("D6"))))
+    return we.build_index(we.CheckedRun(we.root_system("D6")))
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 from collections import Counter, deque
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import weylenum as we
 from test_kernels import finite_cartan
-from weylenum import IntegrityError, WeylError, classify
+from test_store import _written_run
+from weylenum import IntegrityError, WeylError, classify, store
 from weylenum.classify import format_class_report, report_cycle_types
 from weylenum.orbit import ENTRY_LIMIT, RowKeys
 from weylenum.reference import (D4_CLASS1_MEMBERS, D4_CLASS_ROWS, D4_CLASS_SIZES,
@@ -34,14 +36,14 @@ def test_element_order_bound():
 
 
 def test_order_partition_small():
-    a1 = we.CheckedRun(we.generate_group(we.root_system("A1")))
+    a1 = we.CheckedRun(we.root_system("A1"))
     assert we.order_partition(a1) == {1: 1, 2: 1}
-    a2 = we.CheckedRun(we.generate_group(we.root_system("A2")))
+    a2 = we.CheckedRun(we.root_system("A2"))
     assert we.order_partition(a2) == {1: 1, 2: 3, 3: 2}
 
 
-def test_order_partition_d4(d4_levels):
-    assert we.order_partition(we.CheckedRun(d4_levels)) == D4_ORDER_PARTITION
+def test_order_partition_d4(d4):
+    assert we.order_partition(we.CheckedRun(d4)) == D4_ORDER_PARTITION
 
 
 @st.composite
@@ -58,14 +60,15 @@ def test_weight_scan_agrees_with_matrix_powers(run):
     # each element's scanned order is the least p with M^p the identity, and
     # the partition is the count of those orders
     cartan, start = run
-    levels = list(we.generate_group(we.RootSystem("custom", cartan), start=start))
+    rs = we.RootSystem("custom", cartan)
+    levels = list(we.generate_group(rs, start=start))
     for level in levels:
         scanned = classify._orders(level.weights[level.inv_ordinal], level.matrices,
                                    levels[0].weights[0])
         assert np.array_equal(scanned, oracles.matrix_orders(level.matrices))
     want = Counter(np.concatenate([oracles.matrix_orders(level.matrices)
                                    for level in levels]).tolist())
-    assert we.order_partition(we.CheckedRun(levels)) == dict(sorted(want.items()))
+    assert we.order_partition(we.CheckedRun(rs, start)) == dict(sorted(want.items()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,57 +144,57 @@ def _non_group_record(levels):
     raise AssertionError("no record to tamper")
 
 
-def test_non_group_record_leaves_the_orbit_range(d4_levels):
-    # M + N passes build_index's start @ M check but is no group element;
-    # the matrix power loop runs it to the 10,000-power bound
-    k, j, m = _non_group_record(d4_levels)
-    run = we.CheckedRun(_tamper(d4_levels, k, j, m))
-    with pytest.raises(IntegrityError, match=rf"^level {k}, record {j}: start @ M\^\d+ = "
-                                             r".* leaves the orbit's weight range \[-5, 5\]"):
+def _refused_on_disk(directory, levels, message):
+    """Reading the files of `levels` is refused with `message` before the
+    order scan takes a level the walk does not make."""
+    run = store.read_run(_written_run(directory, levels))
+    with pytest.raises(WeylError, match=message):
         we.order_partition(run)
 
 
-def test_non_group_partner_misses_the_start(d4_levels):
-    # the same tamper on the later record of an inverse pair, which is not
-    # scanned: stepped once, its weight does not come back to the start
+def test_non_group_record_leaves_the_orbit_range(tmp_path, d4_levels):
+    # M + N agrees with start @ M but is no group element; the walk names it
+    k, j, m = _non_group_record(d4_levels)
+    _refused_on_disk(tmp_path, _tamper(d4_levels, k, j, m),
+                     rf"^level {k}, record {j}: its matrix in .* is {re.escape(str(m.tolist()))}, "
+                     rf"not the walk's {re.escape(str(d4_levels[k].matrices[j].tolist()))}$")
+
+
+def test_non_group_partner_misses_the_start(tmp_path, d4_levels):
+    # the same tamper on the later record of an inverse pair, which the order
+    # scan does not step from its partner's weight
     three = d4_levels[3]
     j = int(np.flatnonzero(np.arange(three.size) > three.inv_ordinal)[0])
     m = three.matrices[j].astype(np.int64)
     m[0, 0] += 1
     m[1, 0] -= 1
-    run = we.CheckedRun(_tamper(d4_levels, 3, j, m))
-    with pytest.raises(IntegrityError, match=rf"^level 3, record {j}: its weight @ M = "
-                                             r"\[.*\] is not the start"):
-        we.order_partition(run)
+    _refused_on_disk(tmp_path, _tamper(d4_levels, 3, j, m),
+                     rf"^level 3, record {j}: its matrix in .* is {re.escape(str(m.tolist()))}, ")
 
 
-def test_matrix_entry_beyond_the_largest_coroot_coefficient(d4_levels):
+def test_matrix_entry_beyond_the_largest_coroot_coefficient(tmp_path, d4_levels):
     # an entry of 3 in D4, where coroot coefficients are at most 2, with
     # start @ N == 0 still
     m = d4_levels[3].matrices[0].astype(np.int64)
     n = 3 - m[0, 0]
     m[0, 0] += n
     m[1, 0] -= n
-    run = we.CheckedRun(_tamper(d4_levels, 3, 0, m))
-    with pytest.raises(IntegrityError, match="^level 3, record 0: a matrix entry lies beyond "
-                                             "the largest coroot coefficient, 2"):
-        we.order_partition(run)
+    _refused_on_disk(tmp_path, _tamper(d4_levels, 3, 0, m),
+                     r"^level 3, record 0: its matrix in .* is \[\[3, ")
 
 
-def test_order_partition_refuses_a_start_no_walk_takes(d4_levels):
+def test_order_partition_refuses_a_start_no_walk_takes(tmp_path, d4_levels):
     # every weight times 2**38 is a consistent run whose start's coroot bound,
     # 5 * 2**38, is at least the checked arithmetic bound 2**40
     big = [dataclasses.replace(level, weights=level.weights.astype(np.int64) << 38)
            for level in d4_levels]
-    run = we.CheckedRun(big)
-    with pytest.raises(IntegrityError, match=rf"^level 0: start .* has coroot bound "
-                                             rf"{5 << 38}, at least .* {ENTRY_LIMIT}$"):
-        we.order_partition(run)
+    _refused_on_disk(tmp_path, big, rf"^start weight \[{1 << 38}, .*\] has coroot bound "
+                                    rf"{5 << 38}, at least .* {ENTRY_LIMIT}$")
 
 
 @pytest.mark.slow
 def test_e7_classes_and_order_partition():
-    run = we.CheckedRun(we.generate_group(we.root_system("E7")))
+    run = we.CheckedRun(we.root_system("E7"))
     partition = we.order_partition(run)
     classes = we.conjugacy_classes(we.build_index(run))
     assert len(classes) == 60
@@ -251,16 +254,14 @@ def test_classes_closed_under_conjugation(d4_classes, d4_levels):
 def test_class_counts_small_systems():
     for name, expected in [("A2", 3), ("A3", 5), ("B2", 5), ("B3", 10), ("G2", 6),
                            ("B4", 20), ("D5", 18), ("F4", 25), ("E6", 25)]:
-        levels = list(we.generate_group(we.root_system(name)))
-        index = we.build_index(we.CheckedRun(levels))
+        index = we.build_index(we.CheckedRun(we.root_system(name)))
         classes = we.conjugacy_classes(index)
         assert len(classes) == expected, name
         assert sum(c.size for c in classes) == index.total
 
 
 def test_a2_class_sizes():
-    levels = list(we.generate_group(we.root_system("A2")))
-    index = we.build_index(we.CheckedRun(levels))
+    index = we.build_index(we.CheckedRun(we.root_system("A2")))
     classes = we.conjugacy_classes(index)
     assert sorted(c.size for c in classes) == [1, 2, 3]
 
@@ -299,8 +300,9 @@ def test_classes_agree_with_matrix_conjugates(run):
     # the classes read off the weight rows are the components of the
     # conjugations that the elements' matrices give
     cartan, start = run
-    levels = list(we.generate_group(we.RootSystem("custom", cartan), start=start))
-    index = we.build_index(we.CheckedRun(levels))
+    rs = we.RootSystem("custom", cartan)
+    levels = list(we.generate_group(rs, start=start))
+    index = we.build_index(we.CheckedRun(rs, start))
     ids = {frozenset((index.offsets[k] + j).item() for k, j in c.members)
            for c in we.conjugacy_classes(index)}
     assert ids == oracles.components(oracles.matrix_conjugates(levels), index.total)
@@ -356,8 +358,8 @@ def test_format_class_report_d6_is_pinned(d6_classes, d6_index):
         == "8841cbde7b2590d1a37190d822ae8ed699b1cb628bc015ae9c3fc9a736aa3bb2"
 
 
-def test_format_class_report_family_a(a3_levels):
-    index = we.build_index(we.CheckedRun(a3_levels))
+def test_format_class_report_family_a():
+    index = we.build_index(we.CheckedRun(we.root_system("A3")))
     classes = we.conjugacy_classes(index)
     report = format_class_report(classes, index, report_cycle_types(classes, index))
     assert "cycle_type" not in report

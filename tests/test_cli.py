@@ -6,14 +6,13 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from test_classify import _non_group_record, _tamper
-from test_store import TAMPERED_RUNS, weight_shared_across_levels
-from weylenum import classify, cycletype, rootsystems, store
+from test_store import TAMPERED_RUNS, _written_run, weight_shared_across_levels
+from weylenum import classify, cycletype, orbit, rootsystems, store
 from weylenum.cli import EXIT_FAILURE, EXIT_MISMATCH, EXIT_OK, main
 
 
@@ -176,32 +175,23 @@ def test_orders_rejects_malformed_level_file(d4_run, capsys):
     assert "elems=9.txt:1: malformed header" in capsys.readouterr().err
 
 
-def _serve(monkeypatch, levels):
-    """Make the run reader pass `levels`, unwalked, to `CheckedRun` in place of a
-    run's files."""
-    paths = [Path(store.level_file_name("D4", k, level.size)) for k, level in enumerate(levels)]
-    monkeypatch.setattr(store, "find_level_files", lambda out_dir, name: paths)
-    monkeypatch.setattr(store, "read_run", lambda given: store.CheckedRun(
-        levels[paths.index(path)] for path in given))
-
-
 @pytest.mark.parametrize("case", TAMPERED_RUNS)
-def test_orders_refuses_what_build_index_refuses(d4_levels, monkeypatch, capsys, case):
-    # the streamed orders runs build_index's checks, with the same message
-    tamper, message = TAMPERED_RUNS[case]
-    _serve(monkeypatch, tamper(d4_levels))
-    assert main(["orders", "D4", "--out", "unread"]) == EXIT_FAILURE
+def test_orders_refuses_what_build_index_refuses(d4_levels, tmp_path, capsys, case):
+    # the streamed orders reads the tampered files as build_index does, with
+    # the same message
+    tamper, _, message = TAMPERED_RUNS[case]
+    _written_run(tmp_path, tamper(d4_levels))
+    assert main(["orders", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(message, captured.err.removeprefix("error: ").rstrip("\n"))
 
 
 @pytest.mark.parametrize("case", TAMPERED_RUNS)
-def test_classes_refuses_what_build_index_refuses(d4_levels, tmp_path, monkeypatch, capsys,
-                                                  case):
-    # the streamed classes runs the same checks, and writes no report
-    tamper, message = TAMPERED_RUNS[case]
-    _serve(monkeypatch, tamper(d4_levels))
+def test_classes_refuses_what_build_index_refuses(d4_levels, tmp_path, capsys, case):
+    # the streamed classes reads them the same way, and writes no report
+    tamper, _, message = TAMPERED_RUNS[case]
+    _written_run(tmp_path, tamper(d4_levels))
     assert main(["classes", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -215,8 +205,8 @@ def _write_run(out, levels):
 
 
 def test_orders_refuses_two_levels_sharing_a_weight(tmp_path, d4_levels, capsys):
-    # CheckedRun names rows 30 and 62 when served these levels; on disk the walk
-    # refuses row 30, level 3's record 16, which its level 3 lacks
+    # the walk refuses row 30, level 3's record 16, which its level 3 lacks; the
+    # copy's other place, row 62, is never reached
     _write_run(tmp_path, weight_shared_across_levels(d4_levels))
     assert main(["orders", "D4", "--out", str(tmp_path)]) == EXIT_FAILURE
     err = capsys.readouterr().err
@@ -247,21 +237,23 @@ def test_classes_refuses_a_record_that_is_no_group_element(tmp_path, d4_levels, 
 
 def _count_held(monkeypatch) -> tuple[list, list[int]]:
     """Make each level the run reader makes, parsed from its file or walked
-    from the level below, first record in `alive` how many levels below the
-    one just scanned are still held; gives weak references to the levels
-    made, and `alive`."""
-    read, walk, refs, alive = store.read_level, store.build_next_level, [], []
+    from the level below, record in `alive` how many levels below the one
+    just scanned are still held; the walk's empty step past the top makes
+    no level.  Gives weak references to the levels made, and `alive`."""
+    read, walk, refs, alive = store.read_level, orbit.build_next_level, [], []
 
     def made(make, just_scanned, *args):
-        alive.append(sum(ref() is not None and ref().index < just_scanned for ref in refs))
         level = make(*args)
-        refs.append(weakref.ref(level))
+        if level.size:
+            alive.append(sum(ref() is not None and ref().index < just_scanned for ref in refs))
+            refs.append(weakref.ref(level))
         return level
 
     monkeypatch.setattr(store, "read_level", lambda path: made(
         read, store.parse_level_file_name(path)[1] - 1, path))
-    # the walk's level 1 is made from level 0 once the parsed level 1 is scanned
-    monkeypatch.setattr(store, "build_next_level", lambda level, rs: made(
+    # levels 0 and 1 are parsed for the start and the Cartan matrix, and the
+    # walk makes level 1 from level 0 once the parsed level 1 is dropped
+    monkeypatch.setattr(orbit, "build_next_level", lambda level, rs: made(
         walk, max(level.index, 1), level, rs))
     return refs, alive
 

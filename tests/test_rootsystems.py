@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tempfile
 import warnings
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from test_kernels import finite_cartan
-from weylenum import (CheckedRun, RootSystem, UnsupportedRootSystem, build_index,
-                      cartan_matrix, generate_group, generate_orbit, kernels, load_cartan_file,
-                      root_system)
+from weylenum import (RootSystem, UnsupportedRootSystem, build_index, cartan_matrix,
+                      generate_group, generate_orbit, kernels, load_cartan_file, root_system,
+                      store)
 from weylenum.rootsystems import parse_id, positive_coroots, validate_cartan
 from weylenum.store import level_one_cartan
 
@@ -311,9 +312,13 @@ def test_level_one_gives_the_cartan_matrix(name):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4).flatmap(generalized_cartan).filter(_accepted))
 def test_a_full_run_gives_its_cartan_matrix(c):
-    # any finite-type matrix, whatever its numbering, from a complete run
+    # any finite-type matrix, whatever its numbering, read off a complete run's files
     rs = RootSystem("custom", c)
-    assert np.array_equal(build_index(CheckedRun(generate_group(rs))).cartan, rs.cartan)
+    with tempfile.TemporaryDirectory() as tmp:
+        for level in generate_group(rs):
+            store.write_level(level, "custom", tmp)
+        index = build_index(store.read_run(store.find_level_files(tmp, "custom")))
+    assert np.array_equal(index.cartan, rs.cartan)
 
 
 def test_load_cartan_file(tmp_path):

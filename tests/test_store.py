@@ -704,7 +704,7 @@ def _replace_level(levels, k, **fields):
 def test_build_index_inverse_ids_agree_with_weight_matching(name):
     # each inverse id is the position of start @ M among all the run's weights
     levels = list(we.generate_group(we.root_system(name)))
-    index = we.build_index(we.CheckedRun(levels))
+    index = we.build_index(we.CheckedRun(we.root_system(name)))
     queries = np.concatenate([index.start @ level.matrices for level in levels])
     weights = np.concatenate([level.weights for level in levels])
     assert np.array_equal(index.inv, we.match_rows(weights, queries))
@@ -790,66 +790,76 @@ def missing_reflection(levels):
     return _drop(levels, 1, [3])
 
 
-# Each tampered D4 run, and the error build_index raises on it.
+# Each tampered D4 run, and the error reading its files raises: the walk
+# names the tampered level, and its record where it names one.
 TAMPERED_RUNS = {
-    "inverse-ordinal-out-of-range": (inverse_ordinal_out_of_range,
-                                     "^level 4: inverse ordinal out of range$"),
-    "duplicate-weight": (duplicate_weight, "duplicate weights at rows 1 and 14"),
-    "weight-shared-across-levels": (weight_shared_across_levels,
-                                    "duplicate weights at rows 30 and 62"),
-    "weight-disagreeing-with-matrix": (weight_disagreeing_with_matrix,
-                                       r"level 5, record \d+: start @ M .* disagrees"),
-    "truncated": (truncated, "top level 6 holds 30 element"),
-    "start-alone": (start_alone, "top level 0 holds 1 element"),
-    "not-the-identity": (not_the_identity, "^level 0 holds 1 element.* not the identity alone"),
-    "missing-pair": (missing_pair, "^the run holds 190 elements, but the group of its "
-                                   "level-1 Cartan matrix has 192$"),
-    "missing-reflection": (missing_reflection,
-                           "^level 1 holds 3 element\\(s\\), not 4$"),
+    "inverse-ordinal-out-of-range": (  # write_level refuses it; read_level names its line
+        inverse_ordinal_out_of_range, ParseError,
+        r"_4_elems=23\.txt:\d+: malformed header '.*, n_inv=-1'$"),
+    "duplicate-weight": (duplicate_weight, IntegrityError,
+                         r"^level 2, record 9: .*_2_elems=10\.txt gives elems=10, but the "
+                         r"walk's level holds 9$"),
+    "weight-shared-across-levels": (weight_shared_across_levels, IntegrityError,
+                                    r"^level 3, record 16: .*_3_elems=17\.txt gives elems=17, "
+                                    r"but the walk's level holds 16$"),
+    "weight-disagreeing-with-matrix": (weight_disagreeing_with_matrix, IntegrityError,
+                                       r"^level 5, record 7: its weight in .* is \[.*\], "
+                                       r"not the walk's \[.*\]$"),
+    "truncated": (truncated, IntegrityError, r"^top level 6 holds 30 element\(s\) and is not "
+                                             r"the longest element alone; the run is incomplete$"),
+    "start-alone": (start_alone, IntegrityError, r"^top level 0 holds 1 element\(s\)"),
+    "not-the-identity": (not_the_identity, IntegrityError,
+                         r"^level 0, record 0: its matrix in .* is \[\[1, 1, 0, 0\], "
+                         r"\[0, 0, 0, 0\], .*, not the walk's \[\[1, 0, 0, 0\], \[0, 1, 0, 0\], "),
+    "missing-pair": (missing_pair, IntegrityError,
+                     r"^level 4, record 21: .*_4_elems=21\.txt gives elems=21, but the walk's "
+                     r"level holds 23$"),
+    "missing-reflection": (missing_reflection, IntegrityError,
+                           r"^level 1 holds 3 element\(s\), not 4$"),
 }
 
 
-def _refused(levels, *cases):
+def _refused(directory, levels, *cases):
     for case in cases:
-        tamper, message = TAMPERED_RUNS[case]
-        with pytest.raises(IntegrityError, match=message):
-            we.build_index(we.CheckedRun(tamper(levels)))
+        tamper, error, message = TAMPERED_RUNS[case]
+        out = Path(directory) / case
+        with pytest.raises(error, match=message):
+            we.build_index(store.read_run(_written_run(out, tamper(levels))))
 
 
-def test_build_index_rejects_inverse_ordinal_out_of_range(d4_levels):
-    _refused(d4_levels, "inverse-ordinal-out-of-range")
+def test_build_index_rejects_inverse_ordinal_out_of_range(tmp_path, d4_levels):
+    _refused(tmp_path, d4_levels, "inverse-ordinal-out-of-range")
 
 
-def test_build_index_rejects_duplicate_weight(d4_levels):
-    _refused(d4_levels, "duplicate-weight")
+def test_build_index_rejects_duplicate_weight(tmp_path, d4_levels):
+    _refused(tmp_path, d4_levels, "duplicate-weight")
 
 
-def test_build_index_rejects_weight_shared_across_levels(d4_levels):
-    _refused(d4_levels, "weight-shared-across-levels")
+def test_build_index_rejects_weight_shared_across_levels(tmp_path, d4_levels):
+    _refused(tmp_path, d4_levels, "weight-shared-across-levels")
 
 
-def test_build_index_rejects_weight_disagreeing_with_matrix(d4_levels):
-    _refused(d4_levels, "weight-disagreeing-with-matrix")
+def test_build_index_rejects_weight_disagreeing_with_matrix(tmp_path, d4_levels):
+    _refused(tmp_path, d4_levels, "weight-disagreeing-with-matrix")
 
 
-def test_build_index_rejects_truncated_run(d4_levels):
-    _refused(d4_levels, "truncated", "start-alone")
+def test_build_index_rejects_truncated_run(tmp_path, d4_levels):
+    _refused(tmp_path, d4_levels, "truncated", "start-alone")
 
 
-def test_build_index_rejects_a_run_not_starting_at_the_identity(d4_levels):
-    _refused(d4_levels, "not-the-identity")
+def test_build_index_rejects_a_run_not_starting_at_the_identity(tmp_path, d4_levels):
+    _refused(tmp_path, d4_levels, "not-the-identity")
 
 
-def test_build_index_rejects_a_run_missing_elements(d4_levels):
-    _refused(d4_levels, "missing-pair", "missing-reflection")
+def test_build_index_rejects_a_run_missing_elements(tmp_path, d4_levels):
+    _refused(tmp_path, d4_levels, "missing-pair", "missing-reflection")
 
 
-def test_build_index_sizes(b3_levels):
-    assert we.build_index(we.CheckedRun(b3_levels)).total == 48
-    a1 = list(we.generate_group(we.root_system("A1")))
-    assert we.build_index(we.CheckedRun(a1)).total == 2
+def test_build_index_sizes():
+    assert we.build_index(we.CheckedRun(we.root_system("B3"))).total == 48
+    assert we.build_index(we.CheckedRun(we.root_system("A1"))).total == 2
     with pytest.raises(WeylError, match="no levels"):
-        we.build_index(we.CheckedRun([]))
+        we.build_index(store.read_run([]))
 
 
 def test_summary_round_trip(tmp_path):
@@ -886,12 +896,19 @@ def test_read_summary_malformed(tmp_path, body, problem):
         store.read_summary(tmp_path, "D4")
 
 
-# The run reader: levels 0 and 1 parsed, every later level re-walked and its
-# file accepted only when it holds exactly the walk's bytes.
+# The run reader: levels 0 and 1 parsed for the start and the Cartan matrix,
+# every level walked and its file accepted only when it holds exactly the
+# walk's bytes.
 
 def _written_run(directory, levels, prefix="D4"):
+    """The files of `levels`, each `format_level`'s bytes under its name, as
+    `write_level` writes them but unchecked, so that a level it refuses is
+    written too."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     for level in levels:
-        store.write_level(level, prefix, directory)
+        path = directory / store.level_file_name(prefix, level.index, level.size)
+        path.write_bytes(store.format_level(level))
     return store.find_level_files(directory, prefix)
 
 
@@ -899,17 +916,23 @@ def _written_run(directory, levels, prefix="D4"):
     ("A1", None), ("G2", None), ("B3", None), ("B3", (3, 1, 2)), ("D4", None), ("F4", None),
 ])
 def test_read_run_gives_the_walks_levels(tmp_path, name, start):
-    levels = list(we.generate_group(we.root_system(name), start=start))
+    rs = we.root_system(name)
+    levels = list(we.generate_group(rs, start=start))
     run = store.read_run(_written_run(tmp_path, levels, name))
     read = list(run)
     assert read == levels
-    # levels 0 and 1 as read_level parses them, then the walk's in the run dtype
-    assert [level.weights.dtype for level in read] \
-        == [np.int64] * min(2, len(levels)) + [levels[0].weights.dtype] * (len(levels) - 2)
-    want = we.build_index(we.CheckedRun(levels))
-    assert np.array_equal(run.index.weights, want.weights)
-    assert np.array_equal(run.index.inv, want.inv)
-    assert np.array_equal(run.index.offsets, want.offsets)
+    # every level is the walk's, in the run dtype
+    assert [level.weights.dtype for level in read] == [levels[0].weights.dtype] * len(levels)
+    index, want = we.build_index(run), we.build_index(we.CheckedRun(rs, start))
+    assert np.array_equal(index.weights, want.weights)
+    assert np.array_equal(index.inv, want.inv)
+    assert np.array_equal(index.offsets, want.offsets)
+    # the run dtype is the narrowest that holds the weights: the start's coroot
+    # bound is attained, as coordinate i of w(start) is <start, w^-1 alpha_i^v>
+    low, high = int(want.weights.min()), int(want.weights.max())
+    narrowest = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                     if np.iinfo(t).min <= low and high <= np.iinfo(t).max)
+    assert index.weights.dtype == want.weights.dtype == narrowest
 
 
 def _swap(level, a, b):
@@ -981,20 +1004,19 @@ def test_read_run_names_a_canonical_record_that_is_not_the_walks(fault):
         with pytest.raises(IntegrityError, match=message):
             for level in run:
                 assert level.index < k  # every level below is passed on
-        assert run.index is None
+        with pytest.raises(WeylError, match="^the run has no index: it was refused"):
+            we.build_index(run)
 
 
 def test_a_swapped_pair_passes_the_parsing_reader_but_not_the_walk(tmp_path, d4_levels):
-    # two records exchanged, with n= and n_inv renumbered: every check the parsed
-    # levels pass through CheckedRun and the order scan holds, so parsing every
-    # integer of the run accepted it
+    # two records exchanged, with n= and n_inv renumbered: each file is canonical
+    # and obeys the inverse rule, so read_level accepts it as it stands
     four = d4_levels[4]
     j = int(np.flatnonzero(four.inv_ordinal != np.arange(four.size))[0])
     assert j != 5
-    paths = _written_run(tmp_path, d4_levels[:4] + [_swap(four, j, 5)] + d4_levels[5:])
-    parsed = we.CheckedRun(store.read_level(p) for p in paths)
-    assert we.order_partition(parsed) == {1: 1, 2: 43, 3: 32, 4: 84, 6: 32}
-    assert we.build_index(parsed).total == 192
+    levels = d4_levels[:4] + [_swap(four, j, 5)] + d4_levels[5:]
+    paths = _written_run(tmp_path, levels)
+    assert [store.read_level(p) for p in paths] == levels
     first = min(j, 5, *four.inv_ordinal[[j, 5]].tolist())
     field = "word" if first in (j, 5) else "n_inv"
     with pytest.raises(IntegrityError, match=rf"^level 4, record {first}: its {field} in "):
@@ -1003,7 +1025,7 @@ def test_a_swapped_pair_passes_the_parsing_reader_but_not_the_walk(tmp_path, d4_
 
 def test_read_run_names_a_level_one_record_that_is_not_the_walks(tmp_path, d4_levels):
     # s1's matrix plus N, whose rows 2 and 3 are e_0 and -e_0: start @ N = 0 and
-    # row 0, which gives the Cartan matrix, is kept, so CheckedRun passes level 1
+    # row 0, which gives the Cartan matrix, is kept, so the walk is D4's
     matrices = d4_levels[1].matrices.astype(np.int64)
     matrices[0, 2, 0] += 1
     matrices[0, 3, 0] -= 1
@@ -1022,6 +1044,10 @@ def test_read_run_refuses_files_out_of_level_order(tmp_path, d4_levels):
     with pytest.raises(IntegrityError, match=r"_3_elems=16\.txt: its name gives level 3, but "
                                              r"the walk is at level 2$"):
         we.build_index(store.read_run(paths))
+    # named before levels 0 and 1 are parsed for the start and the Cartan matrix
+    with pytest.raises(IntegrityError, match=r"_1_elems=4\.txt: its name gives level 1, but "
+                                             r"the walk is at level 0$"):
+        store.read_run(paths[1:])
 
 
 @pytest.mark.parametrize("size, error, message", [

@@ -82,9 +82,10 @@ def test_codec_spans_come_from_the_calling_thread(tmp_path, monkeypatch):
 
 
 def test_run_reader_spans_come_from_the_calling_thread(tmp_path, monkeypatch):
-    # B6's largest level holds 3,210 records, so re-walking it formats it in
-    # two halves.  Levels 0 and 1 are parsed, and written back; the walk makes
-    # levels 1 to 36 and formats levels 2 to 36 to match their files.
+    # B6's largest level holds 3,210 records, so walking it formats it in two
+    # halves.  Levels 0 and 1 are parsed, and written back; the walk makes
+    # levels 1 to 36, formats levels 0 to 36 to match their files, and takes
+    # one empty step past the top.
     levels = list(we.generate_group(we.root_system("B6")))
     for level in levels:
         store.write_level(level, "B6", tmp_path)
@@ -96,4 +97,4 @@ def test_run_reader_spans_come_from_the_calling_thread(tmp_path, monkeypatch):
     assert kernels._worker is not None
     assert tracer.threads == {threading.get_ident()}
     assert (tracer.calls["store.read_level"], tracer.calls["orbit.build_next_level"],
-            tracer.calls["store.format_level"]) == (2, 36, 37)
+            tracer.calls["store.format_level"]) == (2, 37, 39)
