@@ -14,15 +14,18 @@ accepted images are built.  The generator matrix ``R_i`` differs from the
 identity in row ``i`` alone, ``delta_ik - cartan[i, k]``, so ``R_i @ M`` is
 ``M`` with row ``i`` replaced.
 
-A step works a block of `BLOCK` sources at a time, in two passes: the first
-fills and counts the level's ``(sources, rank)`` acceptance mask, the second
-builds each block's images (and matrices) in place in the output.  A block's
-accepted positions, from one ``np.flatnonzero`` of its rows of the mask, are
-split by the rank straight into its rows of ``src`` and ``gen``, and each
-image's pivot ``nu[i]`` is read from the flattened block.  So it holds no
-temporary that spans the level but the mask and the output.  ``src`` is int32
-while the level has fewer than 2**31 elements, else int64, and ``gen`` is
-``np.min_scalar_type(rank - 1)``.
+A step works a block of `BLOCK` sources at a time, in two passes.  The first
+fills a block's ``(sources, rank)`` acceptance mask in scratch and keeps only
+its accepted positions, from one ``np.flatnonzero``, as int32 (they are below
+``BLOCK * rank``): 4 B per accepted image.  The second builds each block's
+images (and matrices) in place in the output, splitting its positions by the
+rank into ``src`` and ``gen`` and reading each image's pivot ``nu[i]`` from
+the flattened block.  `step_level` splits them straight into its rows of the
+level-wide ``src`` and ``gen``, which the new level's words need;
+`step_orbit` splits them into scratch of one block and returns its images
+alone.  So a step holds no temporary that spans the level but its accepted
+positions and its output.  ``src`` is int32 while the level has fewer than
+2**31 elements, else int64, and ``gen`` is ``np.min_scalar_type(rank - 1)``.
 
 A level of more than one block is cut at its middle source.  In each pass the
 calling thread does the first half and the package's worker thread the second
@@ -99,10 +102,13 @@ def _in_two(work, first: tuple, second: tuple) -> tuple:
     return head, future.result()
 
 
-def _mask(weights, cartan, mask, lo, hi):
-    """Fill rows lo..hi-1 of the acceptance mask, a block at a time; gives
-    how many of them are set."""
+def _mask(weights, cartan, lo, hi):
+    """The accepted positions of sources lo..hi-1, one int32 array a block:
+    position ``j * rank + i`` of a block is source ``j`` of the block under
+    generator ``i``, ascending."""
     n = weights.shape[1]
+    mask = np.empty((min(BLOCK, hi - lo), n), dtype=bool)
+    kept = []
     for a in range(lo, hi, BLOCK):
         b = min(a + BLOCK, hi)
         col = np.ascontiguousarray(weights[a:b].T)
@@ -114,19 +120,23 @@ def _mask(weights, cartan, mask, lo, hi):
                     ok &= nonneg[k]
                 else:
                     ok &= col[k] - cartan[i, k] * col[i] >= 0
-            mask[a:b, i] = ok
-    return np.count_nonzero(mask[lo:hi])
+            mask[:b - a, i] = ok
+        kept.append(np.flatnonzero(mask[:b - a]).astype(np.int32))
+    return kept
 
 
-def _build(weights, cartan, matrices, mask, images, new, src, gen, lo, hi, at):
+def _build(weights, cartan, matrices, images, new, src, gen, kept, lo, hi, at):
     """Build the successors of sources lo..hi-1 into the outputs from row `at`
-    on, a block at a time; `new` is None when no matrices are built."""
+    on, a block at a time, from the blocks' accepted positions `kept`.  With
+    no `matrices`, `new` is None and `src` and `gen` are empty: each block's
+    sources and generators go to scratch of their dtypes."""
     n = weights.shape[1]
-    for a in range(lo, hi, BLOCK):
-        # row-major positions in the block's mask, split straight into src and gen
-        flat = np.flatnonzero(mask[a:min(a + BLOCK, hi)])
+    for a, flat in zip(range(lo, hi, BLOCK), kept):
         out = slice(at, at + len(flat))
-        s, g = src[out], gen[out]
+        if new is None:
+            s, g = np.empty(len(flat), src.dtype), np.empty(len(flat), gen.dtype)
+        else:
+            s, g = src[out], gen[out]
         np.divmod(flat, n, out=(s, g), casting="unsafe")
         s += a
         c = np.take(cartan, g, axis=0)
@@ -142,22 +152,24 @@ def _build(weights, cartan, matrices, mask, images, new, src, gen, lo, hi, at):
 
 
 def _accepted(weights, cartan, matrices=None):
-    """The accepted successors of a level: (images, matrices or None, src, gen).
+    """The accepted successors of a level: (images, matrices, src, gen).
 
-    Their matrices are built only when `matrices` is given.
+    Their matrices, `src` and `gen` are built only when `matrices` is given;
+    otherwise the matrices are None and `src` and `gen` are empty.
     """
     m, n = weights.shape
-    mask = np.empty((m, n), dtype=bool)
     cut = m // 2 if m > BLOCK else m
     run = _in_two if cut < m else lambda work, first, second: (work(*first), work(*second))
-    head, tail = run(_mask, (weights, cartan, mask, 0, cut), (weights, cartan, mask, cut, m))
-    total = head + tail
+    head, tail = run(_mask, (weights, cartan, 0, cut), (weights, cartan, cut, m))
+    count = sum(map(len, head))
+    total = count + sum(map(len, tail))
     images = np.empty((total, n), dtype=weights.dtype)
     new = None if matrices is None else np.empty((total, n, n), dtype=matrices.dtype)
-    src = np.empty(total, dtype=np.int32 if m < 1 << 31 else np.int64)
-    gen = np.empty(total, dtype=np.min_scalar_type(n - 1))
-    both = (weights, cartan, matrices, mask, images, new, src, gen)
-    run(_build, (*both, 0, cut, 0), (*both, cut, m, head))
+    rows = 0 if matrices is None else total
+    src = np.empty(rows, dtype=np.int32 if m < 1 << 31 else np.int64)
+    gen = np.empty(rows, dtype=np.min_scalar_type(n - 1))
+    both = (weights, cartan, matrices, images, new, src, gen)
+    run(_build, (*both, head, 0, cut, 0), (*both, tail, cut, m, count))
     return images, new, src, gen
 
 
@@ -171,6 +183,9 @@ def step_level(weights, matrices, cartan):
 
 
 def step_orbit(weights, cartan):
-    """One orbit step; returns (weights, src, gen) with ``gen`` 0-based."""
-    images, _, src, gen = _accepted(weights, cartan)
-    return images, src, gen
+    """One orbit step; returns the 1-tuple (weights,).
+
+    An orbit walk reads the images alone: their sources and generators are
+    split into scratch a block at a time and never held for the whole level.
+    """
+    return _accepted(weights, cartan)[:1]

@@ -380,7 +380,7 @@ def generate_orbit(rs: RootSystem, mu: Weight,
     cartan = rs.cartan.astype(start.dtype)
 
     def step(level: OrbitLevel) -> OrbitLevel:
-        weights, _, _ = kernels.step_orbit(level.weights, cartan)
+        weights, = kernels.step_orbit(level.weights, cartan)
         return OrbitLevel(index=level.index + 1, weights=weights)
 
     yield from _walk(rs, OrbitLevel(index=0, weights=start[None, :]), step, levels_up_to)

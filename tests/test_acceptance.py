@@ -185,7 +185,8 @@ def test_criterion_8_reflection_action_against_euclidean_oracle(name):
                 break
         if failures:
             break
-    images, src, gen = we.kernels.step_orbit(weights, rs.cartan)
+    matrices = np.zeros((len(weights), rs.rank, rs.rank), dtype=weights.dtype)  # not read here
+    images, _, src, gen = we.kernels.step_level(weights, matrices, rs.cartan)
     if len(images) == 0:
         failures.append("the step accepted no image")
     for image, s, g in zip(images.tolist(), src.tolist(), gen.tolist()):

@@ -42,7 +42,7 @@ def test_step_orbit_matches_step_level_weights():
     w = np.ones((1, 4), dtype=np.int64)
     m = np.eye(4, dtype=np.int64)[None]
     lw, _, _, _ = kernels.step_level(w, m, rs.cartan)
-    ow, _, _ = kernels.step_orbit(w, rs.cartan)
+    ow, = kernels.step_orbit(w, rs.cartan)
     assert np.array_equal(lw, ow)
 
 
@@ -79,7 +79,8 @@ def level_input(draw):
 
 
 def _assert_steps_match_reference(weights, matrices, cartan):
-    """Both steps equal oracles.step_reference element for element and in order.
+    """Both steps equal oracles.step_reference element for element and in order:
+    `step_level` in all four outputs, `step_orbit` in its images alone.
 
     Images and matrices are in the level's dtype, `src` is int32 and `gen` the
     narrowest unsigned type of the generator indices, as the words use.
@@ -87,7 +88,7 @@ def _assert_steps_match_reference(weights, matrices, cartan):
     want = oracles.step_reference(weights, matrices, cartan)
     dtypes = (weights.dtype, matrices.dtype, np.int32, np.min_scalar_type(len(cartan) - 1))
     for got, parts in ((kernels.step_level(weights, matrices, cartan), (0, 1, 2, 3)),
-                       (kernels.step_orbit(weights, cartan), (0, 2, 3))):
+                       (kernels.step_orbit(weights, cartan), (0,))):
         assert len(got) == len(parts)
         for g, k in zip(got, parts):
             assert g.dtype == dtypes[k]
@@ -174,24 +175,45 @@ def test_a_forked_child_step_makes_its_own_worker(blocked_levels):
     assert child.exitcode == 0
 
 
-def test_step_holds_no_full_level_temporary():
-    # E8's orbit of rho, level 22 to 23: 588,833 sources, 729,680 images, cut
-    # in two halves on two threads.  The step may hold its mask and its output
-    # whole, and beyond them 128 B per source of one block (4 MiB) for both
-    # threads together; 2.9 MiB was measured at 2**15 sources a block.
-    e8 = root_system("E8")
+def _traced_step(step, *args):
+    """The output of step(*args) on two threads, and its traced peak.  The step
+    is run once untraced first, so that the worker is made outside the trace."""
     with _cpus(2):
-        *_, level = generate_orbit(e8, [1] * 8, levels_up_to=22)  # makes the worker
-        weights = level.weights
-        cartan = e8.cartan.astype(weights.dtype)
+        step(*args)
         tracemalloc.start()
         try:
-            out = kernels.step_orbit(weights, cartan)
+            out = step(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    mask = weights.shape[0] * weights.shape[1]
-    assert peak < sum(a.nbytes for a in out) + mask + 128 * kernels.BLOCK
+    return out, peak
+
+
+def test_step_holds_no_full_level_temporary():
+    # E8's orbit of rho, level 22 to 23: 588,833 sources, 729,680 images, cut
+    # in two halves on two threads.  Beyond its images the step may hold its
+    # accepted positions, 4 B an image, and 128 B per source of one block
+    # (4 MiB) for both threads together.  11.3 MiB was measured against this
+    # bound of 12.3 MiB; a level-wide (sources, rank) mask, 4.5 MiB, and the
+    # level's src and gen, 3.5 MiB, made 16.7 MiB.
+    e8 = root_system("E8")
+    *_, level = generate_orbit(e8, [1] * 8, levels_up_to=22)
+    (images,), peak = _traced_step(kernels.step_orbit, level.weights,
+                                   e8.cartan.astype(level.weights.dtype))
+    assert len(images) == 729_680
+    assert peak < images.nbytes + 4 * len(images) + 128 * kernels.BLOCK
+
+
+def test_group_step_holds_no_full_level_temporary():
+    # The same for E8's group, level 22 to 23, whose output is the images,
+    # matrices, src and gen: 58.9 MiB was measured against this bound of
+    # 60.4 MiB, and a level-wide mask made 61.3 MiB.
+    e8 = root_system("E8")
+    *_, level = generate_group(e8, levels_up_to=22)
+    out, peak = _traced_step(kernels.step_level, level.weights, level.matrices,
+                             e8.cartan.astype(level.weights.dtype))
+    assert len(out[0]) == 729_680
+    assert peak < sum(a.nbytes for a in out) + 4 * len(out[0]) + 128 * kernels.BLOCK
 
 
 def test_words_hold_no_full_level_gathered_copy():

@@ -22,10 +22,11 @@ def _generators(rs):
 
 
 def _step_accepts(source, i, image):
-    """Whether kernels.step_orbit keeps `image`, the D4 reflection of `source` by generator i."""
+    """Whether kernels.step_level keeps `image`, the D4 reflection of `source` by generator i."""
     rs = we.root_system("D4")
     assert (np.array(source) @ _generators(rs)[i - 1]).tolist() == image
-    images, _, gen = we.kernels.step_orbit(np.array([source], dtype=np.int64), rs.cartan)
+    images, _, _, gen = we.kernels.step_level(np.array([source], dtype=np.int64),
+                                              np.eye(4, dtype=np.int64)[None], rs.cartan)
     return image in images[gen == i - 1].tolist()
 
 
@@ -85,7 +86,8 @@ def test_check_entry_limit_refuses_large_entries(entry, where):
 def test_level_delta_signs():
     # a generator steps a weight up a level only where its coordinate is
     # positive; at -1 the step goes down and at 0 the weight is fixed
-    images, src, gen = we.kernels.step_orbit(np.array([[3, -1, 0]]), we.cartan_matrix("A3"))
+    images, _, src, gen = we.kernels.step_level(np.array([[3, -1, 0]]), np.eye(3, dtype=int)[None],
+                                                we.cartan_matrix("A3"))
     assert (images.tolist(), src.tolist(), gen.tolist()) == ([[-3, 2, 0]], [0], [0])
 
 

@@ -134,7 +134,8 @@ def test_reflection_action_matches_euclidean_model(name):
             ours = (m @ refl[i - 1]).tolist()
             theirs = model.reflect(m.tolist(), i)
             assert ours == list(theirs)
-    images, src, gen = kernels.step_orbit(weights, cartan_matrix(name))
+    matrices = np.zeros((len(weights), rank, rank), dtype=weights.dtype)  # not read here
+    images, _, src, gen = kernels.step_level(weights, matrices, cartan_matrix(name))
     assert len(images) > 0
     for image, s, g in zip(images.tolist(), src.tolist(), gen.tolist()):
         assert image == list(model.reflect(weights[s].tolist(), g + 1))
