@@ -56,8 +56,9 @@ def _orders(v: np.ndarray, matrices: np.ndarray, start: np.ndarray) -> np.ndarra
     """Least p >= 1 with v_p == start for each row j, where v_1 = v[j] and
     v_{p+1} = v_p @ matrices[j]: the order of matrices[j] when v[j] is
     start @ matrices[j] and `start` is strictly dominant.  No such p up to
-    DEFAULT_ORDER_BOUND is an IntegrityError."""
-    v, matrices = v.astype(np.int64, copy=False), matrices.astype(np.int64, copy=False)
+    DEFAULT_ORDER_BOUND is an IntegrityError.  The scan steps in the dtype of
+    `matrices`, exactly whenever every iterate fits it (see `kernels`)."""
+    v = v.astype(matrices.dtype, copy=False)
     orders = np.zeros(len(v), dtype=np.int64)
     pending = np.arange(len(v))
     for p in range(1, DEFAULT_ORDER_BOUND + 1):
@@ -89,10 +90,11 @@ def order_partition(run: CheckedRun) -> dict[int, int]:
     whose weight start @ M is its inverse's, already on the level.  An
     element and its inverse share an order, so only ordinals j with
     j <= inv_ordinal[j] are scanned, each counted twice when it is not its
-    own inverse.  Every iterate is a weight of the run, within the start's
-    coroot bound, which `generate_group` keeps below ENTRY_LIMIT, so each
-    product is exact in int64.  The pairing is used and the classes are not,
-    so the partition cross-checks their per-class sums.
+    own inverse.  The scan steps in the run dtype: every iterate is a weight
+    of the run, which that dtype holds, so each step is exact though its
+    partial sums may wrap, as in the level step (see `kernels`).  The pairing
+    is used and the classes are not, so the partition cross-checks their
+    per-class sums.
     """
     counts = np.zeros(DEFAULT_ORDER_BOUND + 1, dtype=np.int64)
     for level in run:

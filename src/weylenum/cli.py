@@ -130,7 +130,7 @@ def cmd_classes(name: str, out_dir: str, ceiling: int = classify.DEFAULT_CEILING
     ctypes = classify.report_cycle_types(classes, index)
     report = classify.format_class_report(classes, index, ctypes)
     report_path = Path(out_dir) / f"{store._file_prefix(name)}_classes.txt"
-    store._write_atomically(report_path, report.encode())
+    store._write_atomically(report_path, [report.encode()])
     if as_json:
         payload = {"root_system": name,
                    "classes": [{"size": c.size, "order": c.element_order,

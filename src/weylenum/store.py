@@ -8,19 +8,21 @@ header line
 
 followed by one bracketed list ``[a, b, ...]`` per matrix row.  The identity's
 word is a single space on disk and the empty word in memory.  `format_level`
-builds a whole level's bytes with array operations, taking its literal
-pieces from the template split at the slots, and is the one statement of
-what is canonical: UTF-8 with LF line endings, canonical integers (no
-leading zeros, no "-0", at most 18 digits so each fits int64) and canonical
-words.  `read_level` parses every integer of a file in one numpy pass and
-accepts the file only when the level they make writes back byte for byte,
-so a loaded level is exactly what its file says.  A level or file of more
-than `_BLOCK` records is formatted or parsed in two halves, the first on
-the calling thread and the second on the package's one worker thread
-(`kernels._in_two`), which the level step shares; a level of one block
-stays on the calling thread.  Each loaded word has as many generators as
-the level index, each in 1..rank.  A rejected file is
-classified line by line, and the error names its first line out of slot.
+formats a level with array operations, taking its literal pieces from the
+template split at the slots, and is the one statement of what is canonical:
+UTF-8 with LF line endings, canonical integers (no leading zeros, no "-0", at
+most 18 digits so each fits int64) and canonical words.  It gives a level's
+bytes as its compacted blocks, never joined: `write_level` writes them in
+turn, and every check compares them in turn (`_holds`), so no level holds a
+level-wide byte string beside them.  `read_level` parses every integer of a
+file in one numpy pass and accepts the file only when the level they make
+writes back byte for byte, so a loaded level is exactly what its file says.  A
+level or file of more than `_BLOCK` records is formatted or parsed in two
+halves, the first on the calling thread and the second on the package's one
+worker thread (`kernels._in_two`), which the level step shares; a level of
+one block stays on the calling thread.  Each loaded word has as many
+generators as the level index, each in 1..rank.  A rejected file is classified
+line by line, and the error names its first line out of slot.
 `write_level`, `write_summary` and the class report of ``weylenum classes``
 rename a finished temporary file into place (`_write_atomically`), so no
 partial file is ever seen.
@@ -31,20 +33,21 @@ them into the run's `ElementIndex`, keyed by weight row as `keys`.
 `read_run` gives the run of a run's files for ``weylenum orders`` and
 ``classes``: it parses levels 0 and 1 only, for the start and the Cartan
 matrix, and accepts each level's file when it holds exactly the bytes
-`format_level` writes for the walk's level, so every record on disk is the
-walk's element.  `read_level` still parses any single file, into int64
-arrays.
+`format_level` writes for the walk's level, read a block at a time, so every
+record on disk is the walk's element.  `read_level` still parses any single
+file, into int64 arrays.
 """
 
 from __future__ import annotations
 
 import glob
+import io
 import json
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -139,8 +142,9 @@ def _word_tokens(rank: int) -> np.ndarray:
     return table
 
 
-def format_level(level: Level) -> bytes:
-    """The exact file body for a level, formatted with array operations.
+def format_level(level: Level) -> list[np.ndarray]:
+    """The exact file body for a level, formatted with array operations, as
+    its compacted blocks: 1-D uint8 arrays whose bytes, in turn, are the file.
 
     The record template, split at its slots, gives one byte layout per
     level: each literal piece, then each slot at its widest.  A number slot
@@ -148,9 +152,11 @@ def format_level(level: Level) -> bytes:
     the word slot holds one token per letter, less the last dot.  Records
     are laid out a block at a time in rows of that layout, with 0 in every
     byte a record leaves unused, and one boolean compaction per block drops
-    those bytes; no literal, digit or token byte is 0.  A level of more than
-    one block is cut at its middle record: the calling thread formats the
-    first half and the package's worker thread the second (`kernels._in_two`).
+    those bytes; no literal, digit or token byte is 0.  The blocks are given
+    as they are, in file order, and never joined, so that the file's bytes
+    are held once.  A level of more than one block is cut at its middle
+    record: the calling thread formats the first half and the package's
+    worker thread the second (`kernels._in_two`).
     """
     n, rank = level.weights.shape
     header, row = _record_lines(rank)
@@ -207,17 +213,27 @@ def format_level(level: Level) -> bytes:
         return compacted
 
     if n <= _BLOCK:  # one block stays on the calling thread
-        return b"".join(blocks(0, n))
+        return blocks(0, n)
     head, tail = kernels._in_two(blocks, (0, n // 2), (n // 2, n))
-    return b"".join(head + tail)
+    return head + tail
 
 
-def _write_atomically(path: Path, body: bytes) -> None:
-    """Write under a name no level-file or summary pattern matches, then rename
-    it into place, so that a failed write never leaves a partial file."""
+def _holds(parts: Sequence[np.ndarray], file: BinaryIO) -> bool:
+    """Whether the binary `file` holds exactly the bytes of `parts` in turn, read
+    one part at a time, and nothing after them; it is closed after."""
+    with file:
+        return all(file.read(part.size) == part.tobytes() for part in parts) and not file.read(1)
+
+
+def _write_atomically(path: Path, parts: Iterable[bytes | np.ndarray]) -> None:
+    """Write `parts` (bytes-like) in turn under a name no level-file or summary
+    pattern matches, then rename it into place, so that a failed write never
+    leaves a partial file."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(body)
+        with tmp.open("wb") as file:
+            for part in parts:
+                file.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -250,7 +266,7 @@ def read_level(path: Path | str) -> Level:
         raise ParseError(f"{path}:1: no records; a level holds at least one element")
     data = path.read_bytes()
     level = _parse_level(data, index, size)
-    if level is None or format_level(level) != data:
+    if level is None or not _holds(format_level(level), io.BytesIO(data)):
         _first_fault(path, data, index, size)
     check_inverse_ordinals(level.inv_ordinal, str(path))
     return level
@@ -393,7 +409,7 @@ def _matched(paths: list[Path], levels: Iterator[Level]) -> Iterator[Level]:
         if elems != size:  # the first record one of the two lacks
             raise IntegrityError(f"level {k}, record {min(elems, size)}: {path} "
                                  f"gives elems={elems}, but the walk's level holds {size}")
-        if not size or format_level(level) != path.read_bytes():
+        if not size or not _holds(format_level(level), path.open("rb")):
             _walk_fault(path, read_level(path), level)  # read_level names a line out of slot
         yield level
     if next(levels, None) is not None:
@@ -543,7 +559,7 @@ def write_summary(dir: Path | str, prefix: str, level_sizes: Sequence[int],
         "rank": int(rank),
         "start_weight": [int(x) for x in start_weight],
     }
-    _write_atomically(path, (json.dumps(payload, indent=2) + "\n").encode())
+    _write_atomically(path, [(json.dumps(payload, indent=2) + "\n").encode()])
     return path
 
 

@@ -71,6 +71,26 @@ def test_weight_scan_agrees_with_matrix_powers(run):
     assert we.order_partition(we.CheckedRun(rs, start)) == dict(sorted(want.items()))
 
 
+@pytest.mark.parametrize("name, start", [("B3", [20, 20, 20]), ("G2", [10, 20])])
+def test_weight_scan_wraps_exactly_in_the_run_dtype(name, start):
+    # coroot bounds 100 and 80 give int8 runs, yet the scan's first products
+    # v[k] * M[k, l] and their partial sums reach 160 and wrap; every iterate
+    # is a weight of the run, so the orders are still the matrices'
+    rs = we.root_system(name)
+    levels = list(we.generate_group(rs, start=start))
+    assert levels[0].weights.dtype == np.int8
+    products = [np.cumsum(level.weights[level.inv_ordinal].astype(np.int64)[:, :, None]
+                          * level.matrices, axis=1) for level in levels]
+    assert max(int(np.abs(p).max()) for p in products) > np.iinfo(np.int8).max
+    for level in levels:
+        scanned = classify._orders(level.weights[level.inv_ordinal], level.matrices,
+                                   levels[0].weights[0])
+        assert np.array_equal(scanned, oracles.matrix_orders(level.matrices))
+    want = Counter(np.concatenate([oracles.matrix_orders(level.matrices)
+                                   for level in levels]).tolist())
+    assert we.order_partition(we.CheckedRun(rs, start)) == dict(sorted(want.items()))
+
+
 @settings(max_examples=40, deadline=None)
 @given(_run())
 def test_descent_agrees_with_the_oracle(run):

@@ -535,18 +535,43 @@ def test_verify_golden_checks_summary_without_start(d4_run, capsys):
 
 
 def _fail_at_level(monkeypatch, index, where):
-    """Make writing level `index` fail: while formatting it, or on the rename."""
+    """Make writing level `index` fail: while formatting it, on writing any
+    block after its first, or on the rename.  Gives the blocks written."""
     def disk_full(*args):
         raise OSError(28, "No space left on device")
 
+    written = []
     if where == "format_level":
         real = store.format_level
         monkeypatch.setattr(store, "format_level",
                             lambda level: disk_full() if level.index == index else real(level))
+    elif where == "write":
+        class FullAfterOneBlock:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, part):
+                if written:
+                    disk_full()
+                written.append(len(part))
+                return self.file.write(part)
+
+        real = store.Path.open
+        monkeypatch.setattr(store.Path, "open", lambda path, mode="r", *args, **kwargs: (
+            FullAfterOneBlock(real(path, mode, *args, **kwargs))
+            if f"_WeightMatrByLevel_{index}_" in path.name and "w" in mode
+            else real(path, mode, *args, **kwargs)))
     else:
         real = store.os.replace
         monkeypatch.setattr(store.os, "replace", lambda a, b: disk_full()
                             if f"_WeightMatrByLevel_{index}_" in str(b) else real(a, b))
+    return written
 
 
 @pytest.mark.parametrize("where", ["format_level", "replace"])
@@ -562,6 +587,20 @@ def test_failed_write_leaves_no_partial_level_file(tmp_path, d4_levels, monkeypa
     for k in (0, 1):
         assert store.read_level(out / store.level_file_name("D4", k, d4_levels[k].size)) \
             == d4_levels[k]
+
+
+def test_write_failing_after_the_first_block_leaves_no_partial_level_file(tmp_path, monkeypatch,
+                                                                         capsys):
+    # B6's level 18 holds 3,210 records, two blocks: the disk fills after the first
+    out = tmp_path / "run"
+    written = _fail_at_level(monkeypatch, 18, "write")
+    assert main(["generate", "B6", "--out", str(out)]) == EXIT_FAILURE
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(written) == 1 and written[0] > 0
+    # only the complete files of the levels before it remain, and no .tmp file
+    below = orbit.generate_group(rootsystems.root_system("B6"), levels_up_to=17)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        store.level_file_name("B6", level.index, level.size) for level in below)
 
 
 def test_failed_summary_write_leaves_no_summary(tmp_path, monkeypatch, capsys):

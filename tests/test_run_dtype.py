@@ -164,7 +164,7 @@ def test_narrow_walks_equal_int64_walks(case):
         assert got.weights.dtype == got.matrices.dtype == dtype
         assert want.weights.dtype == want.matrices.dtype == np.int64
         assert got == want  # weights, matrices, words and inv_ordinal
-        assert format_level(got) == format_level(want)
+        assert b"".join(format_level(got)) == b"".join(format_level(want))
     weights = np.array([start], dtype=np.int64)
     for level in we.generate_orbit(rs, start):
         assert level.weights.dtype == dtype
@@ -179,4 +179,4 @@ def test_format_level_of_a_narrow_level_is_its_int64_bytes():
             assert level.weights.dtype == np.int8
             wide = dataclasses.replace(level, weights=level.weights.astype(np.int64),
                                        matrices=level.matrices.astype(np.int64))
-            assert format_level(level) == format_level(wide)
+            assert b"".join(format_level(level)) == b"".join(format_level(wide))

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent import futures
 from pathlib import Path
@@ -23,6 +24,11 @@ import oracles
 import weylenum as we
 from weylenum import IntegrityError, ParseError, WeylError
 from weylenum import kernels, store
+
+
+def _body(level):
+    """A level's file bytes: `format_level`'s compacted blocks, joined."""
+    return b"".join(store.format_level(level))
 
 
 def test_level_file_name_round_trip():
@@ -67,7 +73,7 @@ def test_write_and_read_levels_round_trip(tmp_path, d4_levels):
         loaded = store.read_level(written.path)
         assert loaded == level
         # re-emission is byte-identical
-        assert store.format_level(loaded) == written.path.read_bytes()
+        assert _body(loaded) == written.path.read_bytes()
 
 
 @st.composite
@@ -97,7 +103,7 @@ def _random_levels(draw):
 @settings(max_examples=60)
 @given(_random_levels())
 def test_format_level_matches_template_reference(level):
-    assert store.format_level(level) == oracles.format_level_reference(level)
+    assert _body(level) == oracles.format_level_reference(level)
 
 
 def _involution(size, rng):
@@ -121,9 +127,9 @@ def test_one_cpu_and_two_give_the_same_bytes_and_levels(level):
     level = dataclasses.replace(
         level, inv_ordinal=_involution(level.size, np.random.default_rng(level.size)))
     with _cpus(1):
-        one = store.format_level(level)
+        one = _body(level)
     with _cpus(2):
-        two = store.format_level(level)
+        two = _body(level)
     assert one == two == oracles.format_level_reference(level)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / store.level_file_name("X", level.index, level.size)
@@ -180,7 +186,7 @@ def test_callers_on_many_threads_share_the_one_worker(tmp_path, monkeypatch):
                     start.wait()
                     return call(*args)
 
-                calls = [callers.submit(together, store.format_level, level) for _ in range(2)]
+                calls = [callers.submit(together, _body, level) for _ in range(2)]
                 calls += [callers.submit(together, store.read_level, path) for _ in range(2)]
                 assert [call.result(timeout=60) for call in calls] == [body] * 2 + [level] * 2
     finally:
@@ -199,9 +205,9 @@ def test_importing_the_package_makes_no_worker():
 def test_a_forked_child_makes_its_own_worker():
     level = multi_block_level()
     with _cpus(2):
-        body = store.format_level(level)  # the parent's worker is made
+        body = _body(level)  # the parent's worker is made
         child = multiprocessing.get_context("fork").Process(
-            target=lambda: sys.exit(store.format_level(level) != body))
+            target=lambda: sys.exit(_body(level) != body))
         child.start()
         child.join(timeout=60)
     if child.is_alive():
@@ -309,7 +315,7 @@ def test_format_level_any_int64():
     level = we.Level(weights=np.array([[least, most], [0, -1]]),
                      matrices=np.array([[[most, 0], [-most, least]], [[1, -10], [10, -9]]]),
                      words=np.array([[2], [1]], dtype=np.uint8), inv_ordinal=np.array([1, 0]))
-    body = store.format_level(level)
+    body = _body(level)
     assert body == oracles.format_level_reference(level)
     assert body.startswith(
         b"n=0, name=s2, w=-9223372036854775808,9223372036854775807, n_inv=1\n")
@@ -583,7 +589,7 @@ def _assert_round_trip(tmp_path, name, levels):
         assert loaded == level
         assert loaded.words.dtype == np.min_scalar_type(rank)
         assert loaded.words.shape == (level.size, level.index)
-        assert store.format_level(loaded) == written.path.read_bytes()
+        assert _body(loaded) == written.path.read_bytes()
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
@@ -604,7 +610,7 @@ def test_round_trip_custom_start(tmp_path, name, start):
 @functools.cache
 def _level_files():
     """(file name, bytes) of every level of D4, B3 and G2, the identity's included."""
-    return [(store.level_file_name(name, level.index, level.size), store.format_level(level))
+    return [(store.level_file_name(name, level.index, level.size), _body(level))
             for name in ("D4", "B3", "G2")
             for level in we.generate_group(we.root_system(name))]
 
@@ -650,7 +656,7 @@ def test_read_level_agrees_with_reference_on_edited_bytes(named):
             return
         loaded = store.read_level(path)
     assert loaded == expected
-    assert store.format_level(loaded) == data
+    assert _body(loaded) == data
 
 
 def test_read_level_checks_file_name(tmp_path, d4_levels):
@@ -908,7 +914,7 @@ def _written_run(directory, levels, prefix="D4"):
     directory.mkdir(parents=True, exist_ok=True)
     for level in levels:
         path = directory / store.level_file_name(prefix, level.index, level.size)
-        path.write_bytes(store.format_level(level))
+        path.write_bytes(_body(level))
     return store.find_level_files(directory, prefix)
 
 
@@ -948,7 +954,7 @@ def _swap(level, a, b):
 def _d4_files():
     """(file name, bytes) of every level of D4, and the levels."""
     levels = list(we.generate_group(we.root_system("D4")))
-    return [(store.level_file_name("D4", level.index, level.size), store.format_level(level))
+    return [(store.level_file_name("D4", level.index, level.size), _body(level))
             for level in levels], levels
 
 
@@ -984,10 +990,10 @@ def _canonical_faults(draw):
     else:  # the file renamed to a wrong elems=
         size = draw(st.integers(1, level.size + 3).filter(lambda n: n != level.size))
         name = store.level_file_name("D4", k, size)
-        return k, name, store.format_level(level), (
+        return k, name, _body(level), (
             rf"^level {k}, record {min(size, level.size)}: .*{re.escape(name)} "
             rf"gives elems={size}, but the walk's level holds {level.size}$")
-    return k, name, store.format_level(level), (
+    return k, name, _body(level), (
         rf"^level {k}, record {j}: its {field} in .*{re.escape(name)} is .*, not the walk's ")
 
 
@@ -1076,9 +1082,116 @@ def test_read_run_names_a_level_file_of_another_rank(tmp_path, d4_levels):
     # level 2's name and record count, but rank-3 records: canonical, and not D4's
     two = d4_levels[2]
     paths = _written_run(tmp_path, d4_levels)
-    paths[2].write_bytes(store.format_level(we.Level(
+    paths[2].write_bytes(_body(we.Level(
         weights=two.weights[:, :3], matrices=two.matrices[:, :3, :3],
         words=np.minimum(two.words, 3), inv_ordinal=two.inv_ordinal)))
     with pytest.raises(IntegrityError, match=r"_2_elems=9\.txt: level 2 holds records of "
                                              r"rank 3, not the run's 4$"):
         we.build_index(store.read_run(paths))
+
+
+# The level codec's bytes are its compacted blocks, written and compared in
+# turn: no write or check holds a level-wide byte string beside them.
+
+@pytest.fixture(scope="module")
+def b7_level_25():
+    """B7's level 25: 36,336 records, a 10.1 MiB file of 18 blocks."""
+    *_, level = we.generate_group(we.root_system("B7"), levels_up_to=25)
+    return level
+
+
+def _traced_on_one_cpu(call, *args):
+    """call(*args) and its traced peak, on one CPU: the codec's scratch is then
+    one thread's at a time, so the peak does not hang on how two threads meet."""
+    with _cpus(1):
+        tracemalloc.start()
+        try:
+            out = call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return out, peak
+
+
+def _block_of_numbers(level):
+    """The bytes of one block of a level's numbers as int64: per record its
+    ordinal, weight, n_inv and matrix."""
+    rank = level.weights.shape[1]
+    return store._BLOCK * (2 + rank + rank * rank) * 8
+
+
+def test_write_level_holds_no_level_wide_bytes(tmp_path, b7_level_25):
+    # Beyond the file's blocks, 5.04 blocks of numbers were measured against
+    # this bound of 6; joining the blocks into one bytes made 11.5.
+    level = b7_level_25
+    assert len(store.format_level(level)) == 18
+    written, peak = _traced_on_one_cpu(store.write_level, level, "B7", tmp_path)
+    assert written.path.read_bytes() == _body(level)
+    assert peak < written.path.stat().st_size + 6 * _block_of_numbers(level)
+
+
+def test_read_runs_check_of_a_level_holds_no_level_wide_bytes(tmp_path, b7_level_25):
+    # read_run's check of one level against its file, with the same bound:
+    # 5.04 blocks of numbers were measured beyond the file; holding the file's
+    # bytes and the level's joined made 11.5.
+    level = b7_level_25
+    path = store.write_level(level, "B7", tmp_path).path
+    checked, peak = _traced_on_one_cpu(lambda: list(store._matched([path], iter([level]))))
+    assert checked == [level]
+    assert peak < path.stat().st_size + 6 * _block_of_numbers(level)
+
+
+@functools.cache
+def _b6_levels():
+    """B6's levels up to its largest, level 18 of 3,210 records: two blocks."""
+    return list(we.generate_group(we.root_system("B6"), levels_up_to=18))
+
+
+def _leading_zero_in_the_last_row(text):
+    """The file's last matrix row with a leading zero on its first integer."""
+    *lines, row, end = text.split("\n")
+    i = next(i for i, c in enumerate(row) if c.isdigit())
+    return "\n".join([*lines, row[:i] + "0" + row[i:], end])
+
+
+# Files of B6's level 18 that differ from the walk's past its first block, as
+# edits of the file's text and the refusal each gets: each still parses to the
+# walk's level, so only the byte comparison refuses it.
+_TAIL_FAULTS = {
+    "one-byte-appended": (lambda text: text + "\n", "trailing content after 3210 records"),
+    "cut-in-the-last-block": (lambda text: text[:-2],  # the last row's "]\n"
+                              "truncated file, expected 3210 records"),
+    "leading-zero-in-the-last-record": (_leading_zero_in_the_last_row, "malformed matrix row"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_TAIL_FAULTS))
+@pytest.mark.parametrize("reader", ["read_level", "read_run"])
+def test_a_file_differing_past_its_first_block_is_refused(tmp_path, fault, reader):
+    levels = _b6_levels()
+    paths = _written_run(tmp_path, levels, "B6")
+    path = paths[-1]
+    edit, message = _TAIL_FAULTS[fault]
+    path.write_bytes(edit(path.read_text(encoding="utf-8")).encode())
+    assert store._parse_level(path.read_bytes(), 18, 3210) == levels[-1]
+    with pytest.raises(ParseError) as expected:
+        oracles.read_level_reference(path)
+    assert str(expected.value).startswith(f"{path}:") and message in str(expected.value)
+    with pytest.raises(ParseError) as got:
+        if reader == "read_level":
+            store.read_level(path)
+        else:
+            list(store.read_run(paths))
+    assert str(got.value) == str(expected.value)
+
+
+def test_read_run_names_a_canonical_change_in_a_files_last_record(tmp_path):
+    levels = _b6_levels()
+    matrices = levels[-1].matrices.copy()
+    matrices[-1, 0, 0] += 1
+    paths = _written_run(tmp_path, [*levels[:-1], dataclasses.replace(levels[-1],
+                                                                       matrices=matrices)], "B6")
+    with pytest.raises(IntegrityError, match=rf"^level 18, record 3209: its matrix in "
+                                             rf"{re.escape(str(paths[-1]))} is "
+                                             rf"\[\[{matrices[-1, 0, 0]}, "):
+        list(store.read_run(paths))
