@@ -9,9 +9,12 @@ header line
 followed by one bracketed list ``[a, b, ...]`` per matrix row.  The identity's
 word is a single space on disk and the empty word in memory.  `format_level`
 formats a level with array operations, taking its literal pieces from the
-template split at the slots, and is the one statement of what is canonical:
-UTF-8 with LF line endings, canonical integers (no leading zeros, no "-0", at
-most 18 digits so each fits int64) and canonical words.  It gives a level's
+template, its word spelled as letter slots, split at the slots, and is the
+one statement of what is canonical: UTF-8 with LF line endings, canonical
+integers (no leading zeros, no "-0", at most 18 digits so each fits int64)
+and canonical words.  It finds the digits of each array (ordinal, letters,
+weight, n_inv, matrix) in that array's own dtype, with a sign byte only for
+a signed array, so no block is widened to int64.  It gives a level's
 bytes as its compacted blocks, never joined: `write_level` writes them in
 turn, and every check compares them in turn (`_holds`), so no level holds a
 level-wide byte string beside them.  `read_level` parses every integer of a
@@ -66,8 +69,6 @@ _WORD_RE = re.compile(r" |s[1-9][0-9]*(?:\.s[1-9][0-9]*)*")
 _NUMBER_BYTES = bytes(b if chr(b) in "0123456789-" else ord(" ") for b in range(256))
 # The least magnitude of 19 digits: %d and %u slots hold at most 18.
 _CAP = 10**18
-# 10^1..10^19, the least magnitudes of 2..20 digits; no int64 has 20.
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 # format_level works this many records at a time, which bounds its scratch
 # arrays whatever the level size.  The codec works a level or a file of
 # more records in two halves, one of them on the package's worker thread.
@@ -128,87 +129,68 @@ def _record_lines(rank: int) -> tuple[str, str]:
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:
-    """|values| as uint64, exact for every int64: abs keeps -2^63, read back as 2^63."""
-    return np.abs(values).view(np.uint64)
-
-
-def _word_tokens(rank: int) -> np.ndarray:
-    """Row g: generator g's word token, padded with 0, then a dot in the last byte."""
-    tokens = [format_word((g,)).encode() for g in range(1, rank + 1)]
-    table = np.zeros((rank + 1, max(map(len, tokens)) + 1), dtype=np.uint8)
-    table[1:, -1] = ord(".")
-    for g, token in enumerate(tokens, start=1):
-        table[g, :len(token)] = np.frombuffer(token, dtype=np.uint8)
-    return table
+    """|values| in the unsigned dtype of their size, exact for every signed
+    dtype: abs keeps the dtype's least value, read back as its magnitude."""
+    return np.abs(values).view(f"u{values.itemsize}")
 
 
 def format_level(level: Level) -> list[np.ndarray]:
     """The exact file body for a level, formatted with array operations, as
     its compacted blocks: 1-D uint8 arrays whose bytes, in turn, are the file.
 
-    The record template, split at its slots, gives one byte layout per
-    level: each literal piece, then each slot at its widest.  A number slot
-    holds a sign byte and as many digits as its column's largest magnitude;
-    the word slot holds one token per letter, less the last dot.  Records
-    are laid out a block at a time in rows of that layout, with 0 in every
-    byte a record leaves unused, and one boolean compaction per block drops
-    those bytes; no literal, digit or token byte is 0.  The blocks are given
-    as they are, in file order, and never joined, so that the file's bytes
-    are held once.  A level of more than one block is cut at its middle
-    record: the calling thread formats the first half and the package's
-    worker thread the second (`kernels._in_two`).
+    The record template, its word spelled as letter slots ``s%u`` joined by
+    dots or the identity's literal space, and split at its slots, gives one
+    byte layout per level: each literal piece, then each slot at its widest.
+    The slots are the columns of five arrays in turn: the ordinal, the word
+    letters, the weight, n_inv and the matrix.  A slot holds a sign byte
+    exactly when its array's dtype is signed, then as many digits as its
+    array's largest magnitude; the digits of each array are found in its own
+    dtype, so no block is widened or joined to other arrays.  Records are laid
+    out a block at a time in rows of that layout, with 0 in every byte a
+    record leaves unused, and one boolean compaction per block drops those
+    bytes; no literal or digit byte is 0.  The blocks are given as they are,
+    in file order, and never joined, so that the file's bytes are held once.
+    A level of more than one block is cut at its middle record: the calling
+    thread formats the first half and the package's worker thread the second
+    (`kernels._in_two`).
     """
     n, rank = level.weights.shape
     header, row = _record_lines(rank)
-    template = "\n".join([header] + [row] * rank) + "\n"
-    slots = re.findall("%[dus]", template)
-    pieces = [p.encode() for p in re.split("%[dus]", template)]
-    word_slot = slots.index("%s")
-    # The template's number slots in order: ordinal, weight, n_inv, matrix.
-    columns = [np.arange(n)[:, None], level.weights, level.inv_ordinal[:, None],
-               level.matrices.reshape(n, -1)]
-    top = np.maximum(_magnitudes(np.concatenate([c.min(axis=0, initial=0) for c in columns])),
-                     _magnitudes(np.concatenate([c.max(axis=0, initial=0) for c in columns])))
-    digits = 1 + (top[:, None] >= _POW10).sum(axis=1)
-    tokens = _word_tokens(rank)
-    length = level.words.shape[1]
-    identity = np.frombuffer(format_word(()).encode(), dtype=np.uint8)
-    word_width = length * tokens.shape[1] - 1 if length else identity.size
-    widths = np.empty(2 * len(slots) + 1, dtype=np.int64)
+    word = ".".join(["s%u"] * level.words.shape[1]) or format_word(())
+    pieces = [p.encode() for p in re.split("%[du]", "\n".join(
+        [header.replace("%s", word)] + [row] * rank) + "\n")]
+    arrays = [np.arange(n, dtype=np.min_scalar_type(n - 1))[:, None], level.words,
+              level.weights, level.inv_ordinal[:, None], level.matrices.reshape(n, -1)]
+    # An array's slots hold as many digits as its largest magnitude, after a
+    # sign byte exactly when the array is signed.
+    digits = [len(str(max(-int(a.min(initial=0)), int(a.max(initial=0))))) for a in arrays]
+    signed = [a.dtype.kind == "i" for a in arrays]
+    widths = np.empty(2 * len(pieces) - 1, dtype=np.int64)
     widths[0::2] = [len(p) for p in pieces]
-    widths[1::2] = np.insert(digits + 1, word_slot, word_width)
-    starts = np.cumsum(widths) - widths
-    signs = np.delete(starts[1::2], word_slot)
-    word = slice(starts[2 * word_slot + 1], starts[2 * word_slot + 1] + word_width)
-    literals = np.frombuffer(b"".join(pieces), np.uint8)
-    pieces_at = np.repeat(np.arange(widths.size) % 2 == 0, widths)  # even segments
-    # Digits come from repeated division by 10, the longest columns first, so
-    # that the columns still holding digits at each place are a prefix.
-    order = np.argsort(-digits, kind="stable")
-    units = signs[order] + digits[order]  # where each column's last digit goes
-    places = [units[:np.count_nonzero(digits > k)] - k for k in range(digits.max())]
+    widths[1::2] = np.repeat(np.add(digits, signed), [a.shape[1] for a in arrays])
+    # Where each slot's last digit goes, an array at a time.
+    units = np.split(np.cumsum(widths)[1::2] - 1, np.cumsum([a.shape[1] for a in arrays])[:-1])
+    layout = np.zeros(widths.sum(), dtype=np.uint8)  # a row: the literals, 0 in every slot
+    layout[np.repeat(np.arange(widths.size) % 2 == 0, widths)] = np.frombuffer(
+        b"".join(pieces), np.uint8)
 
     def blocks(lo: int, hi: int) -> list[np.ndarray]:
         """Records lo..hi-1, compacted a block at a time in one scratch of rows."""
-        rows = np.empty((min(hi - lo, _BLOCK), widths.sum()), dtype=np.uint8)
-        rows[:, pieces_at] = literals
-        if not length:
-            rows[:, word] = identity
+        rows = np.broadcast_to(layout, (min(hi - lo, _BLOCK), layout.size)).copy()
         compacted = []
         for start in range(lo, hi, _BLOCK):
             block = rows[:min(hi - start, _BLOCK)]
-            values = np.concatenate([c[start:start + len(block)] for c in columns], axis=1)
-            block[:, signs] = (values < 0) * np.uint8(ord("-"))
-            quotient = _magnitudes(values)[:, order]
-            for k, place in enumerate(places):
-                quotient = quotient[:, :len(place)]
-                shifted = quotient // 10
-                digit = (quotient - shifted * 10).astype(np.uint8) + np.uint8(ord("0"))
-                block[:, place] = digit * (quotient > 0) if k else digit  # no leading zeros
-                quotient = shifted
-            if length:
-                letters = np.take(tokens, level.words[start:start + len(block)], axis=0)
-                block[:, word] = letters.reshape(len(block), -1)[:, :word_width]
+            for array, last, d, s in zip(arrays, units, digits, signed):
+                quotient = array[start:start + len(block)]
+                if s:
+                    block[:, last - d] = (quotient < 0) * np.uint8(ord("-"))
+                    quotient = _magnitudes(quotient)
+                # Digits by repeated division by 10, last digit first.
+                for k in range(d):
+                    shifted = quotient // 10
+                    digit = (quotient - shifted * 10).astype(np.uint8) + np.uint8(ord("0"))
+                    block[:, last - k] = digit * (quotient > 0) if k else digit  # no leading zeros
+                    quotient = shifted
             compacted.append(block[block != 0])
         return compacted
 
@@ -276,8 +258,8 @@ def _parse_level(data: bytes, index: int, size: int) -> Level | None:
     """The level whose integers `data` holds in template order, or None.
 
     None when the integers do not parse, do not fill `size` records, or hold
-    a value no canonical file has: a word letter outside 1..rank (0 is
-    format_level's padding byte), a negative n_inv, or 19 or more digits.
+    a value no canonical file has: a word letter outside 1..rank, a
+    negative n_inv, or 19 or more digits.
     No warnings filter is set.  On a bad token numpy < 2 warns through the
     caller's filters and returns the integers before it, too few or not
     writing back; under a caller's "error" filter the warning gives None.

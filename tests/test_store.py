@@ -78,25 +78,32 @@ def test_write_and_read_levels_round_trip(tmp_path, d4_levels):
 
 @st.composite
 def _random_levels(draw):
-    """A level of random records: its size, rank, word length and entry bound vary."""
+    """A level of random records: its size, rank, word length, entry bound and
+    dtypes vary.  The weights and the matrices each take a signed dtype that
+    holds the bound, and hold once its least value that a file holds: the
+    dtype's least, whose abs wraps, or for int64 the least of 18 digits.  The
+    words are uint8 or uint16."""
     rank = draw(st.sampled_from([1, 2, 4, 7, 10, 12]))
     block = store._BLOCK
     size = draw(st.one_of(st.integers(1, 30),
                           st.sampled_from([block - 1, block, block + 1, 2 * block + 7])))
     length = draw(st.sampled_from([0, 1, 2, 5]))
     bound = draw(st.sampled_from([1, 9, 10, 99, 12345, 2**40 - 1]))
+    dtypes = [t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def entries(*shape):
-        x = rng.integers(-bound, bound, size=shape, endpoint=True)
+        dtype = draw(st.sampled_from(dtypes))
+        x = rng.integers(-bound, bound, size=shape, endpoint=True).astype(dtype)
         x[rng.random(shape) < 0.3] = 0
         x.flat[rng.integers(x.size)] = rng.choice([-bound, bound])
+        x.flat[rng.integers(x.size)] = max(np.iinfo(dtype).min, 1 - store._CAP)
         return x
 
     return we.Level(
         weights=entries(size, rank), matrices=entries(size, rank, rank),
         words=rng.integers(1, rank, size=(size, length), endpoint=True).astype(
-            np.min_scalar_type(rank)),
+            draw(st.sampled_from([np.uint8, np.uint16]))),
         inv_ordinal=rng.integers(0, draw(st.sampled_from([1, 10, 10**6])), size=size))
 
 
@@ -433,6 +440,21 @@ def test_read_level_inverse_out_of_range(tmp_path, d4_levels):
     path = _write_then_mutate(tmp_path, d4_levels[2],
                               lambda t: t.replace("n_inv=3", "n_inv=9", 1))
     with pytest.raises(IntegrityError, match="out of range"):
+        store.read_level(path)
+
+
+def test_a_negative_n_inv_keeps_its_sign_and_is_refused_at_its_line(tmp_path, d4_levels):
+    # n_inv's array is signed, so its slot keeps a sign byte: a -1 is written
+    # as -1, not as 1, and the reader refuses that header at its line.
+    inv = d4_levels[2].inv_ordinal.copy()
+    inv[1] = -1
+    level = dataclasses.replace(d4_levels[2], inv_ordinal=inv)
+    body = _body(level)
+    assert body == oracles.format_level_reference(level)
+    assert body.split(b"\n")[5].endswith(b", n_inv=-1")  # record 1 starts at line 6
+    path = tmp_path / store.level_file_name("D4", 2, level.size)
+    path.write_bytes(body)
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:6: malformed header"):
         store.read_level(path)
 
 
@@ -1114,31 +1136,34 @@ def _traced_on_one_cpu(call, *args):
 
 
 def _block_of_numbers(level):
-    """The bytes of one block of a level's numbers as int64: per record its
-    ordinal, weight, n_inv and matrix."""
+    """The bytes of one block of the numbers the codec holds of a level: per
+    record its weight and matrix in the run dtype, and its int64 n_inv."""
     rank = level.weights.shape[1]
-    return store._BLOCK * (2 + rank + rank * rank) * 8
+    return store._BLOCK * ((rank + rank * rank) * level.weights.itemsize
+                           + level.inv_ordinal.itemsize)
 
 
 def test_write_level_holds_no_level_wide_bytes(tmp_path, b7_level_25):
-    # Beyond the file's blocks, 5.04 blocks of numbers were measured against
-    # this bound of 6; joining the blocks into one bytes made 11.5.
+    # Beyond the file's blocks, 11.9 blocks of B7's int8 numbers were measured
+    # against this bound of 13, most of it one block's rows and their
+    # compaction mask.  Widening each block's numbers to int64 made 36.6, and
+    # joining the blocks into one bytes made 83.
     level = b7_level_25
-    assert len(store.format_level(level)) == 18
+    assert level.weights.dtype == np.int8 and len(store.format_level(level)) == 18
     written, peak = _traced_on_one_cpu(store.write_level, level, "B7", tmp_path)
     assert written.path.read_bytes() == _body(level)
-    assert peak < written.path.stat().st_size + 6 * _block_of_numbers(level)
+    assert peak < written.path.stat().st_size + 13 * _block_of_numbers(level)
 
 
 def test_read_runs_check_of_a_level_holds_no_level_wide_bytes(tmp_path, b7_level_25):
     # read_run's check of one level against its file, with the same bound:
-    # 5.04 blocks of numbers were measured beyond the file; holding the file's
-    # bytes and the level's joined made 11.5.
+    # 11.8 blocks of numbers were measured beyond the file; widening them to
+    # int64 made 36.5, and holding the file's bytes and the level's joined 83.
     level = b7_level_25
     path = store.write_level(level, "B7", tmp_path).path
     checked, peak = _traced_on_one_cpu(lambda: list(store._matched([path], iter([level]))))
     assert checked == [level]
-    assert peak < path.stat().st_size + 6 * _block_of_numbers(level)
+    assert peak < path.stat().st_size + 13 * _block_of_numbers(level)
 
 
 @functools.cache
